@@ -21,7 +21,16 @@ Evaluation is defined against either
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Optional, Protocol, Sequence, Union, runtime_checkable
+from typing import (
+    Callable,
+    Iterable,
+    Iterator,
+    Optional,
+    Protocol,
+    Sequence,
+    Union,
+    runtime_checkable,
+)
 
 from ..exceptions import IllFormedRuleError
 from .atoms import Atom, Literal, variables_of_atoms
@@ -216,9 +225,7 @@ class _SetAdapter:
 
     def __init__(self, atoms: Iterable[Atom]):
         self._atoms = atoms if isinstance(atoms, (set, frozenset)) else set(atoms)
-        self._by_predicate: dict[str, list[Atom]] = {}
-        for atom in self._atoms:
-            self._by_predicate.setdefault(atom.predicate, []).append(atom)
+        self._by_predicate: Optional[dict[str, list[Atom]]] = None
 
     def is_true(self, atom: Atom) -> bool:
         return atom in self._atoms
@@ -230,6 +237,8 @@ class _SetAdapter:
         return self._atoms
 
     def true_atoms_with_predicate(self, predicate: str) -> Iterable[Atom]:
+        if self._by_predicate is None:
+            self._by_predicate = _true_atom_index(self)
         return self._by_predicate.get(predicate, ())
 
 
@@ -250,20 +259,55 @@ def _true_atom_index(interpretation: ThreeValuedLike) -> dict[str, list[Atom]]:
     return index
 
 
+def _candidates_by_predicate(
+    interpretation: ThreeValuedLike,
+) -> Callable[[str], Iterable[Atom]]:
+    """``predicate -> true atoms`` for the non-ground query atoms.
+
+    Served by the interpretation's own ``true_atoms_with_predicate`` when it
+    has one; otherwise a predicate index of ``true_atoms()`` is built on the
+    first call, so queries whose atoms are all ground never build it.
+    """
+    lookup: Optional[Callable[[str], Iterable[Atom]]] = getattr(
+        interpretation, "true_atoms_with_predicate", None
+    )
+    if lookup is not None:
+        return lookup
+    index: Optional[dict[str, list[Atom]]] = None
+
+    def built_lookup(predicate: str) -> Iterable[Atom]:
+        nonlocal index
+        if index is None:
+            index = _true_atom_index(interpretation)
+        return index.get(predicate, ())
+
+    return built_lookup
+
+
 def _homomorphisms(
     positive: Sequence[Atom],
-    index: dict[str, list[Atom]],
+    interpretation: ThreeValuedLike,
+    candidates: Callable[[str], Iterable[Atom]],
     subst: Substitution,
 ) -> Iterator[Substitution]:
-    """Enumerate substitutions matching every positive atom to a true atom."""
+    """Enumerate substitutions matching every positive atom to a true atom.
+
+    An atom the substitution so far makes ground is a membership test; only
+    atoms with unbound variables scan the true atoms of their predicate.
+    """
     if not positive:
         yield subst
         return
     first, rest = positive[0], positive[1:]
-    for candidate in index.get(first.predicate, ()):  # pragma: no branch
+    instantiated = subst.apply_atom(first)
+    if instantiated.is_ground():
+        if interpretation.is_true(instantiated):
+            yield from _homomorphisms(rest, interpretation, candidates, subst)
+        return
+    for candidate in candidates(first.predicate):  # pragma: no branch
         extended = match(first, candidate, subst)
         if extended is not None:
-            yield from _homomorphisms(rest, index, extended)
+            yield from _homomorphisms(rest, interpretation, candidates, extended)
 
 
 def evaluate_query(
@@ -277,9 +321,9 @@ def evaluate_query(
     caller may filter nulls out if certain answers over ``Δ`` are desired.
     """
     adapted = _adapt(interpretation)
-    index = _true_atom_index(adapted)
+    candidates = _candidates_by_predicate(adapted)
     answers: set[tuple[Term, ...]] = set()
-    for hom in _homomorphisms(query.atoms, index, Substitution.empty()):
+    for hom in _homomorphisms(query.atoms, adapted, candidates, Substitution.empty()):
         answers.add(tuple(hom.apply_term(v) for v in query.answer_variables))
     return answers
 
@@ -296,7 +340,7 @@ def query_holds(
     as the paper defines NBCQ satisfaction in an interpretation ``I ⊆ Lit_P``.
     """
     adapted = _adapt(interpretation)
-    index = _true_atom_index(adapted)
+    candidates = _candidates_by_predicate(adapted)
 
     if isinstance(query, ConjunctiveQuery):
         positive: Sequence[Atom] = query.atoms
@@ -305,7 +349,7 @@ def query_holds(
         positive = query.positive
         negative = query.negative
 
-    for hom in _homomorphisms(positive, index, Substitution.empty()):
+    for hom in _homomorphisms(positive, adapted, candidates, Substitution.empty()):
         if _negatives_false(negative, hom, adapted):
             return True
     return False

@@ -712,6 +712,10 @@ class IncrementalCondensation:
         """The id of the component containing *atom_id*."""
         return self._comp_of[atom_id]
 
+    def position(self, component_id: int) -> int:
+        """The component's offset in :meth:`order` (dependencies first)."""
+        return self._positions[component_id]
+
     def components_ids(self) -> list[list[int]]:
         """The condensation as atom-id components, dependencies first.
 

@@ -40,6 +40,8 @@ possible support, which is exactly how the two closures below treat it.
 
 from __future__ import annotations
 
+import heapq
+import itertools
 from typing import Collection, Iterable, Iterator, Optional, Sequence
 
 from ..lang.atoms import Atom, Literal
@@ -326,21 +328,32 @@ class IncrementalWFS:
     The Datalog± engine's iterative deepening only ever **adds** ground rules
     to its :class:`~repro.lp.grounding.GroundProgram`; recomputing the full
     SCC-modular model at every depth therefore redoes almost all of the
-    previous depth's work.  This solver keeps, across calls to :meth:`model`:
+    previous depth's work.  This solver keeps, across calls to :meth:`refresh`:
 
     * an :class:`~repro.lp.fixpoint.IncrementalCondensation` of the program's
       rule index (new rules are folded in, Tarjan reruns confined to the
       affected suffix of the component order);
     * the per-component solutions of the previous call (the component's true
       and false atom ids) plus each component's *external inputs* — the body
-      atom ids outside the component whose final values its solution read.
+      atom ids outside the component whose final values its solution read;
+    * the current model itself, as id sets plus atom-space mirrors (true atoms
+      bucketed by predicate, false atoms flat) that are updated from the
+      per-component deltas and read in place by :meth:`is_true`,
+      :meth:`unfounded_atoms` and :meth:`true_atoms_with_predicate`.
 
     A refresh re-solves, dependencies first, exactly the components the delta
     can have touched: components reported dirty by the condensation (new
     membership, or a new rule heading into them) and components one of whose
-    external inputs changed value — the change set is propagated along the
-    component order, so an unchanged re-solve stops the ripple.  Everything
-    else keeps its stored solution untouched.
+    external inputs changed value.  The walk is a min-heap keyed by the
+    condensation position, seeded with the dirty components; a re-solve that
+    changes atoms pushes the components of the rules watching them, so an
+    unchanged re-solve stops the ripple and a refresh visits only candidates
+    (:attr:`last_visited`), never the whole component order.  Everything else
+    keeps its stored solution untouched.
+
+    :meth:`model` is the only place that copies: it refreshes and then
+    snapshots the mirrors into an immutable :class:`WellFoundedModel`, cached
+    until the next refresh that re-solves anything.
 
     Correctness is the same modularity ("splitting") argument that justifies
     :func:`well_founded_model`: a component's restriction of the WFS is the
@@ -372,27 +385,33 @@ class IncrementalWFS:
         #: component id -> external body atom ids its solution depends on
         self._inputs: dict[int, frozenset[int]] = {}
         #: condensation updates accumulated by :meth:`refresh_structure`
-        #: calls between :meth:`model` calls — nothing may be lost when a
-        #: caller refreshes the condensation without immediately re-solving
+        #: calls between refreshes — nothing may be lost when a caller
+        #: refreshes the condensation without immediately re-solving
         self._pending_dirty: set[int] = set()
         self._pending_removed: set[int] = set()
         #: atom ids invalidated externally (rule activity flipped under the
         #: index by the view-maintenance layer); translated to component ids
-        #: at the next :meth:`model` call, after the structural refresh
+        #: at the next refresh, after the structural refresh
         self._pending_dirty_atom_ids: set[int] = set()
         self._true_ids: set[int] = set()
         self._false_ids: set[int] = set()
         #: atom-space mirrors of the id sets, updated from per-component
-        #: deltas so a depth step never re-translates the untouched bulk
-        self._true_atoms: set = set()
-        self._false_atoms: set = set()
-        self._cached_model: Optional[WellFoundedModel] = None
-        #: instrumentation for tests and the benchmark: component solves
-        #: performed / skipped by the most recent :meth:`model` call
+        #: deltas so a refresh never re-translates the untouched bulk: true
+        #: atoms bucketed by predicate (the query-side index), false atoms flat
+        self._true_by_predicate: dict[str, set[Atom]] = {}
+        self._false_atoms: set[Atom] = set()
+        #: alternation rounds of the most recent refresh that re-solved
+        #: anything (the ``iterations`` of :meth:`model`)
+        self._iterations = 0
+        self._snapshot: Optional[WellFoundedModel] = None
+        #: instrumentation for tests and the benchmark: components popped
+        #: from the ripple heap, re-solved, and kept (every component not
+        #: re-solved) by the most recent refresh
+        self.last_visited = 0
         self.last_resolved = 0
         self.last_reused = 0
-        #: atoms whose truth value changed in the most recent :meth:`model`
-        #: call (empty on a no-change step); consumers such as the engine's
+        #: atoms whose truth value changed in the most recent refresh
+        #: (empty on a no-change step); consumers such as the engine's
         #: frontier-type cache invalidate exactly these
         self.last_changed_atoms: frozenset = frozenset()
 
@@ -410,10 +429,10 @@ class IncrementalWFS:
         """Fold appended rules into the condensation without re-solving.
 
         The resulting :class:`~repro.lp.fixpoint.CondensationUpdate` is
-        accumulated into pending state consumed by the next :meth:`model`
-        call, so callers that need a current condensation *between* model
-        refreshes (the view-maintenance layer asks it which atoms are
-        recursive) can refresh eagerly without losing dirt.
+        accumulated into pending state consumed by the next :meth:`refresh`,
+        so callers that need a current condensation *between* refreshes (the
+        view-maintenance layer asks it which atoms are recursive) can refresh
+        eagerly without losing dirt.
         """
         update = self._condensation.refresh()
         self._pending_dirty |= update.dirty
@@ -425,154 +444,263 @@ class IncrementalWFS:
         The view-maintenance layer enables/disables ground rules in place;
         the condensation cannot see those flips (the rule *structure* is
         unchanged), so the affected heads are reported here and their
-        components re-solve on the next :meth:`model` call — the value ripple
-        to dependent components then follows the normal changed-input path.
+        components re-solve on the next :meth:`refresh` — the value ripple to
+        dependent components then follows the normal changed-input path.
         """
         self._pending_dirty_atom_ids.update(atom_ids)
 
-    def model(self) -> WellFoundedModel:
-        """``WFS(P)`` for the program's current rule set (re-solving only dirty parts)."""
+    # -- live reads of the maintained model ----------------------------------------
+
+    def is_true(self, atom: Atom) -> bool:
+        """Is *atom* true in the model as of the last :meth:`refresh`?"""
+        bucket = self._true_by_predicate.get(atom.predicate)
+        return bucket is not None and atom in bucket
+
+    def true_atoms_with_predicate(self, predicate: str) -> Collection[Atom]:
+        """The true atoms with the given predicate: a live read-only view."""
+        return self._true_by_predicate.get(predicate, ())
+
+    def iter_true_atoms(self) -> Iterator[Atom]:
+        """Every true atom as of the last refresh, without copying."""
+        return itertools.chain.from_iterable(self._true_by_predicate.values())
+
+    def copy_true_atoms(self) -> set[Atom]:
+        """A fresh set of the true atoms as of the last refresh."""
+        return set().union(*self._true_by_predicate.values())
+
+    def unfounded_atoms(self) -> Collection[Atom]:
+        """The false atoms of the program's universe: a live read-only view.
+
+        Unlike :meth:`WellFoundedModel.is_false`, membership here says nothing
+        about atoms outside the universe; readers that need that convention
+        apply it.
+        """
+        return self._false_atoms
+
+    @property
+    def iterations(self) -> int:
+        """Alternation rounds of the last refresh that re-solved anything."""
+        return self._iterations
+
+    # -- solving ------------------------------------------------------------------
+
+    def _retract_solution(
+        self, index: RuleIndex, true_part: Collection[int], false_part: Collection[int]
+    ) -> None:
+        """Drop a component's stored solution from the id sets and mirrors."""
+        if true_part:
+            self._true_ids.difference_update(true_part)
+            buckets = self._true_by_predicate
+            for atom_id in true_part:
+                atom = index.atom_of(atom_id)
+                bucket = buckets[atom.predicate]
+                bucket.discard(atom)
+                if not bucket:
+                    del buckets[atom.predicate]
+        if false_part:
+            self._false_ids.difference_update(false_part)
+            self._false_atoms.difference_update(index.atoms_of(false_part))
+
+    def _assert_solution(
+        self, index: RuleIndex, true_part: Collection[int], false_part: Collection[int]
+    ) -> None:
+        """Add a component's fresh solution to the id sets and mirrors."""
+        if true_part:
+            self._true_ids.update(true_part)
+            buckets = self._true_by_predicate
+            for atom_id in true_part:
+                atom = index.atom_of(atom_id)
+                bucket = buckets.get(atom.predicate)
+                if bucket is None:
+                    bucket = buckets[atom.predicate] = set()
+                bucket.add(atom)
+        if false_part:
+            self._false_ids.update(false_part)
+            self._false_atoms.update(index.atoms_of(false_part))
+
+    def refresh(self) -> None:
+        """Bring the maintained model up to date, re-solving only dirty parts.
+
+        Solves without snapshotting: afterwards the live reads
+        (:meth:`is_true`, :meth:`unfounded_atoms`,
+        :meth:`true_atoms_with_predicate`) reflect the program's current rule
+        set, and :meth:`model` can snapshot it.
+        """
         index = self._program.index()
+        condensation = self._condensation
         self.refresh_structure()
-        if (
-            not self._pending_dirty
-            and not self._pending_removed
-            and not self._pending_dirty_atom_ids
-            and self._cached_model is not None
-        ):
-            # No new rules reached any component, so no solution can change
-            # (a genuinely new rule always dirties its head's component), no
-            # rule activity flipped, and the universe is unchanged: the
-            # previous model *is* the model.
-            self.last_resolved = 0
-            self.last_reused = len(self._solutions)
-            self.last_changed_atoms = frozenset()
-            return self._cached_model
         removed = self._pending_removed
         dirty = self._pending_dirty - removed
         for atom_id in self._pending_dirty_atom_ids:
-            dirty.add(self._condensation.component_of_atom(atom_id))
+            dirty.add(condensation.component_of_atom(atom_id))
         self._pending_dirty = set()
         self._pending_removed = set()
         self._pending_dirty_atom_ids = set()
+        if not dirty and not removed:
+            # No new rules reached any component, so no solution can change
+            # (a genuinely new rule always dirties its head's component), no
+            # rule activity flipped, and the universe is unchanged.
+            self.last_visited = 0
+            self.last_resolved = 0
+            self.last_reused = len(condensation)
+            self.last_changed_atoms = frozenset()
+            return
+        self._snapshot = None
         changed: set[int] = set()
         for cid in removed:
             solution = self._solutions.pop(cid, None)
             if solution is not None:
                 # the merged successor re-solves and re-asserts these atoms;
                 # anything it no longer derives has genuinely changed value
-                self._true_ids -= solution[0]
-                self._false_ids -= solution[1]
-                self._true_atoms -= index.atoms_of(solution[0])
-                self._false_atoms -= index.atoms_of(solution[1])
+                self._retract_solution(index, *solution)
                 changed |= solution[0] | solution[1]
             self._inputs.pop(cid, None)
 
-        condensation = self._condensation
-        true_ids, false_ids = self._true_ids, self._false_ids
-        rounds = 0
-        resolved = reused = 0
-
         if self.workers > 1:
-            from .parallel import resolve_components_incremental
-
-            outcomes = resolve_components_incremental(
-                index,
-                condensation,
-                true_ids,
-                false_ids,
-                stored=self._solutions,
-                stored_inputs=self._inputs,
-                dirty=dirty,
-                initial_changed=changed,
-                workers=self.workers,
-                executor=self.executor,
-                component_hook=self.component_hook,
-            )
-            # Commit in topological order: the bookkeeping below is the
-            # serial loop's, verbatim, so stats and mirrors stay
-            # bit-identical to the ``workers=1`` oracle.
-            for cid in condensation.order():
-                outcome = outcomes[cid]
-                if outcome is None:
-                    reused += 1
-                    continue
-                resolved += 1
-                stored = self._solutions.get(cid)
-                if stored is not None:
-                    true_ids -= stored[0]
-                    false_ids -= stored[1]
-                    self._true_atoms -= index.atoms_of(stored[0])
-                    self._false_atoms -= index.atoms_of(stored[1])
-                local_true, local_false, component_rounds, inputs = outcome
-                true_ids |= local_true
-                false_ids |= local_false
-                rounds += component_rounds
-                self._true_atoms |= index.atoms_of(local_true)
-                self._false_atoms |= index.atoms_of(local_false)
-                solution = (frozenset(local_true), frozenset(local_false))
-                if stored is None:
-                    changed |= solution[0] | solution[1]
-                else:
-                    changed |= (stored[0] ^ solution[0]) | (stored[1] ^ solution[1])
-                self._solutions[cid] = solution
-                self._inputs[cid] = inputs
+            resolved, rounds = self._refresh_parallel(index, dirty, changed)
+            visited = len(condensation)
         else:
-            for cid in condensation.order():
-                stored = self._solutions.get(cid)
-                resolve = stored is None or cid in dirty
-                if not resolve and changed:
-                    inputs = self._inputs.get(cid)
-                    resolve = inputs is not None and not changed.isdisjoint(inputs)
-                if not resolve:
-                    reused += 1
-                    continue
-                resolved += 1
-                component = set(condensation.members(cid))
-                rule_ids = [
-                    rule_id
-                    for atom_id in component
-                    for rule_id in index.active_rule_ids_for_head_id(atom_id)
-                ]
-                if stored is not None:
-                    true_ids -= stored[0]
-                    false_ids -= stored[1]
-                    self._true_atoms -= index.atoms_of(stored[0])
-                    self._false_atoms -= index.atoms_of(stored[1])
-                if self.component_hook is not None:
-                    self.component_hook(component)
-                local_true, local_false, component_rounds = _solve_component(
-                    index, component, rule_ids, true_ids, false_ids
-                )
-                true_ids |= local_true
-                false_ids |= local_false
-                rounds += component_rounds
-                self._true_atoms |= index.atoms_of(local_true)
-                self._false_atoms |= index.atoms_of(local_false)
-                solution = (frozenset(local_true), frozenset(local_false))
-                if stored is None:
-                    changed |= solution[0] | solution[1]
-                else:
-                    changed |= (stored[0] ^ solution[0]) | (stored[1] ^ solution[1])
-                self._solutions[cid] = solution
-                self._inputs[cid] = frozenset(
-                    atom_id
-                    for rule_id in rule_ids
-                    for atom_id in (*index.pos_ids(rule_id), *index.neg_ids(rule_id))
-                    if atom_id not in component
-                )
+            resolved, rounds, visited = self._refresh_serial(index, dirty, changed)
 
+        self._iterations = rounds
+        self.last_visited = visited
         self.last_resolved = resolved
-        self.last_reused = reused
+        self.last_reused = len(condensation) - resolved
         self.last_changed_atoms = frozenset(index.atoms_of(changed))
-        # The mirrors already hold the atom translation; Interpretation's
-        # constructor copies them, so the model is a stable snapshot.
-        interpretation = Interpretation(self._true_atoms, self._false_atoms)
-        model = WellFoundedModel(
-            interpretation, self._program.atoms(), iterations=rounds
+
+    def _refresh_serial(
+        self, index: RuleIndex, dirty: set[int], changed: set[int]
+    ) -> tuple[int, int, int]:
+        """The position-heap ripple; returns ``(resolved, rounds, visited)``.
+
+        A component is popped only when it is dirty or some rule heading into
+        it watches an atom that changed value earlier in this refresh, and
+        the heap pops in condensation order, so by the time a component is
+        popped every change below it is final.  The resolve test on a popped
+        component is the full rule — no stored solution, dirty, or a changed
+        external input — so the decisions (and with them every statistic)
+        equal a dependencies-first sweep over the whole order.
+        """
+        condensation = self._condensation
+        position = condensation.position
+        comp_of = condensation.component_of_atom
+        head_id = index.head_id
+        queued = set(dirty)
+        heap = [(position(cid), cid) for cid in queued]
+        heapq.heapify(heap)
+
+        def push_watchers(atom_ids: Iterable[int]) -> None:
+            for atom_id in atom_ids:
+                for watchers in (index.watchers_pos_id(atom_id), index.watchers_neg_id(atom_id)):
+                    for rule_id in watchers:
+                        cid = comp_of(head_id(rule_id))
+                        if cid not in queued:
+                            queued.add(cid)
+                            heapq.heappush(heap, (position(cid), cid))
+
+        push_watchers(changed)
+        rounds = resolved = visited = 0
+        while heap:
+            _, cid = heapq.heappop(heap)
+            visited += 1
+            stored = self._solutions.get(cid)
+            resolve = stored is None or cid in dirty
+            if not resolve and changed:
+                inputs = self._inputs.get(cid)
+                resolve = inputs is not None and not changed.isdisjoint(inputs)
+            if not resolve:
+                continue
+            resolved += 1
+            component = set(condensation.members(cid))
+            rule_ids = [
+                rule_id
+                for atom_id in component
+                for rule_id in index.active_rule_ids_for_head_id(atom_id)
+            ]
+            if stored is not None:
+                self._retract_solution(index, *stored)
+            if self.component_hook is not None:
+                self.component_hook(component)
+            local_true, local_false, component_rounds = _solve_component(
+                index, component, rule_ids, self._true_ids, self._false_ids
+            )
+            self._assert_solution(index, local_true, local_false)
+            rounds += component_rounds
+            solution = (frozenset(local_true), frozenset(local_false))
+            if stored is None:
+                delta = solution[0] | solution[1]
+            else:
+                delta = (stored[0] ^ solution[0]) | (stored[1] ^ solution[1])
+            if delta:
+                changed |= delta
+                push_watchers(delta)
+            self._solutions[cid] = solution
+            self._inputs[cid] = frozenset(
+                atom_id
+                for rule_id in rule_ids
+                for atom_id in (*index.pos_ids(rule_id), *index.neg_ids(rule_id))
+                if atom_id not in component
+            )
+        return resolved, rounds, visited
+
+    def _refresh_parallel(
+        self, index: RuleIndex, dirty: set[int], changed: set[int]
+    ) -> tuple[int, int]:
+        """The ready-set scheduler's refresh; returns ``(resolved, rounds)``."""
+        from .parallel import resolve_components_incremental
+
+        condensation = self._condensation
+        outcomes = resolve_components_incremental(
+            index,
+            condensation,
+            self._true_ids,
+            self._false_ids,
+            stored=self._solutions,
+            stored_inputs=self._inputs,
+            dirty=dirty,
+            initial_changed=changed,
+            workers=self.workers,
+            executor=self.executor,
+            component_hook=self.component_hook,
         )
-        self._cached_model = model
-        return model
+        # Commit in topological order: the bookkeeping below is the serial
+        # ripple's, verbatim, so stats and mirrors stay bit-identical to the
+        # ``workers=1`` oracle.
+        rounds = resolved = 0
+        for cid in condensation.order():
+            outcome = outcomes[cid]
+            if outcome is None:
+                continue
+            resolved += 1
+            stored = self._solutions.get(cid)
+            if stored is not None:
+                self._retract_solution(index, *stored)
+            local_true, local_false, component_rounds, inputs = outcome
+            self._assert_solution(index, local_true, local_false)
+            rounds += component_rounds
+            solution = (frozenset(local_true), frozenset(local_false))
+            if stored is None:
+                changed |= solution[0] | solution[1]
+            else:
+                changed |= (stored[0] ^ solution[0]) | (stored[1] ^ solution[1])
+            self._solutions[cid] = solution
+            self._inputs[cid] = inputs
+        return resolved, rounds
+
+    def model(self) -> WellFoundedModel:
+        """``WFS(P)`` for the program's current rule set, as an immutable snapshot.
+
+        Refreshes (re-solving only dirty parts), then copies the mirrors into
+        a :class:`WellFoundedModel`; the snapshot is reused until a refresh
+        re-solves something, and later refreshes never alter it.
+        """
+        self.refresh()
+        if self._snapshot is None:
+            interpretation = Interpretation(self.copy_true_atoms(), self._false_atoms)
+            self._snapshot = WellFoundedModel(
+                interpretation, self._program.atoms(), iterations=self._iterations
+            )
+        return self._snapshot
 
 
 def well_founded_model_incremental(

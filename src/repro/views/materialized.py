@@ -27,6 +27,13 @@ over a Datalog±-style core).
   condensation components whose defining rules changed (plus the components
   the value ripple reaches) are re-solved.
 
+``holds``/``answer`` read live state: they refresh the solver and evaluate
+against :class:`_LiveModel`, a copy-free three-valued view of its mirrors and
+of the maintained universe, so an update followed by a query costs time in
+the delta, not in the state.  :meth:`MaterializedEngine.model` is the only
+place that copies: it snapshots the same state into an immutable
+:class:`~repro.lp.wfs.WellFoundedModel`.
+
 **Insertion** stages the new facts into the grounder
 (:meth:`~repro.lp.grounding.SemiNaiveGrounder.add_fact`), runs its delta
 rounds — grounding only the rule instances the new facts can fire — then
@@ -133,6 +140,42 @@ def _require_terminating(rules: Iterable[NormalRule]) -> str:
         "max_rounds_per_update/max_atoms budgets",
         diagnostics=(diagnostic,),
     )
+
+
+class _LiveModel:
+    """The maintained model read in place: the three-valued protocol, no copies.
+
+    Agrees with the snapshot :meth:`MaterializedEngine.model` would take at
+    the same point: an atom of the maintained universe is false iff the
+    solver holds it unfounded, and an atom outside the universe is false iff
+    it is not true.  Only valid between the engine's refresh and its next
+    update, which is how ``holds``/``answer`` use it.
+    """
+
+    __slots__ = ("_wfs", "_universe")
+
+    def __init__(self, wfs: IncrementalWFS, universe: set[Atom]):
+        self._wfs = wfs
+        self._universe = universe
+
+    def is_true(self, atom: Atom) -> bool:
+        return self._wfs.is_true(atom)
+
+    def is_false(self, atom: Atom) -> bool:
+        if atom in self._universe:
+            return atom in self._wfs.unfounded_atoms()
+        return not self._wfs.is_true(atom)
+
+    def holds(self, literal: Literal) -> bool:
+        if literal.positive:
+            return self.is_true(literal.atom)
+        return self.is_false(literal.atom)
+
+    def true_atoms(self) -> Iterator[Atom]:
+        return self._wfs.iter_true_atoms()
+
+    def true_atoms_with_predicate(self, predicate: str) -> Iterable[Atom]:
+        return self._wfs.true_atoms_with_predicate(predicate)
 
 
 def _coerce_atoms(atoms: Union[Iterable[Atom], Database, str, Atom]) -> list[Atom]:
@@ -262,7 +305,12 @@ class MaterializedEngine:
         self._pending_drops: list[int] = []
         self._round_floor = 0
 
+        #: the solver lags the maintained rule activity (an update changed
+        #: something since the last refresh)
+        self._stale = True
+        #: the snapshot :meth:`model` hands out, until the next refresh
         self._model_cache: Optional[WellFoundedModel] = None
+        self._live = _LiveModel(self._wfs, self._universe)
 
         # -- instrumentation ---------------------------------------------------
         self.last_stats: dict = {}
@@ -483,7 +531,7 @@ class MaterializedEngine:
     def _resume_pending(self) -> None:
         if self._in_update:
             self._complete_update()
-            self._model_cache = None
+            self._stale = True
 
     def _begin(self, op: str) -> float:
         """Open a logical update (or keep accumulating into a staged one)."""
@@ -563,7 +611,7 @@ class MaterializedEngine:
                 self._pending_ground.append(fact)
         self._complete_update()
         if new:
-            self._model_cache = None
+            self._stale = True
         return self._finish(_op, started, facts_added=len(new))
 
     def retract_facts(
@@ -619,7 +667,7 @@ class MaterializedEngine:
         self._pending_drops.extend(overdeleted)
         self._complete_update()
         if gone:
-            self._model_cache = None
+            self._stale = True
         return self._finish("retract", started, facts_retracted=len(gone))
 
     def _maybe_overdelete(
@@ -654,39 +702,51 @@ class MaterializedEngine:
 
     # -- queries ----------------------------------------------------------------
 
+    def _refresh(self, started: float) -> None:
+        """Resume a staged update, re-solve what it touched, record the stats.
+
+        A query that finds nothing stale is a cache hit in
+        :attr:`last_query_stats`.
+        """
+        self._resume_pending()
+        cache_hit = not self._stale
+        if not cache_hit:
+            self._wfs.refresh()
+            self._stale = False
+            self._model_cache = None
+        self.last_query_stats = {
+            "mode": "materialized",
+            "backend": self.backend,
+            "cache_hit": cache_hit,
+            "rounds": 0 if cache_hit else self._wfs.iterations,
+            "seconds": perf_counter() - started,
+        }
+
     def model(self) -> WellFoundedModel:
         """The maintained well-founded model of (rules, current EDB).
 
         Bit-identical to :meth:`scratch_model` at every quiescent point (the
         differential suites pin this); only the components the last updates
-        touched are re-solved.
+        touched are re-solved.  The result is an immutable snapshot: later
+        updates never alter it.
         """
         started = perf_counter()
-        self._resume_pending()
-        if self._model_cache is not None:
-            self.last_query_stats = {
-                "mode": "materialized",
-                "backend": self.backend,
-                "cache_hit": True,
-                "rounds": 0,
-                "seconds": perf_counter() - started,
-            }
-            return self._model_cache
-        inner = self._wfs.model()
-        universe = self._universe_frozenset()
-        interpretation = Interpretation(
-            inner.true_atoms(), inner.false_atoms() & universe
-        )
-        model = WellFoundedModel(interpretation, universe, iterations=inner.iterations)
-        self._model_cache = model
-        self.last_query_stats = {
-            "mode": "materialized",
-            "backend": self.backend,
-            "cache_hit": False,
-            "rounds": inner.iterations or 0,
-            "seconds": perf_counter() - started,
-        }
-        return model
+        self._refresh(started)
+        if self._model_cache is None:
+            universe = self._universe_frozenset()
+            interpretation = Interpretation(
+                self._wfs.copy_true_atoms(),
+                universe.intersection(self._wfs.unfounded_atoms()),
+            )
+            self._model_cache = WellFoundedModel(
+                interpretation, universe, iterations=self._wfs.iterations
+            )
+            self.last_query_stats.update(
+                cache_hit=False,
+                rounds=self._wfs.iterations,
+                seconds=perf_counter() - started,
+            )
+        return self._model_cache
 
     def _universe_frozenset(self) -> frozenset[Atom]:
         if self._universe_frozen is None:
@@ -716,12 +776,12 @@ class MaterializedEngine:
         """Does the query hold in the maintained well-founded model?"""
         if isinstance(query, str):
             query = parse_query(query)
-        model = self.model()
+        self._refresh(perf_counter())
         if isinstance(query, Atom):
-            return model.is_true(query)
+            return self._live.is_true(query)
         if isinstance(query, Literal):
-            return model.holds(query)
-        return query_holds(query, model)
+            return self._live.holds(query)
+        return query_holds(query, self._live)
 
     def answer(
         self,
@@ -732,7 +792,8 @@ class MaterializedEngine:
         """All answers to a conjunctive query over the maintained model."""
         if isinstance(query, str):
             query = parse_query(query)
-        answers = evaluate_query(as_conjunctive_query(query), self.model())
+        self._refresh(perf_counter())
+        answers = evaluate_query(as_conjunctive_query(query), self._live)
         if constants_only:
             answers = {
                 tup

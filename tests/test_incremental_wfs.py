@@ -19,6 +19,8 @@ from __future__ import annotations
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from repro.bench.generators import (
     paper_example_program,
@@ -35,9 +37,12 @@ from repro.lp.fixpoint import IncrementalCondensation
 from repro.lp.grounding import GroundProgram, SemiNaiveGrounder, relevant_grounding
 from repro.lp.wfs import (
     IncrementalWFS,
+    _solve_component,
     well_founded_model,
     well_founded_model_incremental,
 )
+
+from strategies import ground_programs
 
 
 def atom(name: str, *args: str) -> Atom:
@@ -192,6 +197,183 @@ class TestIncrementalWFS:
         model, new_state = well_founded_model_incremental(second, state)
         assert new_state is not state
         assert model.is_true(atom("b")) and not model.is_true(atom("a"))
+
+
+class FullScanRipple:
+    """Reference ripple: test every component of the order, dependencies first.
+
+    The resolve rule is the solver's (no stored solution, dirty, or a changed
+    external input); only the walk differs — this one visits the whole
+    order.  It shares the program's index (and its rule activity) with the
+    solver under test and reports ``(resolved, reused, changed atoms)``.
+    """
+
+    def __init__(self, program: GroundProgram):
+        self.index = program.index()
+        self.condensation = IncrementalCondensation(self.index)
+        self.solutions: dict = {}
+        self.inputs: dict = {}
+        self.true_ids: set = set()
+        self.false_ids: set = set()
+        self.dirty_atom_ids: set = set()
+
+    def refresh(self):
+        index, condensation = self.index, self.condensation
+        update = condensation.refresh()
+        removed = set(update.removed)
+        dirty = set(update.dirty) - removed
+        dirty |= {condensation.component_of_atom(a) for a in self.dirty_atom_ids}
+        self.dirty_atom_ids = set()
+        changed: set = set()
+        for cid in removed:
+            solution = self.solutions.pop(cid, None)
+            if solution is not None:
+                self.true_ids -= solution[0]
+                self.false_ids -= solution[1]
+                changed |= solution[0] | solution[1]
+            self.inputs.pop(cid, None)
+        resolved = 0
+        for cid in condensation.order():
+            stored = self.solutions.get(cid)
+            resolve = stored is None or cid in dirty
+            if not resolve and changed:
+                inputs = self.inputs.get(cid)
+                resolve = inputs is not None and not changed.isdisjoint(inputs)
+            if not resolve:
+                continue
+            resolved += 1
+            component = set(condensation.members(cid))
+            rule_ids = [
+                r for a in component for r in index.active_rule_ids_for_head_id(a)
+            ]
+            if stored is not None:
+                self.true_ids -= stored[0]
+                self.false_ids -= stored[1]
+            local_true, local_false, _ = _solve_component(
+                index, component, rule_ids, self.true_ids, self.false_ids
+            )
+            self.true_ids |= local_true
+            self.false_ids |= local_false
+            solution = (frozenset(local_true), frozenset(local_false))
+            if stored is None:
+                changed |= solution[0] | solution[1]
+            else:
+                changed |= (stored[0] ^ solution[0]) | (stored[1] ^ solution[1])
+            self.solutions[cid] = solution
+            self.inputs[cid] = frozenset(
+                a
+                for r in rule_ids
+                for a in (*index.pos_ids(r), *index.neg_ids(r))
+                if a not in component
+            )
+        return resolved, len(condensation) - resolved, frozenset(index.atoms_of(changed))
+
+
+@st.composite
+def growth_and_flip_schedules(draw):
+    """A random ground program split into chunks, with rule flips in between.
+
+    Each step appends the next chunk (possibly empty) and then flips the
+    activity of a few already-stored rules, by rule id modulo the count.
+    """
+    rules = list(draw(ground_programs()).rules())
+    cuts = sorted(draw(st.lists(st.integers(0, len(rules)), max_size=3)))
+    steps = []
+    start = 0
+    for cut in [*cuts, len(rules)]:
+        flips = draw(st.lists(st.integers(0, 50), max_size=3))
+        steps.append((rules[start:cut], flips))
+        start = cut
+    steps.extend((([], [flip]) for flip in draw(st.lists(st.integers(0, 50), max_size=4))))
+    return steps
+
+
+@given(schedule=growth_and_flip_schedules())
+@settings(
+    max_examples=150,
+    deadline=None,
+    suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
+)
+def test_heap_ripple_matches_full_scan_reference(schedule):
+    program = GroundProgram()
+    index = program.index()
+    solver = IncrementalWFS(program)
+    reference = FullScanRipple(program)
+    for chunk, flips in schedule:
+        program.update(chunk)
+        for flip in flips:
+            if not len(index):
+                break
+            rule_id = flip % len(index)
+            if index.is_enabled(rule_id):
+                index.disable_rule(rule_id)
+            else:
+                index.enable_rule(rule_id)
+            solver.invalidate_atom_ids([index.head_id(rule_id)])
+            reference.dirty_atom_ids.add(index.head_id(rule_id))
+        model = solver.model()
+        assert (
+            solver.last_resolved,
+            solver.last_reused,
+            solver.last_changed_atoms,
+        ) == reference.refresh()
+        assert solver.last_resolved <= solver.last_visited <= len(solver.condensation)
+        active = GroundProgram(
+            index.rule(r) for r in range(len(index)) if index.is_enabled(r)
+        )
+        scratch = well_founded_model(active)
+        for atom_ in program.atoms():
+            assert model.is_true(atom_) == scratch.is_true(atom_)
+            assert model.is_false(atom_) == scratch.is_false(atom_)
+
+
+def test_toggling_one_fact_visits_only_its_ripple():
+    """O(delta): one flipped fact in a 15k-component program pops a handful."""
+    rules = []
+    for i in range(5_000):
+        node = atom("e", f"n{i}")
+        rules.append(NormalRule(node))
+        rules.append(NormalRule(atom("p", f"n{i}"), (node,)))
+        rules.append(NormalRule(atom("q", f"n{i}"), (), (atom("p", f"n{i}"),)))
+    program = GroundProgram(rules)
+    solver = IncrementalWFS(program)
+    solver.refresh()
+    assert len(solver.condensation) >= 10_000
+    assert solver.last_visited == len(solver.condensation)  # the cold solve
+    index = program.index()
+    fact_rule = index.rule_ids_for_head(atom("e", "n7"))[0]
+    for flip in (index.disable_rule, index.enable_rule):
+        flip(fact_rule)
+        solver.invalidate_atom_ids([index.head_id(fact_rule)])
+        solver.refresh()
+        # e(n7) -> p(n7) -> q(n7): three components, each re-solved
+        assert solver.last_visited == solver.last_resolved == 3
+        assert solver.last_reused == len(solver.condensation) - 3
+        assert solver.last_changed_atoms == {
+            atom("e", "n7"),
+            atom("p", "n7"),
+            atom("q", "n7"),
+        }
+    assert solver.model().is_true(atom("p", "n7"))
+
+
+def test_incremental_snapshots_survive_later_refreshes():
+    """model() snapshots are immutable and remain the scratch model of their time."""
+    rng = random.Random(5)
+    rules = list(relevant_grounding(win_move_game(20, seed=5)))
+    rng.shuffle(rules)
+    program = GroundProgram()
+    solver = IncrementalWFS(program)
+    snapshots = []
+    for start in range(0, len(rules), 7):
+        program.update(rules[start : start + 7])
+        model = solver.model()
+        sets = (model.true_atoms(), model.false_atoms(), model.undefined_atoms())
+        snapshots.append((model, sets, well_founded_model(GroundProgram(program.rules()))))
+        solver.refresh()
+    for model, sets, scratch in snapshots:
+        assert (model.true_atoms(), model.false_atoms(), model.undefined_atoms()) == sets
+        assert_same_model(model, scratch)
 
 
 class TestGroundingDeltas:

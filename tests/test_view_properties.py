@@ -23,6 +23,9 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import GroundingError
+from repro.lang.atoms import Atom, Literal
+from repro.lang.queries import ConjunctiveQuery, NormalBCQ, evaluate_query, query_holds
+from repro.lang.terms import Constant, Variable
 from repro.lp.columnar import BACKENDS, make_grounder
 from repro.lp.wfs import well_founded_model
 from repro.views import MaterializedEngine
@@ -169,6 +172,128 @@ def test_maintained_model_equals_fresh_engine(data):
     fresh = MaterializedEngine(program, sorted(current, key=str), check_termination=False)
     assert engine.model() == fresh.model()
     assert engine.edb == fresh.edb
+
+
+X, Y = Variable("X"), Variable("Y")
+
+#: one open query per workload predicate, plus NBCQs with a negated atom
+OPEN_QUERIES = (
+    ConjunctiveQuery((Atom("p", (X,)),), (X,)),
+    ConjunctiveQuery((Atom("q", (X, Y)),), (X, Y)),
+    ConjunctiveQuery((Atom("r", (X,)),), (X,)),
+    ConjunctiveQuery((Atom("e", (X, Y)), Atom("p", (Y,))), (X, Y)),
+)
+NEGATED_QUERIES = (
+    NormalBCQ((Atom("e", (X, Y)),), (Atom("p", (X,)),)),
+    NormalBCQ((Atom("q", (X, Y)),), (Atom("r", (Y,)),)),
+    NormalBCQ((Atom("p", (X,)),), (Atom("q", (X, X)),)),
+)
+#: a constant no workload mentions: atoms over it lie outside every universe
+OUTSIDE = Constant("zz")
+
+
+def _ground_queries(engine, pool):
+    """Ground atoms to ask: the fact pool, a slice of the universe, outsiders."""
+    universe = sorted(engine.model().universe(), key=str)[:8]
+    outside = [Atom("p", (OUTSIDE,)), Atom("q", (OUTSIDE, Constant("a")))]
+    return list(dict.fromkeys([*pool, *universe, *outside]))
+
+
+def _check_live_answers(engine, pool, context):
+    """Every query through the live view equals evaluation on both snapshots.
+
+    The live answers are taken first, so each step's first query is the one
+    that refreshes the solver.
+    """
+    atoms = _ground_queries(engine, pool)
+    live = (
+        [engine.holds(atom) for atom in atoms],
+        [engine.holds(Literal(atom, False)) for atom in atoms],
+        [engine.holds(NormalBCQ((atom,))) for atom in atoms],
+        [engine.holds(query) for query in NEGATED_QUERIES],
+        [engine.answer(query) for query in OPEN_QUERIES],
+    )
+    for name, model in (("model", engine.model()), ("scratch", engine.scratch_model())):
+        expected = (
+            [model.is_true(atom) for atom in atoms],
+            [model.is_false(atom) for atom in atoms],
+            [query_holds(NormalBCQ((atom,)), model) for atom in atoms],
+            [query_holds(query, model) for query in NEGATED_QUERIES],
+            [
+                {
+                    answer
+                    for answer in evaluate_query(query, model)
+                    if all(isinstance(term, Constant) for term in answer)
+                }
+                for query in OPEN_QUERIES
+            ],
+        )
+        assert live == expected, (context, name)
+
+
+@given(data=update_scripts(), backend=st.sampled_from(BACKENDS))
+@settings(max_examples=40, **COMMON_SETTINGS)
+def test_live_queries_equal_snapshot_and_scratch_evaluation(data, backend):
+    """holds/answer on live state agree with model() and scratch_model()."""
+    program, edb, script = data
+    pool = list(dict.fromkeys(edb + [fact for _, fact in script]))
+    _assume_pool_saturates(program, pool)
+    engine = MaterializedEngine(program, edb, backend=backend, check_termination=False)
+    _check_live_answers(engine, pool, "init")
+    for step, (op, fact) in enumerate(script):
+        if op == "add":
+            engine.add_facts([fact])
+        else:
+            engine.retract_facts([fact])
+        _check_live_answers(engine, pool, f"step {step}: {op} {fact}")
+
+
+def test_staged_update_keeps_reraising_from_live_queries():
+    """A budget-exhausted update blocks holds/answer until it can finish."""
+    edges = [Atom("e", (Constant(f"n{i}"), Constant(f"n{i + 1}"))) for i in range(6)]
+    engine = MaterializedEngine(
+        "start(X) -> reach(X).\nreach(X), e(X, Y) -> reach(Y).\n"
+        "e(X, Y), not reach(X) -> cut(Y).\nstart(n0)."
+    )
+    assert engine.holds("? reach(n0)")
+    engine.max_rounds_per_update = 1
+    with pytest.raises(GroundingError):
+        engine.add_facts(edges)
+    for _ in range(2):  # still staged: every query re-raises
+        with pytest.raises(GroundingError):
+            engine.holds("? reach(n3)")
+        with pytest.raises(GroundingError):
+            engine.answer("? reach(X)")
+    engine.max_rounds_per_update = None
+    assert engine.holds("? reach(n6)")
+    assert engine.answer("? reach(X)") == {(Constant(f"n{i}"),) for i in range(7)}
+    assert engine.model() == engine.scratch_model()
+
+
+def _frozen_sets(model):
+    return model.true_atoms(), model.false_atoms(), model.undefined_atoms()
+
+
+@given(data=update_scripts())
+@settings(max_examples=30, **COMMON_SETTINGS)
+def test_materialized_snapshots_survive_later_updates(data):
+    """A model() snapshot never changes, and stays the scratch model of its time."""
+    program, edb, script = data
+    _assume_pool_saturates(program, edb + [fact for _, fact in script])
+    engine = MaterializedEngine(program, edb, check_termination=False)
+    snapshots = []
+    for op, fact in script:
+        model = engine.model()
+        snapshots.append((model, _frozen_sets(model), engine.scratch_model()))
+        if op == "add":
+            engine.add_facts([fact])
+        else:
+            engine.retract_facts([fact])
+        engine.holds(Atom("p", (OUTSIDE,)))  # refresh through the live path
+        engine.model()
+    for model, sets, scratch in snapshots:
+        assert _frozen_sets(model) == sets
+        assert model == scratch
 
 
 @pytest.mark.stress
