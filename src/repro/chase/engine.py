@@ -99,6 +99,12 @@ class _PreparedRule:
         self.fully_bound = rule.variables() <= self.guard.variables()
 
 
+def check_saturation(saturation: str) -> None:
+    """Raise ``ValueError`` unless *saturation* is ``"agenda"`` or ``"scan"``."""
+    if saturation not in ("agenda", "scan"):
+        raise ValueError(f"saturation must be 'agenda' or 'scan', got {saturation!r}")
+
+
 def _find_guard(rule: NormalRule, *, require_guarded: bool = True) -> Atom:
     """The guard of a Skolemised guarded rule.
 
@@ -172,8 +178,7 @@ class GuardedChaseEngine:
         agenda_order: Optional[Callable[[int], int]] = None,
         workers: int = 1,
     ):
-        if saturation not in ("agenda", "scan"):
-            raise ValueError(f"saturation must be 'agenda' or 'scan', got {saturation!r}")
+        check_saturation(saturation)
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
         self.forest = ChaseForest()

@@ -39,6 +39,7 @@ from __future__ import annotations
 import time
 from collections import OrderedDict
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Iterable, Optional, Union
 
 from ..exceptions import ConvergenceError
@@ -57,7 +58,7 @@ from ..lang.rules import NormalRule
 from ..lang.skolem import skolemize_program
 from ..lang.parser import parse_database, parse_program, parse_query
 from ..lang.terms import Constant, Term
-from ..chase.engine import GuardedChaseEngine
+from ..chase.engine import GuardedChaseEngine, check_saturation
 from ..chase.forest import ChaseForest
 from ..chase.types import AtomType
 from ..lp.columnar import BACKENDS
@@ -299,6 +300,7 @@ class WellFoundedEngine:
             )
         if workers < 1:
             raise ValueError(f"workers must be >= 1, got {workers}")
+        check_saturation(saturation)
         if isinstance(program, str):
             program, parsed_facts = parse_program(program)
         else:
@@ -359,16 +361,10 @@ class WellFoundedEngine:
             OrderedDict()
         )
 
-        self._chase = GuardedChaseEngine(
-            self.skolemized,
-            database,
-            max_nodes=max_nodes,
-            require_guarded=require_guarded,
-            segment_cache=segment_cache,
-            saturation=saturation,
-            agenda_order=agenda_order,
-            workers=workers,
-        )
+        # The chase is built on first use (see :attr:`_chase`): a supported
+        # magic query never needs it.  It must still see the facts as they
+        # were at construction time, whatever happens to the database later.
+        self._chase_facts = tuple(database)
         self._model: Optional[DatalogWellFoundedModel] = None
         # The ground program induced by the chase segment, grown incrementally
         # across iterative-deepening rounds: the forest is append-only, so each
@@ -388,6 +384,25 @@ class WellFoundedEngine:
         self._frontier_key_cache: dict[Atom, tuple] = {}
         self._frontier_labels_by_term: dict = {}
         self._frontier_pending_changed: set[Atom] = set()
+
+    @cached_property
+    def _chase(self) -> GuardedChaseEngine:
+        """The guarded chase of ``D ∪ Σ^f`` over the construction-time facts.
+
+        Built lazily: the classic path, :meth:`model`, the relevance-pruned
+        fallback and :meth:`segment_cache_stats` reach it through this
+        attribute, while a query answered by the magic-sets path never does.
+        """
+        return GuardedChaseEngine(
+            self.skolemized,
+            self._chase_facts,
+            max_nodes=self.max_nodes,
+            require_guarded=self._require_guarded,
+            segment_cache=self.segment_cache,
+            saturation=self.saturation,
+            agenda_order=self.agenda_order,
+            workers=self.workers,
+        )
 
     # -- public API --------------------------------------------------------------------
 
@@ -573,6 +588,11 @@ class WellFoundedEngine:
                 plan, self.database, max_atoms=self.max_nodes, backend=self.backend
             )
             if grounding.saturated:
+                model = well_founded_model(
+                    grounding.ground,
+                    workers=self.workers,
+                    executor=self.parallel_executor,
+                )
                 stats = {
                     "mode": "magic",
                     "sips": plan.sips,
@@ -587,14 +607,7 @@ class WellFoundedEngine:
                     "seconds": time.perf_counter() - started,
                     **grounding.stats(),
                 }
-                return _RewriteOutcome(
-                    well_founded_model(
-                        grounding.ground,
-                        workers=self.workers,
-                        executor=self.parallel_executor,
-                    ),
-                    stats,
-                )
+                return _RewriteOutcome(model, stats)
             fallback_reason = (
                 f"magic grounding exceeded the atom budget of {self.max_nodes} "
                 "without saturating"

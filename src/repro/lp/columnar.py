@@ -14,10 +14,13 @@ with relational execution.  This module is that engine:
 * each rule body is compiled once into join *plans* — one per delta position —
   and a semi-naive round executes each plan as a hash join: seed bindings from
   the delta rows, then probe the remaining atoms' indexes on their bound
-  columns.  Magic guards (:mod:`repro.rewrite.magic`) arrive as the first body
-  atom of every gated rule, so the guard's bound columns drive the first probe
-  and the join degenerates into a semi-join filter exactly where the rewriting
-  wants one;
+  columns.  When some body relation holds only this round's delta rows, that
+  position's plan alone covers every binding of the round and is the only one
+  run (none, when the relation is empty).  Magic guards
+  (:mod:`repro.rewrite.magic`) arrive as the first body atom of every gated
+  rule: a guard with only new rows drives the rule's single plan, and
+  otherwise its bound columns key the first probe, so the join degenerates
+  into a semi-join filter exactly where the rewriting wants one;
 * complete bindings are deduplicated in int space (batched diff against the
   already-emitted instances) before any ``Atom``/``NormalRule`` object is
   built, and only genuinely new instances reach the shared
@@ -159,12 +162,18 @@ class _Probe:
 
 
 class _Plan:
-    """One rule's join plan for one delta position."""
+    """One rule's join plan for one delta position.
 
-    __slots__ = ("delta_key", "const_checks", "rep_checks", "var_defs", "probes")
+    ``relation`` is the delta atom's full relation, which the all-delta
+    driver test of :meth:`ColumnarGrounder._delta_step` compares against the
+    round's delta rows.
+    """
 
-    def __init__(self, delta_key, const_checks, rep_checks, var_defs, probes):
+    __slots__ = ("delta_key", "relation", "const_checks", "rep_checks", "var_defs", "probes")
+
+    def __init__(self, delta_key, relation, const_checks, rep_checks, var_defs, probes):
         self.delta_key = delta_key
+        self.relation = relation
         self.const_checks = const_checks
         self.rep_checks = rep_checks
         self.var_defs = var_defs
@@ -450,6 +459,7 @@ class ColumnarGrounder:
             )
         return _Plan(
             (delta_atom.predicate, len(delta_atom.args)),
+            self._relation(delta_atom.predicate, len(delta_atom.args)),
             tuple(const_checks),
             tuple(rep_checks),
             tuple(var_defs),
@@ -562,9 +572,40 @@ class ColumnarGrounder:
         compiled: _CompiledRule,
         delta_rows: dict[tuple[str, int], list[tuple[int, ...]]],
     ) -> None:
-        """Run every delta-position plan of one rule and emit new instances."""
+        """Run the rule's delta-position plans and emit new instances.
+
+        A binding of the round needs some body atom in the delta.  When a
+        position's relation holds nothing but this round's delta rows
+        (``len(R_j) == len(Δ_j)``; delta rows are distinct members of their
+        relation), *every* binding has its j-th atom in ``Δ_j``, so plan j
+        alone enumerates them all.  The smallest such plan then drives the
+        round by itself, and an empty one proves the rule has no binding at
+        all.  The relations are read before any emission of this rule, and
+        under sqlite they may only hold extra rows that the full tables do not
+        show yet, so the test is sound for both engines.  It only runs for a
+        rule the delta touches whose body has more than one atom: the common
+        untouched rule costs one lookup per position, as without it.
+        """
+        plans = compiled.plans
+        for plan in plans:
+            if delta_rows.get(plan.delta_key):
+                break
+        else:
+            return
+        selected = range(len(plans))
+        if len(plans) > 1:
+            driver_size = None
+            for position, plan in enumerate(plans):
+                size = len(delta_rows.get(plan.delta_key, ()))
+                if size == len(plan.relation.rows) and (
+                    driver_size is None or size < driver_size
+                ):
+                    selected, driver_size = (position,), size
+            if driver_size == 0:
+                return
         bindings: list[tuple[int, ...]] = []
-        for position, plan in enumerate(compiled.plans):
+        for position in selected:
+            plan = plans[position]
             rows = delta_rows.get(plan.delta_key)
             if not rows:
                 continue

@@ -358,7 +358,11 @@ def ground_magic(
     """Ground the gated magic program semi-naively and strip the magic guards.
 
     ``database`` atoms are candidates for rule bodies throughout; only the
-    magic-covered ones survive into the result as facts.  Budgets behave like
+    magic-covered ones survive into the result as facts.  Atoms whose
+    predicate the query cannot reach (outside ``plan.relevant_predicates()``)
+    match no body of the gated program and can never be covered, so they are
+    dropped before grounding, and ``candidates`` counts relevant atoms only.
+    Budgets behave like
     :class:`~repro.lp.grounding.SemiNaiveGrounder`'s but never raise — a
     budget hit is reported as ``saturated=False`` and the caller is expected
     to fall back to unrewritten evaluation.
@@ -366,21 +370,32 @@ def ground_magic(
     ``backend`` selects the grounding executor (see
     :func:`~repro.lp.columnar.make_grounder`).  Under the columnar backends
     the magic guard — always the first positive body atom of a gated rule —
-    drives the first hash probe of every join plan, so the guard's bound
-    columns act as a semi-join filter over the gated relation.
+    acts as a semi-join filter over the gated relation: it keys the first
+    probe of every other plan, and in a round where the guard's relation holds
+    only new rows (round 1's seed, for one) it drives the rule's only plan,
+    so the rule scans no row of the relation it gates.
     """
     if plan.program is None:
         raise ValueError(f"plan is not supported ({plan.reason}); cannot ground it")
-    database = list(database)
-    grounder = make_grounder(plan.program, database, backend=backend)
+    relevant = plan.relevant_predicates()
+    facts = [atom for atom in database if atom.predicate in relevant]
+    grounder = make_grounder(plan.program, facts, backend=backend)
     saturated = grounder.run(
         max_rounds=max_rounds, max_atoms=max_atoms, raise_on_budget=False
     )
 
+    # The derived magic rows of every (predicate, representative adornment),
+    # read once from the magic predicate's bucket of the candidate index.
+    covers: dict[str, list[tuple[Adornment, set[tuple[Term, ...]]]]] = {}
+    magic_atoms = 0
+    for predicate, adornments in plan.adornments_by_predicate().items():
+        for adornment in adornments:
+            name = magic_predicate_name(predicate, adornment)
+            rows = {atom.args for atom in grounder.index.get(name)}
+            magic_atoms += len(rows)
+            covers.setdefault(predicate, []).append((adornment, rows))
+
     stripped = GroundProgram()
-    magic_atoms = sum(
-        1 for atom in grounder.index.atoms() if is_magic_predicate(atom.predicate)
-    )
     for instance in grounder.ground:
         if is_magic_predicate(instance.head.predicate):
             continue
@@ -392,11 +407,10 @@ def ground_magic(
             )
         )
 
-    adornments = plan.adornments_by_predicate()
     covered_facts = 0
-    for atom in database:
-        for adornment in adornments.get(atom.predicate, ()):
-            if _magic_atom(atom.predicate, adornment, atom.args) in grounder.index:
+    for atom in facts:
+        for adornment, rows in covers.get(atom.predicate, ()):
+            if adornment.project(atom.args) in rows:
                 stripped.add(NormalRule(atom))
                 covered_facts += 1
                 break

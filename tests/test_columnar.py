@@ -147,6 +147,112 @@ def test_backends_agree_on_empty_program():
 
 
 # ---------------------------------------------------------------------------
+# Single-driver rounds: a relation holding only delta rows drives the rule
+# ---------------------------------------------------------------------------
+
+
+Z = Variable("Z")
+a, b, c, z = (Constant(n) for n in "abcz")
+
+
+def _facts(*atoms):
+    return [NormalRule(atom) for atom in atoms]
+
+
+def test_single_driver_on_edb_only_body():
+    program = NormalProgram(
+        _facts(Atom("e", (a, b)), Atom("e", (b, c)), Atom("f", (b,)))
+        + [NormalRule(Atom("p", (X, Y)), (Atom("e", (X, Y)), Atom("f", (Y,))), ())]
+    )
+    grounders = assert_backends_agree(program)
+    assert Atom("p", (a, b)) in grounders["columnar"].ground.atoms()
+
+
+def test_single_driver_on_self_join_over_new_rows():
+    program = NormalProgram(
+        _facts(Atom("e", (a, b)), Atom("e", (b, c)), Atom("e", (c, a)))
+        + [NormalRule(Atom("t", (X, Z)), (Atom("e", (X, Y)), Atom("e", (Y, Z))), ())]
+    )
+    grounders = assert_backends_agree(program)
+    assert len(grounders["columnar"].ground) == 6
+
+
+def test_single_driver_with_rows_gained_earlier_in_the_round():
+    """``q`` gains rows from the first rule while the second still runs."""
+    program = NormalProgram(
+        _facts(Atom("e", (a, b)), Atom("e", (b, c)), Atom("q", (z,)))
+        + _facts(Atom("f", (a,)), Atom("f", (b,)), Atom("f", (z,)))
+        + [
+            NormalRule(Atom("q", (X,)), (Atom("e", (X, Y)),), ()),
+            NormalRule(Atom("r", (X,)), (Atom("q", (X,)), Atom("f", (X,))), ()),
+            NormalRule(Atom("s", (X, Y)), (Atom("q", (X,)), Atom("q", (Y,))), ()),
+        ]
+    )
+    grounders = assert_backends_agree(program)
+    atoms = grounders["columnar"].ground.atoms()
+    assert {Atom("r", (t,)) for t in (a, b, z)} <= atoms
+
+
+def test_single_driver_on_empty_body_relation():
+    program = NormalProgram(
+        _facts(Atom("e", (a, b)))
+        + [NormalRule(Atom("u", (X,)), (Atom("e", (X, Y)), Atom("missing", (Y,))), ())]
+    )
+    grounders = assert_backends_agree(program)
+    assert len(grounders["columnar"].ground) == 1
+
+
+@pytest.mark.parametrize("backend", NEW_BACKENDS)
+def test_single_driver_on_first_fact_of_a_new_predicate(backend):
+    program = NormalProgram(
+        _facts(Atom("e", (a, b)), Atom("e", (b, c)))
+        + [NormalRule(Atom("p", (X,)), (Atom("e", (X, Y)), Atom("g", (Y,))), ())]
+    )
+    oracle = SemiNaiveGrounder(program)
+    grounder = make_grounder(program, backend=backend)
+    for g in (oracle, grounder):
+        assert g.run()
+        g.add_fact(Atom("g", (c,)))
+        assert g.run()
+    assert set(grounder.delta_rules()) == set(oracle.delta_rules())
+    assert set(grounder.ground) == set(oracle.ground)
+    assert Atom("p", (b,)) in grounder.ground.atoms()
+
+
+@pytest.mark.parametrize("engine", ["dict", "sqlite"])
+def test_magic_guard_drives_round_one(monkeypatch, engine):
+    """Round 1 of the magic grounding scans no ``edge`` delta row."""
+    driven: list[tuple[int, str]] = []
+    if engine == "dict":
+        original = ColumnarGrounder._run_plan_dict
+
+        def spy(self, plan, *args):
+            driven.append((self.rounds, plan.delta_key[0]))
+            return original(self, plan, *args)
+
+        monkeypatch.setattr(ColumnarGrounder, "_run_plan_dict", spy)
+    else:
+        original = ColumnarGrounder._run_plan_sqlite
+
+        def spy(self, rule_id, position, compiled, plan, results):
+            driven.append((self.rounds, plan.delta_key[0]))
+            return original(self, rule_id, position, compiled, plan, results)
+
+        monkeypatch.setattr(ColumnarGrounder, "_run_plan_sqlite", spy)
+
+    program, database = chain_reachability_workload(64, 24)
+    rules = skolemize_program(program).rules()
+    plan = rewrite_for_query(rules, [Literal(Atom("reach", (Constant("c5_24"),)), True)])
+    backend = "columnar" if engine == "dict" else "sqlite"
+    grounding = ground_magic(plan, database, backend=backend)
+    oracle = ground_magic(plan, database, backend="tuple")
+    assert set(grounding.ground) == set(oracle.ground)
+    first_round = [predicate for round_, predicate in driven if round_ == 1]
+    assert first_round, "round 1 ran no plan"
+    assert "edge" not in first_round
+
+
+# ---------------------------------------------------------------------------
 # Budgets and resumability
 # ---------------------------------------------------------------------------
 
