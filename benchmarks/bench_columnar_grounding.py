@@ -6,10 +6,10 @@ of database facts: a small deterministic core is reachable from the source
 while the bulk of the database is background edges and node facts the
 derivation never touches.  For every size the benchmark runs the semi-naive
 relevant grounding once per backend — the per-candidate ``tuple`` matcher
-(the differential oracle), the pure-Python ``columnar`` hash-join backend and
-the in-memory ``sqlite`` variant — checks that the resulting ground programs
-are *set-identical* (same rules modulo insertion order) with identical
-well-founded models, and records the cold wall-clock times.
+(the differential oracle) and the pure-Python ``columnar`` hash-join
+backend — checks that the resulting ground programs are *set-identical*
+(same rules modulo insertion order) with identical well-founded models, and
+records the cold wall-clock times.
 
 Running the module directly prints the comparison table **and** writes the
 machine-readable ``BENCH_columnar_grounding.json`` next to the repository
@@ -33,8 +33,8 @@ from repro.lp.columnar import BACKENDS, make_grounder
 from repro.lp.wfs import well_founded_model
 
 #: Length of the reachable chain; the tuple matcher re-scans the full edge
-#: extension on every one of these deepening rounds, the columnar backends
-#: only probe their hash (or sqlite) indexes.
+#: extension on every one of these deepening rounds, the columnar backend
+#: only probes its hash indexes.
 CORE_SIZE = 128
 
 SMOKE_SIZES = [2000, 5000]
@@ -75,17 +75,15 @@ def test_backend_grounding(benchmark, backend):
 @pytest.mark.experiment("columnar")
 @pytest.mark.parametrize("facts_count", SMOKE_SIZES)
 def test_backends_agree(facts_count):
-    """All backends must produce set-identical ground programs and models."""
+    """Both backends must produce set-identical ground programs and models."""
     program, edb = large_edb_reachability(facts_count, core_size=CORE_SIZE)
     grounders = {}
     for backend in BACKENDS:
         grounders[backend] = make_grounder(program, edb, backend=backend)
         grounders[backend].run()
-    oracle = set(grounders["tuple"].ground)
-    oracle_model = well_founded_model(grounders["tuple"].ground)
-    for backend in ("columnar", "sqlite"):
-        assert set(grounders[backend].ground) == oracle, backend
-        assert well_founded_model(grounders[backend].ground) == oracle_model, backend
+    oracle, columnar = grounders["tuple"].ground, grounders["columnar"].ground
+    assert set(columnar) == set(oracle)
+    assert well_founded_model(columnar) == well_founded_model(oracle)
 
 
 def measure(sizes=None, *, repeats: int = 3) -> dict:
@@ -110,15 +108,9 @@ def measure(sizes=None, *, repeats: int = 3) -> dict:
                 program, edb, backend, repeats=backend_repeats
             )
 
-        oracle_rules = set(grounders["tuple"].ground)
-        rules_equal = all(
-            set(grounders[b].ground) == oracle_rules for b in ("columnar", "sqlite")
-        )
-        oracle_model = well_founded_model(grounders["tuple"].ground)
-        models_equal = all(
-            well_founded_model(grounders[b].ground) == oracle_model
-            for b in ("columnar", "sqlite")
-        )
+        oracle, columnar = grounders["tuple"].ground, grounders["columnar"].ground
+        rules_equal = set(columnar) == set(oracle)
+        models_equal = well_founded_model(columnar) == well_founded_model(oracle)
 
         rows.append(
             {
@@ -128,12 +120,8 @@ def measure(sizes=None, *, repeats: int = 3) -> dict:
                 "rounds": grounders["columnar"].rounds,
                 "tuple_seconds": seconds["tuple"],
                 "columnar_seconds": seconds["columnar"],
-                "sqlite_seconds": seconds["sqlite"],
                 "speedup_columnar": seconds["tuple"] / seconds["columnar"]
                 if seconds["columnar"] > 0
-                else float("inf"),
-                "speedup_sqlite": seconds["tuple"] / seconds["sqlite"]
-                if seconds["sqlite"] > 0
                 else float("inf"),
                 "ground_rules_equal": rules_equal,
                 "models_equal": models_equal,
@@ -148,7 +136,6 @@ def measure(sizes=None, *, repeats: int = 3) -> dict:
         "results": rows,
         "largest_size": largest["db_facts"],
         "largest_size_speedup_columnar": largest["speedup_columnar"],
-        "largest_size_speedup_sqlite": largest["speedup_sqlite"],
         "all_ground_rules_equal": all(row["ground_rules_equal"] for row in rows),
         "all_models_equal": all(row["models_equal"] for row in rows),
     }
@@ -164,9 +151,7 @@ def report(sizes=None) -> dict:
             "ground rules",
             "tuple (s)",
             "columnar (s)",
-            "sqlite (s)",
-            "speedup col",
-            "speedup sql",
+            "speedup",
         ],
     )
     for row in data["results"]:
@@ -175,15 +160,12 @@ def report(sizes=None) -> dict:
             row["ground_rules"],
             row["tuple_seconds"],
             row["columnar_seconds"],
-            row["sqlite_seconds"],
             f"{row['speedup_columnar']:.1f}x",
-            f"{row['speedup_sqlite']:.1f}x",
         )
     table.print()
     print(
         f"\nlargest size ({data['largest_size']} facts): columnar speedup "
-        f"{data['largest_size_speedup_columnar']:.1f}x, sqlite speedup "
-        f"{data['largest_size_speedup_sqlite']:.1f}x, ground programs equal: "
+        f"{data['largest_size_speedup_columnar']:.1f}x, ground programs equal: "
         f"{data['all_ground_rules_equal']}, models equal: {data['all_models_equal']}"
     )
     RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")

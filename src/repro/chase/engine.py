@@ -176,17 +176,12 @@ class GuardedChaseEngine:
         segment_cache: Union[SegmentStore, bool, None] = None,
         saturation: str = "agenda",
         agenda_order: Optional[Callable[[int], int]] = None,
-        workers: int = 1,
     ):
         check_saturation(saturation)
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.forest = ChaseForest()
         self.max_nodes = max_nodes
         self.saturation = saturation
         self.agenda_order = agenda_order
-        #: worker budget for :meth:`_expand_parallel` (1 = always serial)
-        self.workers = workers
         self._require_guarded = require_guarded
         self._rules: list[_PreparedRule] = []
         self._rules_by_guard_pred: dict[str, list[_PreparedRule]] = {}
@@ -419,8 +414,6 @@ class GuardedChaseEngine:
             self.depth_bound = max_depth
             self._wake_deferred()
         max_depth = self.depth_bound
-        if max_rounds is None and self._parallel_eligible():
-            return self._expand_parallel(max_depth)
         use_cache = self._segment_store is not None and max_rounds is None
         size_before = len(self.forest)
         self._saturated = False
@@ -445,153 +438,6 @@ class GuardedChaseEngine:
         if use_cache and self._saturated:
             self._record_segments(max_depth)
         return added_any
-
-    # -- parallel expansion over independent root subtrees ------------------------
-
-    def _parallel_eligible(self) -> bool:
-        """Whether :meth:`expand` may shard the roots across a worker pool.
-
-        Sharding is sound exactly when every chase firing is a function of
-        its host node's label alone: all guards bind every rule variable
-        (``fully_bound``) and no rule has side atoms (non-guard positive body
-        atoms), so a root's subtree depends only on the root label and the
-        depth bound — never on labels derived under other roots.  (Negative
-        body atoms never block firings in ``F⁺(P)``; they ride along on the
-        edges.)  Under those conditions independent root subtrees can be
-        derived by isolated engines and merged; otherwise we fall back to the
-        serial agenda, which remains the differential oracle.
-        """
-        return (
-            self.workers > 1
-            and self.saturation == "agenda"
-            and not self._side_predicates
-            and all(p.fully_bound for p in self._rules)
-            and len(self.forest.roots()) >= 2
-        )
-
-    def _expand_parallel(self, max_depth: int) -> bool:
-        """Expand via the ready-set scheduler: one shard engine per root group.
-
-        Roots are dealt round-robin into at most :attr:`workers` shards (in
-        root insertion order, so the grouping is deterministic).  Each shard
-        is a fresh serial :class:`GuardedChaseEngine` over the same rules
-        whose database is just the shard's root labels; shards run through
-        :func:`repro.lp.parallel.run_ready_set` with an empty dependency map
-        (root subtrees are independent — that is what
-        :meth:`_parallel_eligible` certifies) on a thread pool (engines do
-        not pickle).  The coordinator then merges the shard forests back in
-        shard order: a shard edge ``(parent, ground rule)`` already applied
-        in the main forest maps onto the existing child, otherwise the child
-        is copied over.  Shard expansion is deterministic given the root
-        labels, and the merge walks shard nodes in insertion order (parents
-        first), so the merged forest — after the canonical
-        :meth:`~repro.chase.forest.ChaseForest.recompute_levels` pass — is
-        bit-identical to the serial result for any worker count.
-
-        Frontier nodes (depth == bound) are re-deferred so iterative
-        deepening keeps working; the agenda is cleared (the merge saturates
-        every node below the bound).  The node budget is enforced per shard
-        and re-checked on the merged total; both failure modes raise the same
-        resumable :class:`~repro.exceptions.GroundingError` as serial
-        expansion (``_saturated`` stays ``False`` and the next
-        :meth:`expand` call retries).
-        """
-        from ..lp.parallel import run_ready_set
-
-        size_before = len(self.forest)
-        self._saturated = False
-        roots = self.forest.roots()
-        rules = [p.rule for p in self._rules]
-        shard_count = min(self.workers, len(roots))
-        groups: list[list[Atom]] = [[] for _ in range(shard_count)]
-        for position, root in enumerate(roots):
-            groups[position % shard_count].append(root.label)
-
-        def build_and_expand(labels: list[Atom]) -> "GuardedChaseEngine":
-            shard = GuardedChaseEngine(
-                rules,
-                labels,
-                max_nodes=self.max_nodes,
-                require_guarded=self._require_guarded,
-                segment_cache=None,
-                saturation="agenda",
-            )
-            shard.expand(max_depth)
-            return shard
-
-        order = list(range(shard_count))
-        shards = run_ready_set(
-            order,
-            {index: () for index in order},
-            lambda index, results: ("call", build_and_expand, (groups[index],)),
-            workers=self.workers,
-            executor_kind="thread",
-        )
-
-        self._suppress_agenda = True
-        try:
-            for index in order:
-                self._merge_shard_forest(shards[index])
-        finally:
-            self._suppress_agenda = False
-
-        added_any = len(self.forest) > size_before
-        if added_any:
-            self.forest.recompute_levels()
-        # The merge saturated everything below the bound: retire the agenda
-        # and rebuild the deferred frontier from the forest itself.
-        self._agenda.clear()
-        self._in_agenda.clear()
-        self._deferred = [
-            node.node_id for node in self.forest.nodes() if node.depth >= max_depth
-        ]
-        self._in_deferred = set(self._deferred)
-        self._saturated = True
-        if len(self.forest) > self.max_nodes:
-            self._saturated = False
-            raise GroundingError(
-                f"chase forest exceeded max_nodes={self.max_nodes} "
-                f"(reached {len(self.forest)} after parallel merge); "
-                "raise the budget and call expand() again to resume"
-            )
-        return added_any
-
-    def _merge_shard_forest(self, shard: "GuardedChaseEngine") -> None:
-        """Graft one shard forest onto the main forest (idempotent diff-copy).
-
-        Shard roots map onto the main roots with the same label (the shard's
-        database was exactly those labels).  Every other shard node is matched
-        through its parent: if the main forest already applied the node's
-        ground ``edge_rule`` at the mapped parent, the existing child is
-        reused; otherwise the child is copied with its shard level (levels are
-        recomputed canonically afterwards anyway).  Walking ``nodes()`` in
-        insertion order guarantees parents are mapped before children.
-        """
-        forest = self.forest
-        mapping: dict[int, int] = {}
-        for shard_node in shard.forest.nodes():
-            if shard_node.is_root():
-                main_root = next(
-                    node
-                    for node in forest.nodes_with_label(shard_node.label)
-                    if node.is_root()
-                )
-                mapping[shard_node.node_id] = main_root.node_id
-                continue
-            parent_id = mapping[shard_node.parent]
-            rule = shard_node.edge_rule
-            if forest.was_applied(parent_id, rule):
-                existing = next(
-                    child
-                    for child in forest.children(parent_id)
-                    if child.edge_rule == rule
-                )
-                mapping[shard_node.node_id] = existing.node_id
-            else:
-                created = forest.add_child(
-                    parent_id, shard_node.label, rule, shard_node.level
-                )
-                mapping[shard_node.node_id] = created.node_id
 
     # -- agenda-driven saturation -------------------------------------------------
 

@@ -34,6 +34,7 @@ from .core.engine import WellFoundedEngine
 from .core.stratified import StratifiedDatalogPM
 from .exceptions import NotStratifiedError, ReproError
 from .lang.parser import parse_atom, parse_database, parse_program, parse_query
+from .lp.columnar import BACKENDS
 
 __all__ = ["build_argument_parser", "main"]
 
@@ -135,26 +136,13 @@ def build_argument_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument(
         "--backend",
-        choices=["tuple", "columnar", "sqlite"],
+        choices=BACKENDS,
         default="columnar",
         help=(
             "grounding backend for the magic-sets query path and --updates "
             "maintenance: bulk columnar hash joins over interned ids "
-            "(default), the per-candidate tuple matcher, or the same join "
-            "plans on an in-memory sqlite database; ground programs and "
-            "answers are identical across backends"
-        ),
-    )
-    parser.add_argument(
-        "--workers",
-        type=int,
-        default=1,
-        metavar="N",
-        help=(
-            "evaluate independent condensation components (and independent "
-            "chase root subtrees) on a pool of N workers; answers, models "
-            "and round counts are bit-identical to the serial default "
-            "(--workers 1), which remains the differential oracle"
+            "(default) or the per-candidate tuple matcher; ground programs "
+            "and answers are identical across backends"
         ),
     )
     parser.add_argument(
@@ -235,9 +223,7 @@ def _run_updates(args) -> int:
         extra = parse_database(_read(args.database))
         database = database.copy()
         database.update(extra)
-    engine = MaterializedEngine(
-        program, database, backend=args.backend, workers=args.workers
-    )
+    engine = MaterializedEngine(program, database, backend=args.backend)
     exit_code = 0
 
     def check(context: str) -> None:
@@ -352,7 +338,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             saturation=args.saturation,
             incremental=args.incremental,
             backend=args.backend,
-            workers=args.workers,
         )
         model = engine.model() if needs_model else None
     except ReproError as error:

@@ -265,9 +265,8 @@ class WellFoundedEngine:
         :class:`~repro.lp.grounding.SemiNaiveGrounder`, retained verbatim as
         the differential oracle; its nested-loop joins rescan whole predicate
         buckets and erase most of the rewriting's wall-clock win on join-heavy
-        workloads — see ``docs/performance.md``), or ``"sqlite"`` (the same
-        join plans executed by an in-memory sqlite database).  Propagated to
-        the relevance-pruned fallback sub-engines and reported in
+        workloads — see ``docs/performance.md``).  Propagated to the
+        relevance-pruned fallback sub-engines and reported in
         :attr:`last_query_stats`; ground programs, models and answers are
         identical across backends.
     """
@@ -291,15 +290,11 @@ class WellFoundedEngine:
         agenda_order=None,
         incremental: bool = True,
         backend: str = "columnar",
-        workers: int = 1,
-        parallel_executor: str = "auto",
     ):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown grounding backend {backend!r}; expected one of {BACKENDS}"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         check_saturation(saturation)
         if isinstance(program, str):
             program, parsed_facts = parse_program(program)
@@ -338,10 +333,6 @@ class WellFoundedEngine:
         self.agenda_order = agenda_order
         self.incremental = incremental
         self.backend = backend
-        #: worker-pool width for the condensation-DAG and chase-forest
-        #: schedulers (:mod:`repro.lp.parallel`); ``1`` = the serial oracle
-        self.workers = workers
-        self.parallel_executor = parallel_executor
         self._require_guarded = require_guarded
         self._skolem_args = skolem_args
         #: statistics of the most recent ``holds``/``answer`` call (see
@@ -401,7 +392,6 @@ class WellFoundedEngine:
             segment_cache=self.segment_cache,
             saturation=self.saturation,
             agenda_order=self.agenda_order,
-            workers=self.workers,
         )
 
     # -- public API --------------------------------------------------------------------
@@ -556,7 +546,6 @@ class WellFoundedEngine:
                 "nodes_spliced": self._chase.cache_stats["nodes_spliced"],
                 "incremental": self.incremental,
                 "backend": self.backend,
-                "workers": self.workers,
                 "cache_hit": cache_hit,
                 "rounds": model.iterations or 0,
                 "seconds": time.perf_counter() - started,
@@ -588,11 +577,7 @@ class WellFoundedEngine:
                 plan, self.database, max_atoms=self.max_nodes, backend=self.backend
             )
             if grounding.saturated:
-                model = well_founded_model(
-                    grounding.ground,
-                    workers=self.workers,
-                    executor=self.parallel_executor,
-                )
+                model = well_founded_model(grounding.ground)
                 stats = {
                     "mode": "magic",
                     "sips": plan.sips,
@@ -666,8 +651,6 @@ class WellFoundedEngine:
                 agenda_order=self.agenda_order,
                 incremental=self.incremental,
                 backend=self.backend,
-                workers=self.workers,
-                parallel_executor=self.parallel_executor,
             )
             self._pruned_engines[key] = sub_engine
             while len(self._pruned_engines) > _PRUNED_ENGINE_CACHE_SIZE:
@@ -782,15 +765,8 @@ class WellFoundedEngine:
         oracle.
         """
         if not self.incremental:
-            return well_founded_model(
-                ground, workers=self.workers, executor=self.parallel_executor
-            )
-        model, self._wfs_state = well_founded_model_incremental(
-            ground,
-            self._wfs_state,
-            workers=self.workers,
-            executor=self.parallel_executor,
-        )
+            return well_founded_model(ground)
+        model, self._wfs_state = well_founded_model_incremental(ground, self._wfs_state)
         # Accumulate (never overwrite) value changes so the frontier-type key
         # cache sees every change since it was last consulted, even if the
         # solver runs more than once in between.

@@ -33,19 +33,12 @@ disciplines are allowed to disagree: the tuple matcher seeds head atoms into
 its live index mid-round (so a rule can even observe its *own* emissions
 while it is still enumerating), whereas this backend runs each rule pass
 over a consistent snapshot and makes emissions visible from the next rule
-on (``engine="sqlite"``: from the next round on).  A ``max_rounds`` budget
-may therefore cut the two backends at slightly different prefixes; resuming
-any backend to saturation always lands on the identical fixpoint.  Rules whose positive body contains a non-ground
+on.  A ``max_rounds`` budget may therefore cut the two backends at slightly
+different prefixes; resuming either backend to saturation always lands on
+the identical fixpoint.  Rules whose positive body contains a non-ground
 function term (a pattern like ``p(f(X))`` that must destructure a Skolem term)
 fall back to the tuple matcher for that rule only — columns are opaque ids, so
 structural matching stays in term space.
-
-``engine="sqlite"`` executes the same compiled plans as SQL against an
-in-memory :mod:`sqlite3` database (one table per predicate, one delta table
-per round) instead of the pure-Python dict-of-tuples join.  Both engines share
-interning, emission, and budgets; sqlite trades per-row Python overhead for
-query-planner generality and is gated so environments without the stdlib
-module still import cleanly.
 """
 
 from __future__ import annotations
@@ -65,14 +58,6 @@ from .grounding import (
     ground_rule_instances,
 )
 
-try:  # pragma: no cover - stdlib, present on every supported build
-    import sqlite3
-
-    _HAS_SQLITE = True
-except ImportError:  # pragma: no cover
-    sqlite3 = None  # type: ignore[assignment]
-    _HAS_SQLITE = False
-
 __all__ = [
     "BACKENDS",
     "ColumnarGrounder",
@@ -80,7 +65,7 @@ __all__ = [
 ]
 
 #: Accepted values for every ``backend=`` knob in the stack.
-BACKENDS = ("tuple", "columnar", "sqlite")
+BACKENDS = ("tuple", "columnar")
 
 
 class _Relation:
@@ -211,26 +196,14 @@ class ColumnarGrounder:
     A drop-in replacement for :class:`~repro.lp.grounding.SemiNaiveGrounder`:
     same constructor shape, same ``ground`` / ``index`` / ``rounds`` /
     ``saturated`` / :meth:`delta_rules` / :meth:`run` surface, same budget
-    semantics — only the inner loop differs.  ``engine`` selects the join
-    executor: ``"dict"`` (pure-Python hash joins) or ``"sqlite"`` (the same
-    plans as SQL over an in-memory database).
+    semantics — only the inner loop differs.
     """
 
     def __init__(
         self,
         program: NormalProgram | Iterable[NormalRule],
         extra_atoms: Iterable[Atom] = (),
-        *,
-        engine: str = "dict",
     ):
-        if engine not in ("dict", "sqlite"):
-            raise ValueError(f"unknown columnar engine {engine!r}")
-        if engine == "sqlite" and not _HAS_SQLITE:
-            raise GroundingError(
-                "backend 'sqlite' requires the stdlib sqlite3 module, "
-                "which is unavailable in this interpreter"
-            )
-        self.engine = engine
         self.ground = GroundProgram()
         self.index = PredicateIndex()
         self.rounds = 0
@@ -247,16 +220,6 @@ class ColumnarGrounder:
 
         self._compiled: list[_CompiledRule] = []
         self._has_fallback = False
-
-        # -- sqlite state ------------------------------------------------------
-        self._conn = None
-        self._predicate_ids: dict[tuple[str, int], int] = {}
-        self._sql_tables: set[str] = set()
-        self._sql_cache: dict[tuple[int, int], tuple[str, int]] = {}
-        self._pending_sql_rows: dict[tuple[str, int], list[tuple[int, ...]]] = {}
-        self._dirty_delta_tables: set[str] = set()
-        if engine == "sqlite":
-            self._conn = sqlite3.connect(":memory:")
 
         for atom in extra_atoms:
             self._seed(atom)
@@ -313,8 +276,6 @@ class ColumnarGrounder:
         key = (atom.predicate, len(atom.args))
         self._delta.append(atom)
         self._delta_rows.setdefault(key, []).append(row)
-        if self.engine == "sqlite":
-            self._pending_sql_rows.setdefault(key, []).append(row or (0,))
 
     # -- fact-level deltas (materialized-view maintenance seam) ----------------
 
@@ -332,11 +293,11 @@ class ColumnarGrounder:
     def retract_fact(self, atom: Atom) -> bool:
         """Drop *atom* from the candidate state; return whether it was present.
 
-        The row leaves the predicate's relation (and every built hash index,
-        and the sqlite full/pending tables), so future delta joins no longer
-        see it.  Stored ground instances are untouched — activity is the view
-        layer's job — and the caller must only retract atoms that are no
-        longer derivable, re-entering them via :meth:`reseed` if rederived.
+        The row leaves the predicate's relation (and every built hash
+        index), so future delta joins no longer see it.  Stored ground
+        instances are untouched — activity is the view layer's job — and the
+        caller must only retract atoms that are no longer derivable,
+        re-entering them via :meth:`reseed` if rederived.
         """
         if not self.index.discard(atom):
             return False
@@ -356,25 +317,6 @@ class ColumnarGrounder:
                 staged.remove(row)
             except ValueError:
                 pass
-        if self.engine == "sqlite":
-            sql_row = row or (0,)
-            pending = self._pending_sql_rows.get(key)
-            removed_pending = False
-            if pending is not None:
-                try:
-                    pending.remove(sql_row)
-                    removed_pending = True
-                except ValueError:
-                    pass
-            if not removed_pending:
-                table = f"r{self._predicate_id(*key)}"
-                if table in self._sql_tables:
-                    condition = " AND ".join(
-                        f"c{i} = ?" for i in range(len(sql_row))
-                    )
-                    self._conn.execute(
-                        f"DELETE FROM {table} WHERE {condition}", sql_row
-                    )
         return True
 
     def reseed(self, atom: Atom) -> None:
@@ -539,12 +481,10 @@ class ColumnarGrounder:
             delta_rows = self._delta_rows
             self._delta = []
             self._delta_rows = {}
-            if self.engine == "sqlite":
-                self._sqlite_begin_round(delta_rows)
             fallback_index = (
                 PredicateIndex(delta_atoms) if self._has_fallback else None
             )
-            for rule_id, compiled in enumerate(self._compiled):
+            for compiled in self._compiled:
                 if compiled.fallback:
                     # snapshot before seeding: the candidate buckets are
                     # insertion-ordered dicts and must not grow mid-scan
@@ -557,7 +497,7 @@ class ColumnarGrounder:
                             self.ground.add(instance)
                             self._seed(instance.head)
                 else:
-                    self._delta_step(rule_id, compiled, delta_rows)
+                    self._delta_step(compiled, delta_rows)
             if max_atoms is not None and len(self.index) > max_atoms:
                 if raise_on_budget:
                     raise GroundingError(
@@ -568,7 +508,6 @@ class ColumnarGrounder:
 
     def _delta_step(
         self,
-        rule_id: int,
         compiled: _CompiledRule,
         delta_rows: dict[tuple[str, int], list[tuple[int, ...]]],
     ) -> None:
@@ -580,11 +519,10 @@ class ColumnarGrounder:
         relation), *every* binding has its j-th atom in ``Δ_j``, so plan j
         alone enumerates them all.  The smallest such plan then drives the
         round by itself, and an empty one proves the rule has no binding at
-        all.  The relations are read before any emission of this rule, and
-        under sqlite they may only hold extra rows that the full tables do not
-        show yet, so the test is sound for both engines.  It only runs for a
-        rule the delta touches whose body has more than one atom: the common
-        untouched rule costs one lookup per position, as without it.
+        all.  The relations are read before any emission of this rule, so
+        the test is sound.  It only runs for a rule the delta touches whose
+        body has more than one atom: the common untouched rule costs one
+        lookup per position, as without it.
         """
         plans = compiled.plans
         for plan in plans:
@@ -609,10 +547,7 @@ class ColumnarGrounder:
             rows = delta_rows.get(plan.delta_key)
             if not rows:
                 continue
-            if self.engine == "sqlite":
-                self._run_plan_sqlite(rule_id, position, compiled, plan, bindings)
-            else:
-                self._run_plan_dict(plan, rows, compiled.nvars, bindings)
+            self._run_plan_dict(plan, rows, compiled.nvars, bindings)
         if bindings:
             self._emit(compiled, bindings)
 
@@ -687,101 +622,6 @@ class ColumnarGrounder:
                 ground.add(instance)
                 self._seed(instance.head)
 
-    # -- sqlite execution ------------------------------------------------------
-
-    def _sqlite_table(self, predicate: str, arity: int, *, delta: bool) -> str:
-        """The (created-on-demand) table name for one predicate's rows."""
-        prefix = "d" if delta else "r"
-        name = f"{prefix}{self._predicate_id(predicate, arity)}"
-        if name not in self._sql_tables:
-            columns = ", ".join(f"c{i} INTEGER" for i in range(max(arity, 1)))
-            self._conn.execute(f"CREATE TABLE {name} ({columns})")
-            self._sql_tables.add(name)
-        return name
-
-    def _predicate_id(self, predicate: str, arity: int) -> int:
-        ids = self._predicate_ids
-        pid = ids.get((predicate, arity))
-        if pid is None:
-            pid = len(ids)
-            ids[(predicate, arity)] = pid
-        return pid
-
-    def _sqlite_begin_round(self, delta_rows: dict[tuple[str, int], list[tuple[int, ...]]]) -> None:
-        """Flush pending full-table inserts and load this round's delta tables."""
-        conn = self._conn
-        for table in self._dirty_delta_tables:
-            conn.execute(f"DELETE FROM {table}")
-        self._dirty_delta_tables.clear()
-        pending = self._pending_sql_rows
-        self._pending_sql_rows = {}
-        for (predicate, arity), rows in pending.items():
-            table = self._sqlite_table(predicate, arity, delta=False)
-            marks = ", ".join("?" for _ in range(max(arity, 1)))
-            conn.executemany(f"INSERT INTO {table} VALUES ({marks})", rows)
-        for (predicate, arity), rows in delta_rows.items():
-            table = self._sqlite_table(predicate, arity, delta=True)
-            marks = ", ".join("?" for _ in range(max(arity, 1)))
-            conn.executemany(
-                f"INSERT INTO {table} VALUES ({marks})",
-                [row or (0,) for row in rows],
-            )
-            self._dirty_delta_tables.add(table)
-
-    def _sqlite_query(self, rule_id: int, position: int, compiled: _CompiledRule) -> tuple[str, int]:
-        """The cached SELECT computing the plan's variable bindings."""
-        cached = self._sql_cache.get((rule_id, position))
-        if cached is not None:
-            return cached
-        rule = compiled.rule
-        body = list(rule.body_pos)
-        slots: dict[Variable, int] = {}
-        for atom in body:
-            for arg in atom.args:
-                if isinstance(arg, Variable) and arg not in slots:
-                    slots[arg] = len(slots)
-        tables: list[str] = []
-        conditions: list[str] = []
-        defined: dict[Variable, str] = {}
-        # the delta atom is scanned first so every plan is delta-driven
-        order = [position] + [i for i in range(len(body)) if i != position]
-        for alias, body_position in enumerate(order):
-            atom = body[body_position]
-            arity = len(atom.args)
-            table = self._sqlite_table(
-                atom.predicate, arity, delta=body_position == position
-            )
-            tables.append(f"{table} t{alias}")
-            for column, arg in enumerate(atom.args):
-                reference = f"t{alias}.c{column}"
-                if isinstance(arg, Variable):
-                    if arg in defined:
-                        conditions.append(f"{reference} = {defined[arg]}")
-                    else:
-                        defined[arg] = reference
-                else:
-                    conditions.append(f"{reference} = {self._intern_term(arg)}")
-        selected = [defined[v] for v, _ in sorted(slots.items(), key=lambda kv: kv[1])]
-        select = ", ".join(selected) if selected else "1"
-        sql = f"SELECT {select} FROM {', '.join(tables)}"
-        if conditions:
-            sql += " WHERE " + " AND ".join(conditions)
-        result = (sql, len(selected))
-        self._sql_cache[(rule_id, position)] = result
-        return result
-
-    def _run_plan_sqlite(
-        self,
-        rule_id: int,
-        position: int,
-        compiled: _CompiledRule,
-        plan: _Plan,
-        results: list[tuple[int, ...]],
-    ) -> None:
-        sql, width = self._sqlite_query(rule_id, position, compiled)
-        for row in self._conn.execute(sql):
-            results.append(tuple(row) if width else ())
-
 
 def make_grounder(
     program: NormalProgram | Iterable[NormalRule],
@@ -792,14 +632,11 @@ def make_grounder(
     """Construct the grounding backend selected by *backend*.
 
     ``"tuple"`` is the per-candidate :class:`SemiNaiveGrounder` — the
-    differential oracle every other backend is pinned against; ``"columnar"``
-    the pure-Python hash-join :class:`ColumnarGrounder`; ``"sqlite"`` the same
-    plans executed by an in-memory sqlite database.
+    differential oracle the columnar backend is pinned against;
+    ``"columnar"`` the pure-Python hash-join :class:`ColumnarGrounder`.
     """
     if backend == "tuple":
         return SemiNaiveGrounder(program, extra_atoms)
     if backend == "columnar":
-        return ColumnarGrounder(program, extra_atoms, engine="dict")
-    if backend == "sqlite":
-        return ColumnarGrounder(program, extra_atoms, engine="sqlite")
+        return ColumnarGrounder(program, extra_atoms)
     raise ValueError(f"unknown grounding backend {backend!r}; expected one of {BACKENDS}")

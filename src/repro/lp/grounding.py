@@ -518,10 +518,10 @@ def relevant_grounding(
         grounding may be infinite.  Exceeding a budget raises
         :class:`GroundingError`.
     backend:
-        Grounding executor: ``"tuple"`` (this module's per-candidate matcher),
-        ``"columnar"`` or ``"sqlite"`` (bulk relational delta joins; see
+        Grounding executor: ``"tuple"`` (this module's per-candidate matcher)
+        or ``"columnar"`` (bulk relational delta joins; see
         :mod:`repro.lp.columnar`).  The resulting programs are equal as rule
-        sets for every backend.
+        sets for both backends.
     """
     # Imported here: repro.lp.columnar builds on this module's primitives.
     from .columnar import make_grounder

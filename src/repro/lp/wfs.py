@@ -204,10 +204,10 @@ def _solve_component(
     snapshots the externals once into private working sets and mutates only
     those.  Returns the component's newly derived true and false ids plus
     the number of alternation rounds; committing the deltas into the global
-    sets is the caller's job.  The read-only contract is what lets
-    :mod:`repro.lp.parallel` run independent components concurrently against
-    one shared snapshot — and it is enforced by the regression suite, which
-    passes frozensets here.  This is the shared evaluation core of
+    sets is the caller's job, so :class:`IncrementalWFS` can keep its atom
+    mirrors in step from the returned deltas alone.  The regression suite
+    enforces the read-only contract by passing frozensets here.  This is the
+    shared evaluation core of
     :func:`well_founded_model` and :class:`IncrementalWFS` — one
     implementation, so the incremental path can never drift from the
     from-scratch one.
@@ -248,13 +248,7 @@ def _solve_component(
     return local_true, local_false, rounds
 
 
-def well_founded_model(
-    program: GroundProgram,
-    *,
-    workers: int = 1,
-    executor: str = "auto",
-    component_hook=None,
-) -> WellFoundedModel:
+def well_founded_model(program: GroundProgram) -> WellFoundedModel:
     """``WFS(P)`` by SCC-modular worklist evaluation.
 
     The atom dependency graph (an edge from each head to each of its body
@@ -268,14 +262,6 @@ def well_founded_model(
       they stabilise, which is the ``W_P`` iteration confined to the
       component (lower components are already final).
 
-    With ``workers > 1`` independent components are dispatched to a worker
-    pool by :mod:`repro.lp.parallel`'s ready-set scheduler; results commit in
-    topological order, so the model *and* ``iterations`` are bit-identical
-    to the serial evaluation (``workers=1``, the default and the
-    differential oracle).  ``executor`` selects the pool kind (``"auto"`` /
-    ``"thread"`` / ``"process"``) and ``component_hook`` is a test/bench seam
-    invoked once per solved component.
-
     The whole evaluation runs in the rule index's dense atom-id space and is
     translated back to atoms once at the end.  Agreement with
     :func:`well_founded_model_naive` and
@@ -286,32 +272,19 @@ def well_founded_model(
     true_ids: set[int] = set()
     false_ids: set[int] = set()
     rounds = 0
-
-    if workers > 1:
-        from .parallel import resolve_components_scratch
-
-        true_ids, false_ids, rounds = resolve_components_scratch(
-            index,
-            workers=workers,
-            executor=executor,
-            component_hook=component_hook,
+    for component_ids in index.dependency_components_ids():
+        component = set(component_ids)
+        rule_ids = [
+            rule_id
+            for atom_id in component_ids
+            for rule_id in index.active_rule_ids_for_head_id(atom_id)
+        ]
+        local_true, local_false, component_rounds = _solve_component(
+            index, component, rule_ids, true_ids, false_ids
         )
-    else:
-        for component_ids in index.dependency_components_ids():
-            component = set(component_ids)
-            rule_ids = [
-                rule_id
-                for atom_id in component_ids
-                for rule_id in index.active_rule_ids_for_head_id(atom_id)
-            ]
-            if component_hook is not None:
-                component_hook(component)
-            local_true, local_false, component_rounds = _solve_component(
-                index, component, rule_ids, true_ids, false_ids
-            )
-            true_ids |= local_true
-            false_ids |= local_false
-            rounds += component_rounds
+        true_ids |= local_true
+        false_ids |= local_false
+        rounds += component_rounds
 
     interpretation = Interpretation(index.atoms_of(true_ids), index.atoms_of(false_ids))
     return WellFoundedModel(interpretation, universe, iterations=rounds)
@@ -365,21 +338,9 @@ class IncrementalWFS:
     random programs, growth schedules and budget resumes.
     """
 
-    def __init__(
-        self,
-        program: GroundProgram,
-        *,
-        workers: int = 1,
-        executor: str = "auto",
-        component_hook=None,
-    ):
+    def __init__(self, program: GroundProgram):
         self._program = program
         self._condensation = IncrementalCondensation(program.index())
-        #: parallel evaluation knobs (see :mod:`repro.lp.parallel`);
-        #: ``workers=1`` is the serial differential oracle
-        self.workers = max(1, int(workers))
-        self.executor = executor
-        self.component_hook = component_hook
         #: component id -> (true atom ids, false atom ids) of its solution
         self._solutions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
         #: component id -> external body atom ids its solution depends on
@@ -556,19 +517,14 @@ class IncrementalWFS:
                 changed |= solution[0] | solution[1]
             self._inputs.pop(cid, None)
 
-        if self.workers > 1:
-            resolved, rounds = self._refresh_parallel(index, dirty, changed)
-            visited = len(condensation)
-        else:
-            resolved, rounds, visited = self._refresh_serial(index, dirty, changed)
-
+        resolved, rounds, visited = self._ripple(index, dirty, changed)
         self._iterations = rounds
         self.last_visited = visited
         self.last_resolved = resolved
         self.last_reused = len(condensation) - resolved
         self.last_changed_atoms = frozenset(index.atoms_of(changed))
 
-    def _refresh_serial(
+    def _ripple(
         self, index: RuleIndex, dirty: set[int], changed: set[int]
     ) -> tuple[int, int, int]:
         """The position-heap ripple; returns ``(resolved, rounds, visited)``.
@@ -619,8 +575,6 @@ class IncrementalWFS:
             ]
             if stored is not None:
                 self._retract_solution(index, *stored)
-            if self.component_hook is not None:
-                self.component_hook(component)
             local_true, local_false, component_rounds = _solve_component(
                 index, component, rule_ids, self._true_ids, self._false_ids
             )
@@ -643,50 +597,6 @@ class IncrementalWFS:
             )
         return resolved, rounds, visited
 
-    def _refresh_parallel(
-        self, index: RuleIndex, dirty: set[int], changed: set[int]
-    ) -> tuple[int, int]:
-        """The ready-set scheduler's refresh; returns ``(resolved, rounds)``."""
-        from .parallel import resolve_components_incremental
-
-        condensation = self._condensation
-        outcomes = resolve_components_incremental(
-            index,
-            condensation,
-            self._true_ids,
-            self._false_ids,
-            stored=self._solutions,
-            stored_inputs=self._inputs,
-            dirty=dirty,
-            initial_changed=changed,
-            workers=self.workers,
-            executor=self.executor,
-            component_hook=self.component_hook,
-        )
-        # Commit in topological order: the bookkeeping below is the serial
-        # ripple's, verbatim, so stats and mirrors stay bit-identical to the
-        # ``workers=1`` oracle.
-        rounds = resolved = 0
-        for cid in condensation.order():
-            outcome = outcomes[cid]
-            if outcome is None:
-                continue
-            resolved += 1
-            stored = self._solutions.get(cid)
-            if stored is not None:
-                self._retract_solution(index, *stored)
-            local_true, local_false, component_rounds, inputs = outcome
-            self._assert_solution(index, local_true, local_false)
-            rounds += component_rounds
-            solution = (frozenset(local_true), frozenset(local_false))
-            if stored is None:
-                changed |= solution[0] | solution[1]
-            else:
-                changed |= (stored[0] ^ solution[0]) | (stored[1] ^ solution[1])
-            self._solutions[cid] = solution
-            self._inputs[cid] = inputs
-        return resolved, rounds
-
     def model(self) -> WellFoundedModel:
         """``WFS(P)`` for the program's current rule set, as an immutable snapshot.
 
@@ -706,9 +616,6 @@ class IncrementalWFS:
 def well_founded_model_incremental(
     program: GroundProgram,
     state: Optional[IncrementalWFS] = None,
-    *,
-    workers: int = 1,
-    executor: str = "auto",
 ) -> tuple[WellFoundedModel, IncrementalWFS]:
     """``WFS(P)`` of a growing program, reusing the previous call's solutions.
 
@@ -719,12 +626,9 @@ def well_founded_model_incremental(
     components the delta touched are re-solved.  With ``state=None`` (or a
     state bound to a different program) the computation starts cold and is
     equivalent to :func:`well_founded_model`.
-
-    ``workers``/``executor`` apply when a fresh state is created (an existing
-    state keeps the knobs it was built with).
     """
     if state is None or state.program is not program:
-        state = IncrementalWFS(program, workers=workers, executor=executor)
+        state = IncrementalWFS(program)
     return state.model(), state
 
 

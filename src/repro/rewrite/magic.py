@@ -368,7 +368,7 @@ def ground_magic(
     to fall back to unrewritten evaluation.
 
     ``backend`` selects the grounding executor (see
-    :func:`~repro.lp.columnar.make_grounder`).  Under the columnar backends
+    :func:`~repro.lp.columnar.make_grounder`).  Under the columnar backend
     the magic guard — always the first positive body atom of a gated rule —
     acts as a semi-join filter over the gated relation: it keys the first
     probe of every other plan, and in a round where the guard's relation holds

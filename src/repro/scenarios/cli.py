@@ -31,6 +31,7 @@ from typing import Optional, Sequence
 
 from ..core.engine import WellFoundedEngine
 from ..exceptions import ReproError
+from ..lp.columnar import BACKENDS
 from .registry import build_scenario, get_scenario, scenario_names
 from .replay import build_target, record_trace, replay_trace
 from .trace import format_trace, parse_trace
@@ -63,19 +64,9 @@ def build_scenarios_parser() -> argparse.ArgumentParser:
         )
         sub.add_argument(
             "--backend",
-            choices=["tuple", "columnar", "sqlite"],
+            choices=BACKENDS,
             default="columnar",
             help="grounding backend (answers are backend-invariant)",
-        )
-        sub.add_argument(
-            "--workers",
-            type=int,
-            default=1,
-            metavar="N",
-            help=(
-                "worker pool for independent condensation components; "
-                "answers are identical to the serial default"
-            ),
         )
         if trace_options:
             sub.add_argument(
@@ -197,7 +188,6 @@ def _cmd_run(args) -> int:
         bundle.database,
         rewrite=args.rewrite,
         backend=args.backend,
-        workers=args.workers,
     )
     for text in bundle.queries:
         from ..lang.parser import parse_query
@@ -222,7 +212,7 @@ def _cmd_run(args) -> int:
 
 def _cmd_record(args) -> int:
     bundle = build_scenario(args.name, **_overrides(args))
-    target = build_target(bundle, backend=args.backend, workers=args.workers)
+    target = build_target(bundle, backend=args.backend)
     recorded, report = record_trace(bundle.trace, target)
     text = format_trace(
         recorded,
@@ -253,9 +243,7 @@ def _cmd_replay(args) -> int:
             raise SystemExit(f"error: cannot read {args.trace}: {error}")
     else:
         events = list(bundle.trace)
-    target = build_target(
-        bundle, engine=args.engine, backend=args.backend, workers=args.workers
-    )
+    target = build_target(bundle, engine=args.engine, backend=args.backend)
     report = replay_trace(
         events, target, check=args.check, honor_think=args.think
     )

@@ -213,7 +213,6 @@ class MaterializedTarget:
         backend: str = "columnar",
         max_rounds_per_update: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        workers: int = 1,
     ):
         if isinstance(bundle_or_engine, MaterializedEngine):
             self.engine = bundle_or_engine
@@ -224,7 +223,6 @@ class MaterializedTarget:
                 backend=backend,
                 max_rounds_per_update=max_rounds_per_update,
                 max_atoms=max_atoms,
-                workers=workers,
             )
 
     def insert(self, atom) -> None:
@@ -260,22 +258,17 @@ class RebuildTarget:
 
     name = "rebuild"
 
-    def __init__(
-        self, bundle: ScenarioBundle, *, backend: str = "columnar", workers: int = 1, **_
-    ):
+    def __init__(self, bundle: ScenarioBundle, *, backend: str = "columnar"):
         self.program = bundle.program
         self.database = bundle.database.copy()
         self.backend = backend
-        self.workers = workers
         self._engine: Optional[WellFoundedEngine] = None
         self.rebuilds = 0
         self.last_query_stats: Optional[dict] = None
 
     def _current_engine(self) -> WellFoundedEngine:
         if self._engine is None or self._engine.is_stale():
-            self._engine = WellFoundedEngine(
-                self.program, self.database, backend=self.backend, workers=self.workers
-            )
+            self._engine = WellFoundedEngine(self.program, self.database, backend=self.backend)
             self.rebuilds += 1
         return self._engine
 
@@ -311,19 +304,26 @@ def build_target(
     backend: str = "columnar",
     max_rounds_per_update: Optional[int] = None,
     max_atoms: Optional[int] = None,
-    workers: int = 1,
 ):
-    """A replay target by name: ``"materialized"`` (warm) or ``"rebuild"`` (cold)."""
+    """A replay target by name: ``"materialized"`` (warm) or ``"rebuild"`` (cold).
+
+    The update budgets apply to the maintained engine only; passing them with
+    ``engine="rebuild"`` is a :class:`ValueError` rather than a silent no-op.
+    """
     if engine == "materialized":
         return MaterializedTarget(
             bundle,
             backend=backend,
             max_rounds_per_update=max_rounds_per_update,
             max_atoms=max_atoms,
-            workers=workers,
         )
     if engine == "rebuild":
-        return RebuildTarget(bundle, backend=backend, workers=workers)
+        if max_rounds_per_update is not None or max_atoms is not None:
+            raise ValueError(
+                "max_rounds_per_update and max_atoms apply to the materialized "
+                "engine only; the rebuild engine has no update budgets"
+            )
+        return RebuildTarget(bundle, backend=backend)
     raise ValueError(f"unknown replay engine {engine!r} (materialized|rebuild)")
 
 

@@ -211,8 +211,8 @@ class MaterializedEngine:
         Initial EDB facts (:class:`~repro.lang.program.Database`, iterable of
         atoms, or text).
     backend:
-        Grounding executor for the delta rounds — ``"tuple"``, ``"columnar"``
-        or ``"sqlite"`` (:data:`repro.lp.columnar.BACKENDS`); maintained
+        Grounding executor for the delta rounds — ``"tuple"`` or
+        ``"columnar"`` (:data:`repro.lp.columnar.BACKENDS`); maintained
         models are backend-invariant.
     max_rounds_per_update, max_atoms:
         Budgets: grounding rounds allowed per logical update, and an absolute
@@ -234,22 +234,14 @@ class MaterializedEngine:
         skolem_args: str = "universal",
         require_guarded: bool = False,
         check_termination: bool = True,
-        workers: int = 1,
-        parallel_executor: str = "auto",
     ):
         if backend not in BACKENDS:
             raise ValueError(
                 f"unknown grounding backend {backend!r}; expected one of {BACKENDS}"
             )
-        if workers < 1:
-            raise ValueError(f"workers must be >= 1, got {workers}")
         self.backend = backend
         self.max_rounds_per_update = max_rounds_per_update
         self.max_atoms = max_atoms
-        #: worker-pool width of the maintained solver's condensation-DAG
-        #: scheduler (:mod:`repro.lp.parallel`); ``1`` = the serial oracle
-        self.workers = workers
-        self.parallel_executor = parallel_executor
 
         rules, program_facts = _coerce_rules(
             program, skolem_args=skolem_args, require_guarded=require_guarded
@@ -271,9 +263,7 @@ class MaterializedEngine:
         self._ground = self._grounder.ground
         #: built eagerly so every later ``ground.add`` keeps it in sync
         self._index = self._ground.index()
-        self._wfs = IncrementalWFS(
-            self._ground, workers=workers, executor=parallel_executor
-        )
+        self._wfs = IncrementalWFS(self._ground)
 
         # -- maintained state -------------------------------------------------
         self._edb: set[Atom] = set()

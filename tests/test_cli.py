@@ -116,6 +116,21 @@ class TestMain:
         assert code == 0
         assert "sips=bound-first" in out
 
+    @pytest.mark.parametrize(
+        "removed", [["--backend", "sqlite"], ["--workers", "2"]], ids=["sqlite", "workers"]
+    )
+    @pytest.mark.parametrize("verb", ["query", "scenarios replay"])
+    def test_removed_options_are_usage_errors(self, program_file, capsys, verb, removed):
+        """Neither CLI accepts a sqlite backend or a worker count."""
+        if verb == "query":
+            argv = [program_file, "--query", "? article(pods13)"]
+        else:
+            argv = ["scenarios", "replay", "win-move", "--size", "4", "--length", "4"]
+        with pytest.raises(SystemExit) as exited:
+            main(argv + removed)
+        assert exited.value.code == 2
+        assert removed[0] in capsys.readouterr().err
+
 
 CHAINS = """
 source(X) -> reach(X).

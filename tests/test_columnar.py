@@ -1,7 +1,7 @@
 """Differential tests: every grounding backend is indistinguishable.
 
 The per-candidate tuple matcher (:class:`repro.lp.grounding.SemiNaiveGrounder`)
-is the retained oracle; the columnar hash-join backend and its sqlite variant
+is the retained oracle; the columnar hash-join backend
 (:mod:`repro.lp.columnar`) must produce *set-identical* ground programs — the
 same rules modulo insertion order, the same candidate atoms, the same
 saturation/budget behaviour — and therefore identical well-founded models,
@@ -32,6 +32,7 @@ from repro.lp.columnar import BACKENDS, ColumnarGrounder, make_grounder
 from repro.lp.grounding import SemiNaiveGrounder, relevant_grounding
 from repro.lp.wfs import well_founded_model
 from repro.rewrite.magic import ground_magic, rewrite_for_query
+from repro.views import MaterializedEngine
 
 X, Y = Variable("X"), Variable("Y")
 NEW_BACKENDS = [b for b in BACKENDS if b != "tuple"]
@@ -219,32 +220,21 @@ def test_single_driver_on_first_fact_of_a_new_predicate(backend):
     assert Atom("p", (b,)) in grounder.ground.atoms()
 
 
-@pytest.mark.parametrize("engine", ["dict", "sqlite"])
-def test_magic_guard_drives_round_one(monkeypatch, engine):
+def test_magic_guard_drives_round_one(monkeypatch):
     """Round 1 of the magic grounding scans no ``edge`` delta row."""
     driven: list[tuple[int, str]] = []
-    if engine == "dict":
-        original = ColumnarGrounder._run_plan_dict
+    original = ColumnarGrounder._run_plan_dict
 
-        def spy(self, plan, *args):
-            driven.append((self.rounds, plan.delta_key[0]))
-            return original(self, plan, *args)
+    def spy(self, plan, *args):
+        driven.append((self.rounds, plan.delta_key[0]))
+        return original(self, plan, *args)
 
-        monkeypatch.setattr(ColumnarGrounder, "_run_plan_dict", spy)
-    else:
-        original = ColumnarGrounder._run_plan_sqlite
-
-        def spy(self, rule_id, position, compiled, plan, results):
-            driven.append((self.rounds, plan.delta_key[0]))
-            return original(self, rule_id, position, compiled, plan, results)
-
-        monkeypatch.setattr(ColumnarGrounder, "_run_plan_sqlite", spy)
+    monkeypatch.setattr(ColumnarGrounder, "_run_plan_dict", spy)
 
     program, database = chain_reachability_workload(64, 24)
     rules = skolemize_program(program).rules()
     plan = rewrite_for_query(rules, [Literal(Atom("reach", (Constant("c5_24"),)), True)])
-    backend = "columnar" if engine == "dict" else "sqlite"
-    grounding = ground_magic(plan, database, backend=backend)
+    grounding = ground_magic(plan, database, backend="columnar")
     oracle = ground_magic(plan, database, backend="tuple")
     assert set(grounding.ground) == set(oracle.ground)
     first_round = [predicate for round_, predicate in driven if round_ == 1]
@@ -296,16 +286,21 @@ def test_atom_budget_raises(backend):
 
 @pytest.mark.parametrize("backend", NEW_BACKENDS)
 def test_non_ground_extra_atom_rejected(backend):
-    """The columnar backends validate candidate atoms eagerly."""
+    """The columnar backend validates candidate atoms eagerly."""
     with pytest.raises(GroundingError):
         make_grounder(NormalProgram([]), [Atom("p", (X,))], backend=backend)
 
 
+#: ``"sqlite"`` is not a backend either; it must fail like any unknown name.
+UNKNOWN_BACKENDS = ("pandas", "sqlite")
+
+
 def test_unknown_backend_rejected():
-    with pytest.raises(ValueError):
-        make_grounder(NormalProgram([]), backend="pandas")
-    with pytest.raises(ValueError):
-        relevant_grounding(NormalProgram([]), backend="pandas")
+    for backend in UNKNOWN_BACKENDS:
+        with pytest.raises(ValueError):
+            make_grounder(NormalProgram([]), backend=backend)
+        with pytest.raises(ValueError):
+            relevant_grounding(NormalProgram([]), backend=backend)
 
 
 # ---------------------------------------------------------------------------
@@ -352,8 +347,11 @@ def test_engine_answers_and_stats_across_backends(backend):
 
 def test_engine_rejects_unknown_backend():
     program, database = chain_reachability_workload(1, 2)
-    with pytest.raises(ValueError):
-        WellFoundedEngine(program, database, backend="pandas")
+    for backend in UNKNOWN_BACKENDS:
+        with pytest.raises(ValueError):
+            WellFoundedEngine(program, database, backend=backend)
+        with pytest.raises(ValueError):
+            MaterializedEngine(program, database, backend=backend)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

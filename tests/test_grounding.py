@@ -180,12 +180,11 @@ class TestIncrementalFactUpdates:
         assert grounder.run()
         assert Atom("edge", (a, b)) in grounder.index
 
-    @pytest.mark.parametrize("backend", ["columnar", "sqlite"])
-    def test_columnar_backends_mirror_the_tuple_seam(self, backend):
+    def test_columnar_backend_mirrors_the_tuple_seam(self):
         from repro.lp.columnar import make_grounder
 
         program = parse_normal_program("edge(X, Y) -> path(X, Y).")
-        grounder = make_grounder(program, backend=backend)
+        grounder = make_grounder(program, backend="columnar")
         grounder.run()
         grounder.add_fact(Atom("edge", (a, b)))
         grounder.add_fact(Atom("edge", (b, c)))

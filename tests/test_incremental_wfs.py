@@ -12,6 +12,9 @@ Three layers are covered, each pinned against its from-scratch oracle:
   modes must produce identical observables on the paper's programs and
   across budget resumes (the random-program space is covered by
   :mod:`test_incremental_properties`).
+
+The component solver both paths share, ``_solve_component``, is also pinned
+to treat its external inputs as read-only.
 """
 
 from __future__ import annotations
@@ -197,6 +200,89 @@ class TestIncrementalWFS:
         model, new_state = well_founded_model_incremental(second, state)
         assert new_state is not state
         assert model.is_true(atom("b")) and not model.is_true(atom("a"))
+
+
+def wide_ground_program(chains: int, length: int) -> GroundProgram:
+    """Independent chains, each feeding a negative 2-loop.
+
+    Chain ``i`` derives ``c(i,0) .. c(i,length)`` from a base fact and feeds
+    ``p_i`` vs ``q_i``, and ``dead_i`` is never derived, so the model has
+    true, false *and* undefined atoms in every chain.
+    """
+    rules: list[NormalRule] = []
+    for i in range(chains):
+        rules.append(NormalRule(atom("c", str(i), "0")))
+        for j in range(1, length + 1):
+            rules.append(
+                NormalRule(atom("c", str(i), str(j)), (atom("c", str(i), str(j - 1)),))
+            )
+        rules.append(
+            NormalRule(atom("p", str(i)), (atom("c", str(i), str(length)),), (atom("q", str(i)),))
+        )
+        rules.append(NormalRule(atom("q", str(i)), (), (atom("p", str(i)),)))
+        rules.append(NormalRule(atom("dead", str(i)), (atom("never", str(i)),)))
+    return GroundProgram(rules)
+
+
+def model_signature(model):
+    return (
+        model.true_atoms(),
+        model.false_atoms(),
+        model.undefined_atoms(),
+        model.iterations,
+    )
+
+
+class TestSolveComponentReadOnly:
+    """``_solve_component`` never mutates its external true/false inputs.
+
+    :class:`IncrementalWFS` keeps its atom mirrors in step only from the
+    deltas the solve returns, so a solve that wrote into the shared id sets
+    would desynchronise them.  Passing frozensets proves the contract.
+    """
+
+    def test_frozenset_externals_are_never_mutated(self, monkeypatch):
+        import repro.lp.wfs as wfs_module
+
+        original = wfs_module._solve_component
+        calls = []
+
+        def frozen(index, component, rule_ids, true_ids, false_ids):
+            calls.append(len(component))
+            return original(
+                index, component, rule_ids, frozenset(true_ids), frozenset(false_ids)
+            )
+
+        monkeypatch.setattr(wfs_module, "_solve_component", frozen)
+        program = wide_ground_program(chains=4, length=3)
+        frozen_model = well_founded_model(program)
+        assert calls  # the wrapped solver actually ran
+        monkeypatch.setattr(wfs_module, "_solve_component", original)
+        assert model_signature(frozen_model) == model_signature(well_founded_model(program))
+
+    def test_frozensets_survive_the_incremental_path(self, monkeypatch):
+        import repro.lp.wfs as wfs_module
+
+        original = wfs_module._solve_component
+
+        def frozen(index, component, rule_ids, true_ids, false_ids):
+            return original(
+                index, component, rule_ids, frozenset(true_ids), frozenset(false_ids)
+            )
+
+        monkeypatch.setattr(wfs_module, "_solve_component", frozen)
+        program = GroundProgram()
+        state = IncrementalWFS(program)
+        for i in range(6):
+            program.add(NormalRule(atom("a", str(i)), (), (atom("b", str(i)),)))
+            program.add(NormalRule(atom("b", str(i)), (), (atom("a", str(i)),)))
+            incremental = state.model()
+            scratch = well_founded_model(program)
+            # iterations are per-refresh on the incremental path, so compare
+            # the three truth sets (the repo-wide incremental convention)
+            assert incremental.true_atoms() == scratch.true_atoms()
+            assert incremental.false_atoms() == scratch.false_atoms()
+            assert incremental.undefined_atoms() == scratch.undefined_atoms()
 
 
 class FullScanRipple:

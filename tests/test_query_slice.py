@@ -102,7 +102,7 @@ def test_chase_built_after_magic_queries_matches_a_fresh_engine(chase_builds):
     assert stats == fresh.segment_cache_stats()
 
 
-@pytest.mark.parametrize("option", [{"saturation": "eager"}, {"workers": 0}])
+@pytest.mark.parametrize("option", [{"saturation": "eager"}])
 def test_invalid_chase_options_still_raise_at_construction(chase_builds, option):
     program, database = chain_reachability_workload(1, 2)
     with pytest.raises(ValueError):

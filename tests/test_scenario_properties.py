@@ -17,6 +17,7 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from repro.lp.columnar import BACKENDS
 from repro.scenarios import (
     MaterializedTarget,
     ReplayInterrupted,
@@ -46,7 +47,7 @@ def test_random_interleavings_never_diverge_from_the_oracle(data):
 @settings(max_examples=15, **COMMON_SETTINGS)
 @given(
     data=scenario_traces(),
-    backend=st.sampled_from(["tuple", "columnar", "sqlite"]),
+    backend=st.sampled_from(BACKENDS),
 )
 def test_recorded_traces_self_verify_on_any_backend(data, backend):
     bundle, trace = data

@@ -16,7 +16,9 @@ import pytest
 
 from repro.core.engine import WellFoundedEngine
 from repro.lang.parser import parse_query
+from repro.lp.columnar import BACKENDS
 from repro.scenarios import (
+    RebuildTarget,
     ScenarioBundle,
     build_scenario,
     build_target,
@@ -39,8 +41,6 @@ SMALL = {
 }
 
 ALL_NAMES = sorted(SMALL)
-
-BACKENDS = ("tuple", "columnar", "sqlite")
 
 
 def small_bundle(name: str, **extra) -> ScenarioBundle:
@@ -185,6 +185,20 @@ def test_rebuild_target_answers_match_materialized(name):
     cold_answers = [r.detail for r in cold_report.records if r.kind == "query"]
     assert warm_answers == cold_answers
     assert cold.rebuilds > 1  # the baseline actually paid for rebuilds
+
+
+def test_rebuild_target_rejects_unknown_options():
+    bundle = small_bundle("win-move")
+    with pytest.raises(TypeError):
+        RebuildTarget(bundle, workers=4)
+
+
+@pytest.mark.parametrize("budget", ["max_rounds_per_update", "max_atoms"])
+def test_rebuild_engine_rejects_update_budgets(budget):
+    """The cold baseline has no update budgets; passing one is an error."""
+    bundle = small_bundle("win-move")
+    with pytest.raises(ValueError, match="materialized"):
+        build_target(bundle, engine="rebuild", **{budget: 8})
 
 
 def test_recorded_expectations_replay_on_every_backend():

@@ -1,8 +1,9 @@
 #!/usr/bin/env python3
 """Custom lint: every guarded-state mutation site holds the matching lock.
 
-PR 9 made two structures safe for the parallel schedulers and pinned the
-invariants this script re-checks statically on every CI run:
+Two module-level structures are shared by every engine in the process, so
+callers' own threads may reach them concurrently.  This script re-checks
+their locking invariants statically on every CI run:
 
 * ``repro.chase.segments.SegmentStore`` — all mutations of the store's
   internal state (``_segments``, ``_aliases``, ``_replays`` and the
