@@ -91,7 +91,8 @@ class _PreparedRule:
         self.other_indices = tuple(
             i for i, a in enumerate(rule.body_pos) if a is not self.guard
         )
-        #: position of the rule in the engine's rule list (memo keys)
+        #: position of the rule in the engine's rule list (decided-pair keys
+        #: and the edge attribution read back by segment recording)
         self.seq = seq
         #: does the guard bind every rule variable?  Then a guard match fully
         #: determines the ground instance — at most one firing per node — and
@@ -281,6 +282,9 @@ class GuardedChaseEngine:
         # and scan rounds both skip decided pairs without re-instantiating the
         # rule, which keeps re-visits near-free.
         self._decided: set[tuple[int, int]] = set()
+        # The rule (by seq) that placed each non-root node, written by every
+        # placement site and read back by segment recording.
+        self._edge_seq: dict[int, int] = {}
 
         for atom in database:
             self._add_fact(atom)
@@ -303,14 +307,12 @@ class GuardedChaseEngine:
         }
         self._segment_store: Optional[SegmentStore] = None
         self._canonical_rules: list[_PreparedRule] = []
-        self._canonical_index: dict[NormalRule, int] = {}
-        self._rules_by_structure: dict[tuple, list[_PreparedRule]] = {}
-        # Memos keyed by immutable values: label shapes recur across nodes and
-        # (parent label, ground rule) pairs recur across re-recordings.  (Only
-        # the context-free *shape* part of a segment key is memoizable: the
-        # context part grows with the forest.)
+        #: canonical rule index of each engine rule, by seq
+        self._canonical_of_seq: list[int] = []
+        # Label shapes recur across nodes.  (Only the context-free *shape*
+        # part of a segment key is memoizable: the context part grows with
+        # the forest.)
         self._shape_memo: dict[Atom, tuple] = {}
-        self._derivation_memo: dict[tuple[Atom, NormalRule], Optional[int]] = {}
         # Segment keys that were looked up and missed: recording is
         # demand-driven — only keys something actually asked for (plus the
         # current frontier, which the next deepening step will ask for) are
@@ -348,18 +350,12 @@ class GuardedChaseEngine:
             # Cached segments refer to rules by index in the canonical ordering
             # so that every engine sharing a store agrees on what an index means.
             canonical = canonical_rule_order(p.rule for p in self._rules)
-            self._canonical_index = {rule: index for index, rule in enumerate(canonical)}
+            index_of = {rule: index for index, rule in enumerate(canonical)}
+            self._canonical_of_seq = [index_of[p.rule] for p in self._rules]
             by_rule: dict[NormalRule, _PreparedRule] = {}
             for prepared in self._rules:
                 by_rule.setdefault(prepared.rule, prepared)
             self._canonical_rules = [by_rule[rule] for rule in canonical]
-            # Ground edge rules are attributed to their source rule by structure
-            # first (head/body predicates), so recording tries one or two
-            # candidates instead of every rule sharing the guard predicate.
-            for prepared in self._rules:
-                self._rules_by_structure.setdefault(
-                    _rule_structure(prepared.rule), []
-                ).append(prepared)
 
     @property
     def segment_store(self) -> Optional[SegmentStore]:
@@ -594,7 +590,8 @@ class GuardedChaseEngine:
                     decided.add((node_id, seq))
                     continue
                 self._budget_guard((node_id,))
-                forest.add_child(node_id, ground_rule.head, ground_rule, node.level + 1)
+                child = forest.add_child(node_id, ground_rule.head, ground_rule, node.level + 1)
+                self._edge_seq[child.node_id] = seq
                 decided.add((node_id, seq))
             else:
                 # Experimentation mode (require_guarded=False): side atoms may
@@ -619,7 +616,10 @@ class GuardedChaseEngine:
                     if forest.was_applied(node_id, ground_rule):
                         continue
                     self._budget_guard((node_id,))
-                    forest.add_child(node_id, ground_rule.head, ground_rule, node.level + 1)
+                    child = forest.add_child(
+                        node_id, ground_rule.head, ground_rule, node.level + 1
+                    )
+                    self._edge_seq[child.node_id] = seq
 
     def _budget_guard(self, requeue: Iterable[int]) -> None:
         """Raise (resumably) if adding one more node would exceed the budget.
@@ -648,7 +648,7 @@ class GuardedChaseEngine:
         labels = self.forest.labels()
         label_index = _index_by_predicate(labels)
         level = self.rounds + 1
-        new_children: list[tuple[int, Atom, NormalRule]] = []
+        new_children: list[tuple[int, NormalRule, int]] = []
 
         decided = self._decided
         fired: list[tuple[int, int]] = []
@@ -673,7 +673,7 @@ class GuardedChaseEngine:
                         if prepared.fully_bound:
                             decided.add((node_id, prepared.seq))
                         continue
-                    new_children.append((node_id, ground_rule.head, ground_rule))
+                    new_children.append((node_id, ground_rule, prepared.seq))
                     if prepared.fully_bound:
                         fired.append((node_id, prepared.seq))
 
@@ -684,11 +684,12 @@ class GuardedChaseEngine:
                 f"chase forest would exceed the node budget of {self.max_nodes}; "
                 "lower the depth bound or raise max_nodes"
             )
-        for parent_id, head, rule in new_children:
+        for parent_id, rule, seq in new_children:
             # Re-check: the same (parent, rule) pair may have been queued once only,
             # but defensive duplicate checks keep the forest well-formed.
             if not self.forest.was_applied(parent_id, rule):
-                self.forest.add_child(parent_id, head, rule, level)
+                child = self.forest.add_child(parent_id, rule.head, rule, level)
+                self._edge_seq[child.node_id] = seq
         decided.update(fired)
         return True
 
@@ -1094,6 +1095,7 @@ class GuardedChaseEngine:
         child = forest.add_child(
             parent_id, ground_rule.head, ground_rule, parent.level + 1
         )
+        self._edge_seq[child.node_id] = rule_seq
         self._decided.add((parent_id, rule_seq))
         created.append(child.node_id)
         return _PLACE_PLACED, child.node_id, void
@@ -1268,12 +1270,13 @@ class GuardedChaseEngine:
         pair ``(entries, replay)`` — the abstract derivations for the segment
         plus their fully ground form for the replay memo (the subtree's edge
         rules *are* the ground derivations, so the memo costs no substitution
-        work) — or ``None`` when some edge cannot be attributed to a canonical
-        rule (defensive; every engine-built edge is attributable).
+        work) — or ``None`` when the subtree exceeds the store's segment size
+        limit.  Each edge's rule is the one recorded when the edge was placed.
         """
         subtree = self.forest.subtree_nodes(root.node_id)
         if len(subtree) - 1 > self._segment_store.max_segment_nodes:
             return None
+        canonical_of_seq, edge_seq = self._canonical_of_seq, self._edge_seq
         local: dict[int, int] = {root.node_id: 0}
         entries: list[tuple[int, int]] = []
         replay: list[tuple] = []
@@ -1281,11 +1284,7 @@ class GuardedChaseEngine:
             parent_local = local.get(node.parent)
             if parent_local is None:  # pragma: no cover - preorder invariant
                 return None
-            rule_index = self._rule_index_of(
-                self.forest.node(node.parent).label, node.edge_rule
-            )
-            if rule_index is None:  # pragma: no cover - engine-built edges resolve
-                return None
+            rule_index = canonical_of_seq[edge_seq[node.node_id]]
             local[node.node_id] = len(local)
             entries.append((parent_local, rule_index))
             side_atoms = tuple(
@@ -1296,22 +1295,6 @@ class GuardedChaseEngine:
                 (len(local) - 1, parent_local, rule_index, node.edge_rule, side_atoms)
             )
         return tuple(entries), tuple(replay)
-
-    def _rule_index_of(self, parent_label: Atom, edge_rule: NormalRule) -> Optional[int]:
-        """The canonical rule whose guard match at *parent_label* fires *edge_rule*."""
-        key = (parent_label, edge_rule)
-        if key in self._derivation_memo:
-            return self._derivation_memo[key]
-        found: Optional[int] = None
-        for prepared in self._rules_by_structure.get(_rule_structure(edge_rule), ()):
-            if prepared.guard.predicate != parent_label.predicate:
-                continue
-            subst = match(prepared.guard, parent_label)
-            if subst is not None and _instantiate(prepared.rule, subst) == edge_rule:
-                found = self._canonical_index[prepared.rule]
-                break
-        self._derivation_memo[key] = found
-        return found
 
     # -- views used by the Datalog± engine ----------------------------------------------
 
@@ -1332,15 +1315,6 @@ class GuardedChaseEngine:
             f"GuardedChaseEngine(depth_bound={self.depth_bound}, "
             f"{len(self.forest)} nodes, {len(self._rules)} rules)"
         )
-
-
-def _rule_structure(rule: NormalRule) -> tuple:
-    """The predicate-level structure of a rule — invariant under instantiation."""
-    return (
-        rule.head.predicate,
-        tuple(sorted(a.predicate for a in rule.body_pos)),
-        tuple(sorted(a.predicate for a in rule.body_neg)),
-    )
 
 
 def _index_by_predicate(atoms: Iterable[Atom]) -> dict[str, list[Atom]]:

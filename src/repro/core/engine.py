@@ -214,6 +214,7 @@ class WellFoundedEngine:
         bounds the total work; if the stabilisation test has not fired by
         then, the engine either raises :class:`ConvergenceError` (``strict=True``)
         or returns the last approximation flagged ``converged=False``.
+        ``depth_step`` must be at least 1 (``ValueError`` otherwise).
     max_nodes:
         Budget on the number of chase nodes materialised.
     require_guarded:
@@ -296,6 +297,10 @@ class WellFoundedEngine:
                 f"unknown grounding backend {backend!r}; expected one of {BACKENDS}"
             )
         check_saturation(saturation)
+        if depth_step < 1:
+            # a step of 0 (or less) would compare a forest with itself and
+            # report convergence the stabilisation test never checked
+            raise ValueError(f"depth_step must be at least 1, got {depth_step}")
         if isinstance(program, str):
             program, parsed_facts = parse_program(program)
         else:

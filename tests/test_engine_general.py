@@ -126,6 +126,15 @@ class TestConvergenceControls:
         else:  # pragma: no cover - the call must raise
             pytest.fail("expected ConvergenceError")
 
+    @pytest.mark.parametrize("depth_step", [0, -1])
+    def test_depth_step_below_one_is_rejected(self, depth_step):
+        # A step below 1 re-tests the initial depth against itself, so the
+        # stabilisation test would report convergence it never checked.
+        with pytest.raises(ValueError, match="depth_step"):
+            WellFoundedEngine(
+                "next(X, Y) -> exists Z next(Y, Z).\nnext(a, b).", depth_step=depth_step
+            )
+
     def test_model_is_cached(self):
         engine = WellFoundedEngine("p(X) -> q(X).\np(a).")
         assert engine.model() is engine.model()

@@ -25,7 +25,8 @@ from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lang.atoms import Atom
 from repro.lang.queries import NormalBCQ
-from repro.lang.terms import Constant, Variable
+from repro.lang.rules import NormalRule
+from repro.lang.terms import Constant, FunctionTerm, Variable
 
 X = Variable("X")
 
@@ -196,3 +197,91 @@ def test_cached_segment_keys_equal_recomputed_keys(
         return  # cache declined (unguarded rules); nothing cached
     for label in chase.forest.labels():
         assert chase._segment_key(label) == chase._segment_key_uncached(label), label
+
+
+# ---------------------------------------------------------------------------
+# Edge attribution: every edge's recorded rule re-derives the edge
+# ---------------------------------------------------------------------------
+
+
+def _first_guard(rule):
+    """The first positive body atom holding every variable of *rule*."""
+    return next(a for a in rule.body_pos if rule.variables() <= a.variables())
+
+
+def _bind(pattern: Atom, label: Atom):
+    """The binding that maps the function-free *pattern* onto *label*, or None."""
+    if pattern.predicate != label.predicate or len(pattern.args) != len(label.args):
+        return None
+    binding = {}
+    for term, value in zip(pattern.args, label.args):
+        if isinstance(term, Variable):
+            if binding.setdefault(term, value) != value:
+                return None
+        elif term != value:
+            return None
+    return binding
+
+
+def _ground_term(term, binding):
+    if isinstance(term, Variable):
+        return binding[term]
+    if isinstance(term, FunctionTerm):
+        return FunctionTerm(term.function, tuple(_ground_term(a, binding) for a in term.args))
+    return term
+
+
+def _ground_rule(rule, binding) -> NormalRule:
+    def ground(atom):
+        return Atom(atom.predicate, tuple(_ground_term(t, binding) for t in atom.args))
+
+    return NormalRule(
+        ground(rule.head),
+        tuple(ground(a) for a in rule.body_pos),
+        tuple(ground(a) for a in rule.body_neg),
+    )
+
+
+def assert_edges_attributed(chase) -> None:
+    """Each non-root node's recorded rule, fired at its parent, is its edge.
+
+    Independent of the engine's matcher: the guard is re-selected, matched
+    and instantiated here.
+    """
+    forest = chase.forest
+    for node in forest.nodes():
+        if node.is_root():
+            continue
+        rule = chase._rules[chase._edge_seq[node.node_id]].rule
+        binding = _bind(_first_guard(rule), forest.node(node.parent).label)
+        assert binding is not None, (node, rule)
+        assert _ground_rule(rule, binding) == node.edge_rule, (node, rule)
+
+
+@given(
+    workload=guarded_workloads(),
+    saturation=st.sampled_from(["agenda", "scan"]),
+    initial_depth=st.integers(min_value=1, max_value=4),
+    depth_step=st.integers(min_value=1, max_value=3),
+)
+@settings(max_examples=40, **COMMON_SETTINGS)
+def test_recorded_edge_rule_rederives_every_edge(
+    workload, saturation, initial_depth, depth_step
+):
+    """Cold and warm stores, both saturation modes, any deepening schedule."""
+    program, database, _ = workload
+    clear_segment_stores()
+    options = dict(
+        saturation=saturation,
+        initial_depth=initial_depth,
+        depth_step=depth_step,
+        max_depth=initial_depth + 3 * depth_step,
+        max_nodes=2_000,
+    )
+    for _store in ("cold", "warm"):
+        engine = WellFoundedEngine(program, database, segment_cache=True, **options)
+        try:
+            engine.model()
+        except GroundingError:
+            pass  # nodes placed before the budget ran out are attributed too
+        assert_edges_attributed(engine._chase)

@@ -360,6 +360,7 @@ class TestCLISegmentCacheFlags:
 # shared with the agenda differential suite so every differential compares
 # the same notion of forest equality
 from test_chase_agenda import forest_signature as _chase_signature  # noqa: E402
+from test_segment_properties import assert_edges_attributed  # noqa: E402
 
 
 class TestUnifiedSplicePlacement:
@@ -583,3 +584,31 @@ class TestSharedRegistryConcurrency:
         stats = store.stats()
         assert stats["hits"] > 0
         assert len(store) > 0
+
+
+class TestEdgeAttribution:
+    """Segments name each edge's rule as recorded when the edge was placed.
+
+    Here two canonical rules give the same ground instance ``p(a, a) ->
+    q(a)`` at one parent, so only one of them places the edge.  Whichever it
+    is, the recorded rule must re-derive the edge, and engines over either
+    rule order share one store (same fingerprint) without changing the
+    forest.
+    """
+
+    RULES = ("p(X, X) -> q(X).", "p(X, Y) -> q(X).")
+
+    def _engine(self, rules, **options):
+        return WellFoundedEngine(" ".join(rules) + " p(a, a).", **options)
+
+    def test_cold_and_warm_equal_uncached(self):
+        expected = _forest_signature(self._engine(self.RULES, segment_cache=False))
+        cold = self._engine(self.RULES)
+        assert _forest_signature(cold) == expected
+        assert cold.segment_cache_stats()["segments_recorded"] > 0
+        for rules in (self.RULES, self.RULES[::-1]):
+            warm = self._engine(rules)
+            assert _forest_signature(warm) == expected
+            assert warm.segment_cache_stats()["nodes_spliced"] > 0
+            assert_edges_attributed(warm._chase)
+        assert_edges_attributed(cold._chase)
