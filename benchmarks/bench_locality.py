@@ -5,7 +5,8 @@ For each workload the table reports the depth at which the engine's
 type-repetition test fired (i.e. the chase depth actually needed), the size of
 the materialised segment, and the theoretical worst-case bound of Prop. 12 for
 a one-literal query — which is astronomically larger.  This is the ablation
-for the engine's central design choice (DESIGN.md Sec. 5).
+for the engine's central design choice: a type-repetition test instead of
+the n·δ bound.
 """
 
 from __future__ import annotations

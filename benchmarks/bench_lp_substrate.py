@@ -5,7 +5,7 @@ and the cost of its constructions.
   indexed SCC-modular worklist evaluation (the production path), the seed's
   naive ``W_P`` re-scan iteration (retained as the reference), and Van
   Gelder's alternating fixpoint on the rule index; all three must agree, and
-  the table reports the costs (the ablation called out in DESIGN.md Sec. 5);
+  the table reports the costs;
 * a stratified company-hierarchy-style program: the WFS is total and equals
   the perfect model, at comparable cost.
 

@@ -1,15 +1,15 @@
 """Shared configuration for the benchmark suite.
 
-Every benchmark module reproduces one experiment of DESIGN.md (E1–E7).  The
-modules are ordinary pytest files using the ``benchmark`` fixture of
-pytest-benchmark; run them with::
+The ``bench_*.py`` modules reproduce the paper experiments E1–E7 and time the
+single-layer optimisations.  They are ordinary pytest files using the
+``benchmark`` fixture of pytest-benchmark; run them with::
 
-    pytest benchmarks/ --benchmark-only
+    pytest benchmarks/bench_*.py --benchmark-only
 
-Each module can also be executed directly (``python benchmarks/bench_xxx.py``)
-to print the full result table of its experiment, including derived numbers
-such as the empirical scaling exponent; those tables are what EXPERIMENTS.md
-records.
+CI runs their checks without timing (``--benchmark-disable``).  Each module
+can also be executed directly (``python benchmarks/bench_xxx.py``) to print
+the full result table of its experiment, including derived numbers such as
+the empirical scaling exponent.
 """
 
 from __future__ import annotations
@@ -19,4 +19,4 @@ import pytest
 
 def pytest_configure(config):
     # Group benchmarks by their experiment for a readable report.
-    config.addinivalue_line("markers", "experiment(id): the DESIGN.md experiment an item belongs to")
+    config.addinivalue_line("markers", "experiment(id): the paper experiment (E1–E7) an item belongs to")

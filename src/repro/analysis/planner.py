@@ -58,7 +58,6 @@ def analyze(
     *,
     query: Optional[Any] = None,
     queries: Sequence[Any] = (),
-    skolem_args: str = "universal",
 ) -> AnalysisReport:
     """Statically analyze *program* and return the full report.
 
@@ -73,7 +72,7 @@ def analyze(
     if query is not None:
         all_queries.append(query)
     try:
-        ntgds, rules, parsed_facts = _coerce_program(program, skolem_args=skolem_args)
+        ntgds, rules, parsed_facts = _coerce_program(program)
     except (ParseError, IllFormedRuleError, ReproError) as exc:
         diagnostic = Diagnostic("E102", f"program is ill-formed: {exc}")
         return make_report([diagnostic], verdicts={}, summary={})
@@ -115,7 +114,7 @@ def plan_engine(report: AnalysisReport) -> dict[str, Any]:
 
 
 def _coerce_program(
-    program: ProgramLike, *, skolem_args: str
+    program: ProgramLike,
 ) -> tuple[Optional[DatalogPMProgram], list[NormalRule], list[Atom]]:
     """Normalise any accepted program form to (NTGDs?, normal rules, facts).
 
@@ -128,17 +127,17 @@ def _coerce_program(
         from ..lang.parser import parse_program
 
         ntgds, database = parse_program(program)
-        normal = skolemize_program(ntgds, skolem_args=skolem_args)
+        normal = skolemize_program(ntgds)
         return ntgds, list(normal.rules()), list(database)
     if isinstance(program, DatalogPMProgram):
-        normal = skolemize_program(program, skolem_args=skolem_args)
+        normal = skolemize_program(program)
         return program, list(normal.rules()), []
     if isinstance(program, NormalProgram):
         return None, list(program.rules()), []
     items = list(program)
     if items and isinstance(items[0], NTGD):
         ntgds = DatalogPMProgram(cast("list[NTGD]", items))
-        normal = skolemize_program(ntgds, skolem_args=skolem_args)
+        normal = skolemize_program(ntgds)
         return ntgds, list(normal.rules()), []
     return None, cast("list[NormalRule]", items), []
 

@@ -21,7 +21,7 @@ Dowling–Gallier discipline of :mod:`repro.lp.fixpoint`, lifted from ground
 rules to chase firings).  A node is therefore matched against the rules when
 it appears — and again only when a watched atom arrives or the depth bound
 rises — instead of being re-scanned against every rule in every breadth-first
-round.  The historical round-based scan is retained verbatim as
+round.  The historical round-based scan is retained as
 ``saturation="scan"`` (:meth:`GuardedChaseEngine._expand_one_round_scan`); it
 reaches the identical least fixpoint and serves as the differential-testing
 reference.  The saturated forest within a depth bound is the least fixpoint
@@ -78,13 +78,18 @@ _PLACE_ALREADY_APPLIED = "already-applied"
 
 
 class _PreparedRule:
-    """A Skolemised rule with its guard singled out for efficient matching."""
+    """A Skolemised rule with its guard singled out for efficient matching.
 
-    __slots__ = ("rule", "guard", "other_pos", "other_indices", "seq", "fully_bound")
+    The guard binds every rule variable, so a guard match fully determines
+    the ground instance: at most one firing per node, and every side atom is
+    ground under the match.
+    """
 
-    def __init__(self, rule: NormalRule, *, require_guarded: bool = True, seq: int = 0):
+    __slots__ = ("rule", "guard", "other_pos", "other_indices", "seq")
+
+    def __init__(self, rule: NormalRule, *, seq: int = 0):
         self.rule = rule
-        self.guard = _find_guard(rule, require_guarded=require_guarded)
+        self.guard = _find_guard(rule)
         self.other_pos = tuple(a for a in rule.body_pos if a is not self.guard)
         #: positions of the non-guard atoms within body_pos: a ground instance's
         #: side atoms can be read off its body without any substitution
@@ -94,10 +99,6 @@ class _PreparedRule:
         #: position of the rule in the engine's rule list (decided-pair keys
         #: and the edge attribution read back by segment recording)
         self.seq = seq
-        #: does the guard bind every rule variable?  Then a guard match fully
-        #: determines the ground instance — at most one firing per node — and
-        #: the engine can memoize decided (node, rule) pairs across rounds.
-        self.fully_bound = rule.variables() <= self.guard.variables()
 
 
 def check_saturation(saturation: str) -> None:
@@ -106,27 +107,21 @@ def check_saturation(saturation: str) -> None:
         raise ValueError(f"saturation must be 'agenda' or 'scan', got {saturation!r}")
 
 
-def _find_guard(rule: NormalRule, *, require_guarded: bool = True) -> Atom:
+def _find_guard(rule: NormalRule) -> Atom:
     """The guard of a Skolemised guarded rule.
 
     After Skolemisation the universally quantified variables of the original
     NTGD are exactly the variables of the rule, so the guard is a positive
     body atom containing all of them.  The first such atom (in body order) is
-    chosen, matching :meth:`repro.lang.rules.NTGD.guard`.
-
-    With ``require_guarded=False`` (experimentation mode — the paper's
-    decidability results do not apply), an unguarded rule falls back to the
-    positive body atom covering the most variables; the chase still requires
-    every body atom to match existing labels, so derivations remain correct,
-    only the forest-locality guarantees are lost.
+    chosen, matching :meth:`repro.lang.rules.NTGD.guard`.  A rule without one
+    raises :class:`NotGuardedError`: the forest-locality argument (Lemma 11)
+    behind the engine's convergence test and the segment cache needs guards.
     """
     all_variables = rule.variables()
     for atom in rule.body_pos:
         if all_variables <= atom.variables():
             return atom
-    if require_guarded:
-        raise NotGuardedError(f"rule {rule} has no guard atom")
-    return max(rule.body_pos, key=lambda atom: len(atom.variables()))
+    raise NotGuardedError(f"rule {rule} has no guard atom")
 
 
 class GuardedChaseEngine:
@@ -137,7 +132,8 @@ class GuardedChaseEngine:
     skolemized_program:
         The functional transformation ``Σ^f`` as a :class:`NormalProgram` (or
         any iterable of Skolemised :class:`NormalRule`).  Every non-fact rule
-        must be guarded.
+        must be guarded (:class:`~repro.exceptions.NotGuardedError`
+        otherwise).
     database:
         The database ``D`` (an iterable of ground atoms or a :class:`Database`).
     max_nodes:
@@ -148,11 +144,7 @@ class GuardedChaseEngine:
         persistent per-fingerprint store
         (:func:`repro.chase.segments.shared_segment_store`), or an explicit
         :class:`~repro.chase.segments.SegmentStore` to use instead.  The
-        store is consulted and fed by :meth:`expand`.  Caching is declined
-        (``cache_stats["disabled_reason"]`` says why, and no registry entry
-        is created) when some rule's guard does not bind every rule variable
-        (possible only with ``require_guarded=False``), because then a firing
-        is no longer determined by the guard match alone.
+        store is consulted and fed by :meth:`expand`.
     saturation:
         ``"agenda"`` (default) drains the incremental worklist described in
         the module docstring; ``"scan"`` runs the historical breadth-first
@@ -173,7 +165,6 @@ class GuardedChaseEngine:
         database: Database | Iterable[Atom],
         *,
         max_nodes: int = 1_000_000,
-        require_guarded: bool = True,
         segment_cache: Union[SegmentStore, bool, None] = None,
         saturation: str = "agenda",
         agenda_order: Optional[Callable[[int], int]] = None,
@@ -183,7 +174,6 @@ class GuardedChaseEngine:
         self.max_nodes = max_nodes
         self.saturation = saturation
         self.agenda_order = agenda_order
-        self._require_guarded = require_guarded
         self._rules: list[_PreparedRule] = []
         self._rules_by_guard_pred: dict[str, list[_PreparedRule]] = {}
 
@@ -193,9 +183,7 @@ class GuardedChaseEngine:
                 if rule.is_ground():
                     fact_atoms.append(rule.head)
                 continue
-            prepared = _PreparedRule(
-                rule, require_guarded=require_guarded, seq=len(self._rules)
-            )
+            prepared = _PreparedRule(rule, seq=len(self._rules))
             self._rules.append(prepared)
             self._rules_by_guard_pred.setdefault(prepared.guard.predicate, []).append(prepared)
 
@@ -259,28 +247,21 @@ class GuardedChaseEngine:
         # firings are blocked on it becoming a label.  When the atom arrives,
         # the nodes re-enter the agenda (and re-derive or re-watch).
         self._atom_waiters: dict[Atom, set[int]] = {}
-        # Predicate-level subscriptions for rules whose guard does not bind
-        # every variable (require_guarded=False only): their side atoms are
-        # non-ground under the guard match, so any new label of the right
-        # predicate may complete a join.
-        self._pred_waiters: dict[str, set[int]] = {}
-        # Live predicate -> labels index used by the non-fully-bound join.
-        self._label_index: dict[str, list[Atom]] = {}
-        # False while a saturation pass is incomplete (in progress, cut short
-        # by max_rounds, or aborted by a GroundingError); expand() resumes an
-        # unsaturated pass before honouring new depth requests.
+        # False while a saturation pass is incomplete (in progress, or aborted
+        # by a GroundingError); expand() resumes an unsaturated pass before
+        # honouring new depth requests.
         self._saturated = True
         self.forest.add_listener(self._on_node_added)
 
         for atom in fact_atoms:
             self._add_fact(atom)
 
-        # Decided (node_id, rule seq) pairs for fully-bound rules: the pair
-        # either fired (its unique ground instance is in the forest) or its
-        # guard can never match the node's label.  Agenda re-processing (a
-        # node woken by a watched atom, or re-enqueued after a budget failure)
-        # and scan rounds both skip decided pairs without re-instantiating the
-        # rule, which keeps re-visits near-free.
+        # Decided (node_id, rule seq) pairs: the pair either fired (its unique
+        # ground instance is in the forest) or its guard can never match the
+        # node's label.  Agenda re-processing (a node woken by a watched atom,
+        # or re-enqueued after a budget failure) and scan rounds both skip
+        # decided pairs without re-instantiating the rule, which keeps
+        # re-visits near-free.
         self._decided: set[tuple[int, int]] = set()
         # The rule (by seq) that placed each non-root node, written by every
         # placement site and read back by segment recording.
@@ -331,22 +312,12 @@ class GuardedChaseEngine:
         # Note: an explicit store must not go through truthiness — an empty
         # SegmentStore has len() == 0 and would read as "disabled".
         if segment_cache is not None and segment_cache is not False:
-            if not all(p.fully_bound for p in self._rules):
-                # The shared registry is not consulted either, so unguarded
-                # programs cannot evict live stores of cacheable ones.
-                self.cache_stats["disabled_reason"] = (
-                    "some rule's guard does not bind every rule variable"
-                )
-            else:
-                self._segment_store = (
-                    segment_cache
-                    if isinstance(segment_cache, SegmentStore)
-                    else shared_segment_store(
-                        (p.rule for p in self._rules), require_guarded=require_guarded
-                    )
-                )
-                self.cache_stats["enabled"] = True
-        if self._segment_store is not None:
+            self._segment_store = (
+                segment_cache
+                if isinstance(segment_cache, SegmentStore)
+                else shared_segment_store(p.rule for p in self._rules)
+            )
+            self.cache_stats["enabled"] = True
             # Cached segments refer to rules by index in the canonical ordering
             # so that every engine sharing a store agrees on what an index means.
             canonical = canonical_rule_order(p.rule for p in self._rules)
@@ -371,12 +342,12 @@ class GuardedChaseEngine:
 
     # -- expansion ------------------------------------------------------------------
 
-    def expand(self, max_depth: int, *, max_rounds: Optional[int] = None) -> bool:
+    def expand(self, max_depth: int) -> bool:
         """Expand the forest up to tree depth *max_depth*.
 
         Nodes at depth ``max_depth`` are not given children.  Returns ``True``
         if at least one node was added.  Expansion always runs to saturation
-        within the depth bound (unless *max_rounds* cuts it short).
+        within the depth bound.
 
         With a segment cache attached, memoized subtrees are spliced in first
         (see :meth:`_splice_from_cache`); the agenda (or the scan rounds) then
@@ -384,18 +355,14 @@ class GuardedChaseEngine:
         the final forest is identical either way.  After saturation, node
         levels are restored to their canonical derivation stages
         (:meth:`ChaseForest.recompute_levels`) and newly saturated subtrees
-        are recorded back into the store.  Splicing and recording are skipped
-        under a *max_rounds* cutoff: an unsaturated forest must not populate
-        the store, and a partial expansion has no quiescence certificate.
-        (*max_rounds* counts breadth-first scan rounds, so it always runs the
-        scan path regardless of the engine's saturation mode.)
+        are recorded back into the store.
 
         An unfinished saturation pass — a previous call raised
-        :class:`GroundingError`, or was cut short by *max_rounds* — is
-        resumed first, even when *max_depth* is below the committed depth
-        bound: the forest must never be observed unsaturated within its
-        bound.  A resumed pass re-raises if the node budget is still too
-        small, and completes normally after :attr:`max_nodes` is raised.
+        :class:`GroundingError` — is resumed first, even when *max_depth* is
+        below the committed depth bound: the forest must never be observed
+        unsaturated within its bound.  A resumed pass re-raises if the node
+        budget is still too small, and completes normally after
+        :attr:`max_nodes` is raised.
 
         Raises
         ------
@@ -410,28 +377,22 @@ class GuardedChaseEngine:
             self.depth_bound = max_depth
             self._wake_deferred()
         max_depth = self.depth_bound
-        use_cache = self._segment_store is not None and max_rounds is None
         size_before = len(self.forest)
         self._saturated = False
-        if use_cache:
+        if self._segment_store is not None:
             self._splice_from_cache(max_depth)
-        if self.saturation == "scan" or max_rounds is not None:
+        if self.saturation == "scan":
             changed = True
-            rounds_here = 0
             while changed:
-                if max_rounds is not None and rounds_here >= max_rounds:
-                    break
                 changed = self._expand_one_round_scan(max_depth)
-                rounds_here += 1
                 self.rounds += 1
-            self._saturated = not changed
         else:
             self._drain_agenda()
-            self._saturated = True
+        self._saturated = True
         added_any = len(self.forest) > size_before
         if added_any:
             self.forest.recompute_levels()
-        if use_cache and self._saturated:
+        if self._segment_store is not None:
             self._record_segments(max_depth)
         return added_any
 
@@ -441,14 +402,13 @@ class GuardedChaseEngine:
         """Forest change hook: feed insertions into the agenda and wake waiters.
 
         Every new node enters the agenda (it may host firings); a node whose
-        label is new to the forest additionally extends the live predicate
-        index and wakes the waiters watching that atom (fully-bound rules) or
-        its predicate (non-fully-bound rules).  Splices, facts added at
-        construction and ordinary firings all flow through here — the agenda
-        never needs a forest re-scan to find new work.  A pure scan-mode
-        engine skips the agenda bookkeeping entirely (its rounds re-visit
-        every node anyway, and an agenda nobody drains would just leak), so
-        the retained baseline stays the historical code path.
+        label is new to the forest additionally wakes the waiters watching
+        that atom.  Splices, facts added at construction and ordinary firings
+        all flow through here — the agenda never needs a forest re-scan to
+        find new work.  A pure scan-mode engine skips the agenda bookkeeping
+        entirely (its rounds re-visit every node anyway, and an agenda nobody
+        drains would just leak), so the retained baseline stays the historical
+        code path.
         """
         node_id = node.node_id
         if (
@@ -460,13 +420,9 @@ class GuardedChaseEngine:
             self._agenda.append(node_id)
         if is_new_label:
             label = node.label
-            self._label_index.setdefault(label.predicate, []).append(label)
             waiters = self._atom_waiters.pop(label, None)
             if waiters:
                 self._enqueue_all(waiters)
-            subscribers = self._pred_waiters.get(label.predicate)
-            if subscribers:
-                self._enqueue_all(subscribers)
             if label.predicate in self._side_predicates:
                 if label.args:
                     for term in set(label.args):
@@ -531,11 +487,11 @@ class GuardedChaseEngine:
 
         The invariant on entry to every iteration: each applicable-but-unfired
         ``(node, rule)`` pair either has its node in the agenda, or is blocked
-        on a watched atom (``_atom_waiters``/``_pred_waiters``) that is not a
-        label yet, or its node sits at the depth bound (``_deferred``).  An
-        empty agenda therefore certifies quiescence: the remaining pairs
-        cannot fire until a new label arrives (impossible without firings) or
-        the bound rises (handled by :meth:`expand`).
+        on a watched atom (``_atom_waiters``) that is not a label yet, or its
+        node sits at the depth bound (``_deferred``).  An empty agenda
+        therefore certifies quiescence: the remaining pairs cannot fire until
+        a new label arrives (impossible without firings) or the bound rises
+        (handled by :meth:`expand`).
         """
         agenda, in_agenda = self._agenda, self._in_agenda
         pick = self.agenda_order
@@ -567,59 +523,30 @@ class GuardedChaseEngine:
         labels = forest.labels_live()
         for prepared in self._rules_by_guard_pred.get(label.predicate, ()):
             seq = prepared.seq
-            if prepared.fully_bound and (node_id, seq) in decided:
+            if (node_id, seq) in decided:
                 continue
             guard_match = match(prepared.guard, label)
             if guard_match is None:
-                if prepared.fully_bound:
-                    # labels never change: this pair can never fire
-                    decided.add((node_id, seq))
-                continue
-            if prepared.fully_bound:
-                missing = None
-                for atom in prepared.other_pos:
-                    grounded = guard_match.apply_atom(atom)
-                    if grounded not in labels:
-                        missing = grounded
-                        break
-                if missing is not None:
-                    self._atom_waiters.setdefault(missing, set()).add(node_id)
-                    continue
-                ground_rule = _instantiate(prepared.rule, guard_match)
-                if forest.was_applied(node_id, ground_rule):
-                    decided.add((node_id, seq))
-                    continue
-                self._budget_guard((node_id,))
-                child = forest.add_child(node_id, ground_rule.head, ground_rule, node.level + 1)
-                self._edge_seq[child.node_id] = seq
+                # labels never change: this pair can never fire
                 decided.add((node_id, seq))
-            else:
-                # Experimentation mode (require_guarded=False): side atoms may
-                # stay non-ground under the guard match, so joins run against
-                # the live label index and the node subscribes to the side
-                # predicates — any later label of those predicates may extend
-                # the join.  A side atom that is *ground* under the guard
-                # match but not a label yet blocks every join outright, so it
-                # gets a precise watched-atom waiter instead (exactly as on
-                # the fully-bound path) — without it the node would never be
-                # rewoken when the atom arrives.
-                for atom in prepared.other_pos:
-                    grounded = guard_match.apply_atom(atom)
-                    if not grounded.is_ground():
-                        self._pred_waiters.setdefault(atom.predicate, set()).add(node_id)
-                    elif grounded not in labels:
-                        self._atom_waiters.setdefault(grounded, set()).add(node_id)
-                for full_match in _match_remaining(
-                    prepared.other_pos, self._label_index, labels, guard_match
-                ):
-                    ground_rule = _instantiate(prepared.rule, full_match)
-                    if forest.was_applied(node_id, ground_rule):
-                        continue
-                    self._budget_guard((node_id,))
-                    child = forest.add_child(
-                        node_id, ground_rule.head, ground_rule, node.level + 1
-                    )
-                    self._edge_seq[child.node_id] = seq
+                continue
+            missing = None
+            for atom in prepared.other_pos:
+                grounded = guard_match.apply_atom(atom)
+                if grounded not in labels:
+                    missing = grounded
+                    break
+            if missing is not None:
+                self._atom_waiters.setdefault(missing, set()).add(node_id)
+                continue
+            ground_rule = _instantiate(prepared.rule, guard_match)
+            if forest.was_applied(node_id, ground_rule):
+                decided.add((node_id, seq))
+                continue
+            self._budget_guard((node_id,))
+            child = forest.add_child(node_id, ground_rule.head, ground_rule, node.level + 1)
+            self._edge_seq[child.node_id] = seq
+            decided.add((node_id, seq))
 
     def _budget_guard(self, requeue: Iterable[int]) -> None:
         """Raise (resumably) if adding one more node would exceed the budget.
@@ -641,12 +568,14 @@ class GuardedChaseEngine:
     def _expand_one_round_scan(self, max_depth: int) -> bool:
         """One breadth-first round: fire every applicable (node, ground rule) pair.
 
-        This is the historical round-based saturation step, retained verbatim
-        as the ``saturation="scan"`` reference: the differential suites assert
-        that agenda-driven saturation reaches the bit-identical least fixpoint.
+        This is the historical round-based saturation step, retained as the
+        ``saturation="scan"`` reference: the differential suites assert that
+        agenda-driven saturation reaches the bit-identical least fixpoint.
+        Side atoms are tested against the labels as they stood when the round
+        began, so a child placed in this round enables firings only in the
+        next one.
         """
         labels = self.forest.labels()
-        label_index = _index_by_predicate(labels)
         level = self.rounds + 1
         new_children: list[tuple[int, NormalRule, int]] = []
 
@@ -657,25 +586,25 @@ class GuardedChaseEngine:
                 continue
             node_id = node.node_id
             for prepared in self._rules_by_guard_pred.get(node.label.predicate, ()):
-                if prepared.fully_bound and (node_id, prepared.seq) in decided:
+                seq = prepared.seq
+                if (node_id, seq) in decided:
                     continue
                 guard_match = match(prepared.guard, node.label)
                 if guard_match is None:
-                    if prepared.fully_bound:
-                        # labels never change: this pair can never fire
-                        decided.add((node_id, prepared.seq))
+                    # labels never change: this pair can never fire
+                    decided.add((node_id, seq))
                     continue
-                for full_match in _match_remaining(
-                    prepared.other_pos, label_index, labels, guard_match
+                if any(
+                    guard_match.apply_atom(atom) not in labels
+                    for atom in prepared.other_pos
                 ):
-                    ground_rule = _instantiate(prepared.rule, full_match)
-                    if self.forest.was_applied(node_id, ground_rule):
-                        if prepared.fully_bound:
-                            decided.add((node_id, prepared.seq))
-                        continue
-                    new_children.append((node_id, ground_rule, prepared.seq))
-                    if prepared.fully_bound:
-                        fired.append((node_id, prepared.seq))
+                    continue
+                ground_rule = _instantiate(prepared.rule, guard_match)
+                if self.forest.was_applied(node_id, ground_rule):
+                    decided.add((node_id, seq))
+                    continue
+                new_children.append((node_id, ground_rule, seq))
+                fired.append((node_id, seq))
 
         if not new_children:
             return False
@@ -707,9 +636,9 @@ class GuardedChaseEngine:
         """The side-relevant labels over ``dom(label)`` (plus rule constants).
 
         These are exactly the forest atoms that can serve as a side atom of a
-        fully-bound rule fired at a node with this label or below it (side
-        atoms of fully-bound rules are ground instances over the guard's
-        terms, plus any constants written in the rule itself).  They form the
+        rule fired at a node with this label or below it (side atoms are
+        ground instances over the guard's terms, plus any constants written
+        in the rule itself).  They form the
         context part of the segment key: two nodes agreeing on shape *and*
         context have identical firing environments for every inherited term.
         """
@@ -1081,8 +1010,8 @@ class GuardedChaseEngine:
         if any(not forest.has_label(atom) for atom in side_atoms):
             return _PLACE_SIDE_MISSING, None, void
         if forest.was_applied(parent_id, ground_rule):
-            # for fully-bound rules the pair's unique instance is in the
-            # forest, so the (parent, rule) pair is decided either way
+            # the pair's unique instance is in the forest, so the
+            # (parent, rule) pair is decided either way
             self._decided.add((parent_id, rule_seq))
             return _PLACE_ALREADY_APPLIED, None, void
         # resumable: on failure the partially placed subtree is re-enqueued
@@ -1315,41 +1244,6 @@ class GuardedChaseEngine:
             f"GuardedChaseEngine(depth_bound={self.depth_bound}, "
             f"{len(self.forest)} nodes, {len(self._rules)} rules)"
         )
-
-
-def _index_by_predicate(atoms: Iterable[Atom]) -> dict[str, list[Atom]]:
-    """Group atoms by predicate for body matching."""
-    index: dict[str, list[Atom]] = {}
-    for atom in atoms:
-        index.setdefault(atom.predicate, []).append(atom)
-    return index
-
-
-def _match_remaining(
-    patterns: Sequence[Atom],
-    label_index: Mapping[str, Sequence[Atom]],
-    labels: frozenset[Atom],
-    subst: Substitution,
-):
-    """Match the non-guard positive body atoms against the forest labels.
-
-    A pattern that is ground under the accumulated substitution (always the
-    case for guarded rules, whose guard binds every variable) is decided by a
-    single set-membership test instead of a scan over the predicate's atoms.
-    """
-    if not patterns:
-        yield subst
-        return
-    first, rest = patterns[0], patterns[1:]
-    grounded = subst.apply_atom(first)
-    if grounded.is_ground():
-        if grounded in labels:
-            yield from _match_remaining(rest, label_index, labels, subst)
-        return
-    for candidate in label_index.get(first.predicate, ()):  # pragma: no branch
-        extended = match(first, candidate, subst)
-        if extended is not None:
-            yield from _match_remaining(rest, label_index, labels, extended)
 
 
 def _instantiate(rule: NormalRule, subst: Substitution) -> NormalRule:

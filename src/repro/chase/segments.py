@@ -114,17 +114,16 @@ def canonical_rule_order(rules: Iterable[NormalRule]) -> list[NormalRule]:
     return unique
 
 
-def program_fingerprint(rules: Iterable[NormalRule], *, require_guarded: bool = True) -> str:
+def program_fingerprint(rules: Iterable[NormalRule]) -> str:
     """A stable fingerprint of a (Skolemised) rule set.
 
     The fingerprint is the SHA-256 of the sorted textual forms of the non-fact
-    rules plus the guard-selection mode; it identifies the rule set up to rule
-    order and duplicate rules, and is independent of the database — segments
-    are database-independent because every splice is re-validated against the
-    target forest (see the module docstring).
+    rules; it identifies the rule set up to rule order and duplicate rules,
+    and is independent of the database — segments are database-independent
+    because every splice is re-validated against the target forest (see the
+    module docstring).
     """
     digest = hashlib.sha256()
-    digest.update(b"guarded" if require_guarded else b"unguarded")
     for rule in canonical_rule_order(rules):
         digest.update(b"\x00")
         digest.update(str(rule).encode("utf-8"))
@@ -453,9 +452,7 @@ _registry_lock = threading.Lock()
 _stores: "OrderedDict[str, SegmentStore]" = OrderedDict()
 
 
-def shared_segment_store(
-    rules: Iterable[NormalRule], *, require_guarded: bool = True
-) -> SegmentStore:
+def shared_segment_store(rules: Iterable[NormalRule]) -> SegmentStore:
     """The persistent :class:`SegmentStore` for a rule set (created on miss).
 
     Keyed by :func:`program_fingerprint`, so every engine over the same
@@ -463,7 +460,7 @@ def shared_segment_store(
     evictions — shares one store.  The registry is LRU-bounded by
     :data:`REGISTRY_SIZE`.
     """
-    fingerprint = program_fingerprint(rules, require_guarded=require_guarded)
+    fingerprint = program_fingerprint(rules)
     with _registry_lock:
         store = _stores.get(fingerprint)
         if store is None:

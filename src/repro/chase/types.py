@@ -24,7 +24,7 @@ the current three-valued approximation instead of the final WFS) as its
 convergence criterion: once every frontier node's approximate type key has
 already been seen at a smaller depth, deeper expansion cannot change the truth
 values of literals over the stabilised region (this is the practical analogue
-of Lemma 11; see DESIGN.md).
+of Lemma 11).
 """
 
 from __future__ import annotations

@@ -340,7 +340,7 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             backend=args.backend,
         )
         model = engine.model() if needs_model else None
-    except ReproError as error:
+    except (ReproError, ValueError) as error:
         print(f"error: {error}", file=sys.stderr)
         return 2
 

@@ -205,7 +205,10 @@ class WellFoundedEngine:
     ----------
     program:
         A guarded normal Datalog± program, or program text to parse (facts in
-        the text are added to the database).
+        the text are added to the database).  An unguarded program raises
+        :class:`~repro.exceptions.NotGuardedError`: the stabilisation test
+        rests on Lemma 11, which needs guarded rules.  Terminating unguarded
+        programs are served by :class:`repro.views.MaterializedEngine`.
     database:
         The database D (a :class:`Database`, an iterable of ground atoms, or
         text to parse).
@@ -214,12 +217,10 @@ class WellFoundedEngine:
         bounds the total work; if the stabilisation test has not fired by
         then, the engine either raises :class:`ConvergenceError` (``strict=True``)
         or returns the last approximation flagged ``converged=False``.
-        ``depth_step`` must be at least 1 (``ValueError`` otherwise).
+        ``depth_step`` must be at least 1 and ``max_depth`` at least
+        ``initial_depth`` (``ValueError`` otherwise).
     max_nodes:
         Budget on the number of chase nodes materialised.
-    require_guarded:
-        Verify guardedness of Σ up front (the paper's decidability results
-        are for guarded programs); disable only for experimentation.
     strict:
         Whether failing to stabilise raises instead of returning a flagged model.
     rewrite:
@@ -281,9 +282,7 @@ class WellFoundedEngine:
         depth_step: int = 2,
         max_depth: int = 31,
         max_nodes: int = 500_000,
-        require_guarded: bool = True,
         strict: bool = False,
-        skolem_args: str = "universal",
         rewrite: bool = False,
         sips: str = "left-to-right",
         segment_cache: bool = True,
@@ -301,6 +300,11 @@ class WellFoundedEngine:
             # a step of 0 (or less) would compare a forest with itself and
             # report convergence the stabilisation test never checked
             raise ValueError(f"depth_step must be at least 1, got {depth_step}")
+        if max_depth < initial_depth:
+            # an empty deepening schedule has no model to report
+            raise ValueError(
+                f"max_depth ({max_depth}) is smaller than initial_depth ({initial_depth})"
+            )
         if isinstance(program, str):
             program, parsed_facts = parse_program(program)
         else:
@@ -316,8 +320,7 @@ class WellFoundedEngine:
             database = database.copy()
             database.update(parsed_facts)
 
-        if require_guarded:
-            program.require_guarded()
+        program.require_guarded()
 
         self.program = program
         self.database = database
@@ -325,7 +328,7 @@ class WellFoundedEngine:
         #: chase/model state is valid exactly while this matches (see
         #: :meth:`is_stale`)
         self._database_version = database.version
-        self.skolemized = skolemize_program(program, skolem_args=skolem_args)
+        self.skolemized = skolemize_program(program)
         self.initial_depth = initial_depth
         self.depth_step = depth_step
         self.max_depth = max_depth
@@ -338,8 +341,6 @@ class WellFoundedEngine:
         self.agenda_order = agenda_order
         self.incremental = incremental
         self.backend = backend
-        self._require_guarded = require_guarded
-        self._skolem_args = skolem_args
         #: statistics of the most recent ``holds``/``answer`` call (see
         #: :meth:`_query_model`); ``None`` until a query has been answered
         self.last_query_stats: Optional[dict] = None
@@ -393,7 +394,6 @@ class WellFoundedEngine:
             self.skolemized,
             self._chase_facts,
             max_nodes=self.max_nodes,
-            require_guarded=self._require_guarded,
             segment_cache=self.segment_cache,
             saturation=self.saturation,
             agenda_order=self.agenda_order,
@@ -648,9 +648,7 @@ class WellFoundedEngine:
                 depth_step=self.depth_step,
                 max_depth=self.max_depth,
                 max_nodes=self.max_nodes,
-                require_guarded=self._require_guarded,
                 strict=self.strict,
-                skolem_args=self._skolem_args,
                 segment_cache=self.segment_cache,
                 saturation=self.saturation,
                 agenda_order=self.agenda_order,
@@ -749,8 +747,8 @@ class WellFoundedEngine:
             previous_frontier_keys = frontier_keys
             depth += self.depth_step
 
-        if model is None:  # pragma: no cover - max_depth < initial_depth misuse
-            raise ConvergenceError("max_depth is smaller than initial_depth", depth=self.max_depth)
+        # __init__ guarantees initial_depth <= max_depth, so the loop ran
+        assert model is not None
         if not model.converged and self.strict:
             raise ConvergenceError(
                 f"well-founded model did not stabilise within depth {self.max_depth}",
@@ -881,7 +879,7 @@ class WellFoundedEngine:
         previous_frontier_keys: Optional[frozenset],
         current_frontier_keys: frozenset,
     ) -> bool:
-        """The engine's convergence test (see DESIGN.md, Sec. 2.2).
+        """The engine's convergence test.
 
         Two conditions, both grounded in the locality lemma (Lemma 11):
 

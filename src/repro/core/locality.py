@@ -14,7 +14,8 @@ The bound is *doubly exponential* in the arity and exponential in the schema
 size — astronomically large even for toy schemas — so the practical engine
 (:mod:`repro.core.engine`) uses a type-repetition convergence test instead and
 treats δ only as the worst-case guarantee.  This module exposes the bound and
-a couple of helpers so the locality experiment (E6 in DESIGN.md) can compare
+a couple of helpers so the locality experiment (E6,
+``benchmarks/bench_locality.py``) can compare
 the depth at which answers *actually* stabilise with the theoretical bound.
 """
 

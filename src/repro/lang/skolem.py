@@ -21,7 +21,7 @@ Two details matter for reproducibility:
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Optional
 
 from .atoms import Atom
 from .program import DatalogPMProgram, NormalProgram
@@ -69,13 +69,11 @@ def _variables_in_order(atom: Atom) -> list[Variable]:
     return result
 
 
-def skolemize_ntgd(
-    ntgd: NTGD,
-    rule_id: Optional[str] = None,
-    *,
-    skolem_args: str = "universal",
-) -> NormalRule:
+def skolemize_ntgd(ntgd: NTGD, rule_id: Optional[str] = None) -> NormalRule:
     """Return the functional transformation ``σ^f`` of a single NTGD.
+
+    Every Skolem term takes all universally quantified variables of σ as
+    arguments, in body order (the paper's convention).
 
     Parameters
     ----------
@@ -84,14 +82,6 @@ def skolemize_ntgd(
     rule_id:
         Identifier used in the Skolem function names.  Defaults to the NTGD's
         ``label`` or ``"r"``.
-    skolem_args:
-        Which variables the Skolem terms take as arguments.
-
-        * ``"universal"`` (default, the paper's convention): all universally
-          quantified variables of σ, in body order.
-        * ``"frontier"``: only the frontier variables (those shared between
-          body and head).  This yields the "semi-oblivious" Skolemisation used
-          by some chase implementations; exposed for experimentation.
     """
     if rule_id is None:
         rule_id = ntgd.label or "r"
@@ -99,17 +89,9 @@ def skolemize_ntgd(
     if not existentials:
         return NormalRule(ntgd.head, ntgd.body_pos, ntgd.body_neg)
 
-    if skolem_args == "universal":
-        argument_vars: Sequence[Variable] = _universal_variable_order(ntgd)
-    elif skolem_args == "frontier":
-        order = _universal_variable_order(ntgd)
-        frontier = ntgd.frontier_variables()
-        argument_vars = [v for v in order if v in frontier]
-    else:
-        raise ValueError(f"unknown skolem_args mode: {skolem_args!r}")
-
+    argument_vars = tuple(_universal_variable_order(ntgd))
     mapping = {
-        z: FunctionTerm(skolem_function_name(rule_id, z), tuple(argument_vars))
+        z: FunctionTerm(skolem_function_name(rule_id, z), argument_vars)
         for z in existentials
     }
     substitution = Substitution(mapping)
@@ -117,11 +99,7 @@ def skolemize_ntgd(
     return NormalRule(new_head, ntgd.body_pos, ntgd.body_neg)
 
 
-def skolemize_program(
-    program: DatalogPMProgram | Iterable[NTGD],
-    *,
-    skolem_args: str = "universal",
-) -> NormalProgram:
+def skolemize_program(program: DatalogPMProgram | Iterable[NTGD]) -> NormalProgram:
     """Return the functional transformation ``Σ^f`` of a Datalog± program.
 
     Every NTGD is replaced by its functional transformation; rule identifiers
@@ -132,5 +110,5 @@ def skolemize_program(
     rules: list[NormalRule] = []
     for index, ntgd in enumerate(program):
         rule_id = ntgd.label or f"r{index}"
-        rules.append(skolemize_ntgd(ntgd, rule_id, skolem_args=skolem_args))
+        rules.append(skolemize_ntgd(ntgd, rule_id))
     return NormalProgram(rules)

@@ -92,9 +92,6 @@ __all__ = ["MaterializedEngine"]
 
 def _coerce_rules(
     program: Union[DatalogPMProgram, NormalProgram, str, Iterable[NormalRule]],
-    *,
-    skolem_args: str,
-    require_guarded: bool,
 ) -> tuple[list[NormalRule], list[Atom]]:
     """Normalise any supported program form to (non-fact rules, program facts)."""
     program_facts: list[Atom] = []
@@ -103,9 +100,7 @@ def _coerce_rules(
         program_facts.extend(parsed_db)
         program = parsed
     if isinstance(program, DatalogPMProgram):
-        if require_guarded:
-            program.require_guarded()
-        program = skolemize_program(program, skolem_args=skolem_args)
+        program = skolemize_program(program)
     rules: list[NormalRule] = []
     for rule in program:
         if rule.is_fact() and rule.is_ground():
@@ -198,9 +193,9 @@ class MaterializedEngine:
         :class:`~repro.lang.program.DatalogPMProgram` (skolemized on entry),
         or program text (parsed as Datalog± — its facts join the database).
         The supported fragment is the one whose skolemized relevant
-        grounding is finite: the constructor runs the static termination
-        hierarchy of :mod:`repro.analysis` (function-free / weakly / jointly
-        / super-weakly acyclic) and raises
+        grounding is finite, guarded or not: the constructor runs the static
+        termination hierarchy of :mod:`repro.analysis` (function-free /
+        weakly / jointly / super-weakly acyclic) and raises
         :class:`~repro.exceptions.AnalysisError` with the analyzer's
         diagnostics when every criterion fails, instead of looping until the
         budgets exhaust.  Pass ``check_termination=False`` to opt out for a
@@ -231,8 +226,6 @@ class MaterializedEngine:
         backend: str = "tuple",
         max_rounds_per_update: Optional[int] = None,
         max_atoms: Optional[int] = None,
-        skolem_args: str = "universal",
-        require_guarded: bool = False,
         check_termination: bool = True,
     ):
         if backend not in BACKENDS:
@@ -243,9 +236,7 @@ class MaterializedEngine:
         self.max_rounds_per_update = max_rounds_per_update
         self.max_atoms = max_atoms
 
-        rules, program_facts = _coerce_rules(
-            program, skolem_args=skolem_args, require_guarded=require_guarded
-        )
+        rules, program_facts = _coerce_rules(program)
         self._rules: list[NormalRule] = rules
         #: the strongest static termination criterion that accepted the rule
         #: set ("function-free", "weak", "joint", "super-weak"), or ``None``

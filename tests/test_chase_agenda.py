@@ -2,7 +2,7 @@
 
 The agenda-driven loop of :class:`repro.chase.engine.GuardedChaseEngine`
 (``saturation="agenda"``, the default) must reach the *bit-identical* least
-fixpoint as the historical round-based re-scan, kept verbatim as
+fixpoint as the historical round-based re-scan, kept as
 ``saturation="scan"`` / ``_expand_one_round_scan``.  "Bit-identical" is asserted
 through a canonical forest signature — each node identified by its root label
 and the ground edge rules along its path (node ids are insertion-order
@@ -12,8 +12,7 @@ signatures are equal.
 
 The suites cover the paper's running examples, hand-built guarded programs
 exercising the watched-side-atom machinery, iterative deepening, segment-cache
-splicing, unguarded experimentation mode, budget exhaustion, and randomised
-agenda orderings.
+splicing, budget exhaustion, and randomised agenda orderings.
 """
 
 from __future__ import annotations
@@ -65,7 +64,7 @@ def forest_signature(forest: ChaseForest) -> frozenset:
 
 
 def build(program_text_or_pieces, depth, *, saturation, segment_cache=False,
-          require_guarded=True, agenda_order=None, schedule=None):
+          agenda_order=None, schedule=None):
     """Expand a forest for a workload in the given saturation mode."""
     if isinstance(program_text_or_pieces, str):
         program, database = parse_program(program_text_or_pieces)
@@ -76,7 +75,6 @@ def build(program_text_or_pieces, depth, *, saturation, segment_cache=False,
         database,
         saturation=saturation,
         segment_cache=segment_cache,
-        require_guarded=require_guarded,
         agenda_order=agenda_order,
     )
     for step in schedule or ():
@@ -205,58 +203,6 @@ def test_frontier_nodes_are_reprocessed_when_the_bound_rises():
     for node in engine.forest.nodes():
         if node.label in frontier_before and node.depth == 2:
             assert node.children
-
-
-def test_unguarded_mode_matches_scan():
-    """Non-fully-bound rules (require_guarded=False) join through the live
-    label index and predicate subscriptions; the fixpoint is unchanged."""
-    program_text = """
-    p(X), q(Y) -> r(X).
-    seed(X) -> q(X).
-    p(a).
-    p(b).
-    seed(s).
-    """
-    scan = build(program_text, 4, saturation="scan", require_guarded=False)
-    agenda = build(program_text, 4, saturation="agenda", require_guarded=False)
-    assert forest_signature(agenda.forest) == forest_signature(scan.forest)
-    assert any(a.predicate == "r" for a in agenda.atoms())
-
-
-#: An unguarded rule whose side atom is *ground* under the guard match yet
-#: derived only later: the guard host is processed before the side atom
-#: exists, so the agenda must rewake it through a watched-atom waiter (the
-#: predicate subscriptions cover only non-ground side atoms).  Fact order is
-#: chosen so the default LIFO agenda processes ``g(a)`` before ``h(a)``
-#: can possibly exist.
-UNGUARDED_LATE_GROUND_SIDE = """
-g(X), h(X), q(Y) -> r(X, Y).
-s(X) -> h(X).
-s(a).
-q(b).
-g(a).
-"""
-
-
-@pytest.mark.parametrize("seed", [None, 0, 3, 11])
-def test_unguarded_ground_side_atom_arriving_late_is_not_lost(seed):
-    """Regression (review finding): a ground-but-missing side atom of a
-    non-fully-bound rule must register a waiter; without it ``r(a, b)`` is
-    permanently lost under agenda orderings that visit ``g(a)`` early."""
-    rng = random.Random(seed)
-    order = None if seed is None else (lambda n: rng.randrange(n))
-    scan = build(
-        UNGUARDED_LATE_GROUND_SIDE, 4, saturation="scan", require_guarded=False
-    )
-    agenda = build(
-        UNGUARDED_LATE_GROUND_SIDE,
-        4,
-        saturation="agenda",
-        require_guarded=False,
-        agenda_order=order,
-    )
-    assert forest_signature(agenda.forest) == forest_signature(scan.forest)
-    assert any(a.predicate == "r" for a in agenda.atoms())
 
 
 @pytest.mark.parametrize("saturation", ["agenda", "scan"])

@@ -84,6 +84,14 @@ class TestMain:
         assert "? article(pods13) : yes" in captured.out
         assert "error in query" in captured.err
 
+    @pytest.mark.parametrize("path_flag", ["--no-rewrite", "--rewrite"])
+    def test_empty_deepening_schedule_is_an_input_error(self, program_file, capsys, path_flag):
+        # --max-depth 1 lies below the engine's initial depth of 3
+        code = main([program_file, path_flag, "--max-depth", "1", "--query", "? article(pods13)"])
+        captured = capsys.readouterr()
+        assert code == 2 and captured.out == ""
+        assert captured.err.startswith("error: ") and captured.err.count("\n") == 1, captured.err
+
     def test_missing_file_exits(self, capsys):
         with pytest.raises(SystemExit):
             main(["/nonexistent/program.dlp"])

@@ -4,8 +4,10 @@ Every fenced ``python`` code block in ``README.md`` and ``docs/*.md`` is
 executed (blocks within one file share a namespace, so a snippet may build on
 the previous one; blocks written in doctest style are run through
 :mod:`doctest`).  Every relative markdown link must point at an existing file
-in the repository.  CI runs this module as the ``docs`` job, so documentation
-drift fails the build instead of rotting.
+in the repository, and so must every ``*.md`` name that code or tooling
+mentions.  Every ``examples/*.py`` script must run to completion.  CI runs
+this module as the ``docs`` job, so documentation drift fails the build
+instead of rotting.
 
 Snippets that are *not* meant to be executed (shell transcripts, pseudo-code,
 expected output) must use a non-``python`` fence (``sh``, ``text``, ...).
@@ -14,7 +16,10 @@ expected output) must use a non-``python`` fence (``sh``, ``text``, ...).
 from __future__ import annotations
 
 import doctest
+import os
 import re
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -26,8 +31,11 @@ DOC_FILES = sorted(
     key=lambda path: path.name,
 )
 
+EXAMPLES = sorted((REPO_ROOT / "examples").glob("*.py"), key=lambda path: path.name)
+
 _FENCE = re.compile(r"^```(\w*)\s*$")
 _LINK = re.compile(r"\[[^\]]*\]\(([^)\s]+)\)")
+_MD_NAME = re.compile(r"[\w./-]*\w\.md\b")
 
 
 def python_blocks(path: Path) -> list[tuple[int, str]]:
@@ -94,3 +102,24 @@ def test_intra_repo_links_resolve(path):
         if not resolved.exists():
             broken.append(target)
     assert not broken, f"{path.name} has broken links: {broken}"
+
+
+def test_mentioned_md_files_exist():
+    """``*.md`` names in code and tooling resolve from the root or the mentioning file."""
+    missing = []
+    for folder in ("src", "benchmarks", "tools"):
+        for path in (REPO_ROOT / folder).rglob("*"):
+            if path.is_file() and "__pycache__" not in path.parts:
+                for name in _MD_NAME.findall(path.read_text(encoding="utf-8", errors="ignore")):
+                    if not (REPO_ROOT / name).exists() and not (path.parent / name).exists():
+                        missing.append(f"{path.relative_to(REPO_ROOT)}: {name}")
+    assert not missing, f"mentions of missing *.md files: {missing}"
+
+
+@pytest.mark.parametrize("path", EXAMPLES, ids=lambda p: p.name)
+def test_example_runs(path):
+    env = {**os.environ, "PYTHONPATH": str(REPO_ROOT / "src")}
+    result = subprocess.run(
+        [sys.executable, str(path)], env=env, capture_output=True, text=True, timeout=300
+    )
+    assert result.returncode == 0, f"{path.name} failed:\n{result.stderr}"

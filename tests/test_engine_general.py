@@ -10,11 +10,25 @@ from repro.exceptions import ConvergenceError, NotGuardedError
 from repro.lang.atoms import Atom
 from repro.lang.parser import parse_atom, parse_program, parse_query
 from repro.lang.program import Database
+from repro.lang.skolem import skolemize_program
 from repro.lang.terms import Constant
 from repro.lp.grounding import relevant_grounding
 from repro.lp.wfs import well_founded_model
+from repro.chase.engine import GuardedChaseEngine
 from repro.core.engine import WellFoundedEngine
+from repro.views import MaterializedEngine
 from repro.bench.generators import win_move_datalog_pm, win_move_game
+
+#: Unguarded, so Lemma 11 fails: run without the guard check, the engine
+#: "converged" at depth 5 with lonely(c) true and marker(c) false, while the
+#: WFS (and a fixed solve at depth 15-17) has marker(c) true, lonely(c) false.
+UNGUARDED_MARKER = """
+b(X) -> exists Y f(X, Y).
+f(X, Y) -> b(Y).
+f(X1, X2), f(X2, X3), f(X3, X4), f(X4, X5) -> marker(X1).
+b(X), not marker(X) -> lonely(X).
+b(c).
+"""
 
 
 class TestInputHandling:
@@ -37,11 +51,11 @@ class TestInputHandling:
         text = "p(X), q(Y) -> related(X, Y).\np(a). q(b)."
         with pytest.raises(NotGuardedError):
             WellFoundedEngine(text)
-
-    def test_guard_check_can_be_disabled_for_experiments(self):
-        text = "p(X), q(Y) -> related(X, Y).\np(a). q(b)."
-        engine = WellFoundedEngine(text, require_guarded=False)
-        assert engine.holds("? related(a, b)")
+        with pytest.raises(NotGuardedError):
+            WellFoundedEngine(UNGUARDED_MARKER)
+        program, database = parse_program(UNGUARDED_MARKER)
+        with pytest.raises(NotGuardedError):
+            GuardedChaseEngine(skolemize_program(program), database)
 
     def test_answer_rejects_queries_with_negation(self):
         engine = WellFoundedEngine("p(X) -> q(X).\np(a).")
@@ -63,17 +77,18 @@ class TestCoincidenceWithClassicalWfs:
             assert lp_model.is_false(atom) == model.is_false(atom), atom
 
     def test_datalog_program_without_negation_is_just_the_least_model(self):
-        engine = WellFoundedEngine(
-            """
+        # transitive closure is unguarded: MaterializedEngine serves it
+        text = """
             edge(X, Y) -> path(X, Y).
             path(X, Y), edge(Y, Z) -> path(X, Z).
             edge(a, b). edge(b, c). edge(c, d).
-            """,
-            require_guarded=False,
-        )
+            """
+        engine = MaterializedEngine(text)
         assert engine.holds("? path(a, d)")
         assert not engine.holds("? path(d, a)")
-        assert engine.model().converged
+        assert not engine.model().undefined_atoms()
+        with pytest.raises(NotGuardedError):
+            WellFoundedEngine(text)
 
     def test_stratified_negation_behaves_classically(self):
         engine = WellFoundedEngine(
@@ -134,6 +149,11 @@ class TestConvergenceControls:
             WellFoundedEngine(
                 "next(X, Y) -> exists Z next(Y, Z).\nnext(a, b).", depth_step=depth_step
             )
+
+    @pytest.mark.parametrize("schedule", [{"initial_depth": 5, "max_depth": 3}, {"max_depth": -1}])
+    def test_empty_deepening_schedule_is_rejected(self, schedule):
+        with pytest.raises(ValueError, match="max_depth"):
+            WellFoundedEngine("p(X) -> q(X).\np(a).", **schedule)
 
     def test_model_is_cached(self):
         engine = WellFoundedEngine("p(X) -> q(X).\np(a).")

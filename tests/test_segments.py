@@ -19,10 +19,9 @@ from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lang.atoms import Atom
 from repro.lang.parser import parse_program
-from repro.lang.program import Database, DatalogPMProgram
-from repro.lang.rules import NTGD
+from repro.lang.program import Database
 from repro.lang.skolem import skolemize_program
-from repro.lang.terms import Constant, FunctionTerm, Variable
+from repro.lang.terms import Constant, FunctionTerm
 
 
 @pytest.fixture(autouse=True)
@@ -72,12 +71,6 @@ class TestProgramFingerprint:
         a = self._rules("p(X) -> q(X).")
         b = self._rules("p(X) -> r(X).")
         assert program_fingerprint(a) != program_fingerprint(b)
-
-    def test_guard_mode_distinguishes(self):
-        rules = self._rules("p(X) -> q(X).")
-        assert program_fingerprint(rules) != program_fingerprint(
-            rules, require_guarded=False
-        )
 
     def test_shared_store_is_per_fingerprint(self):
         rules = self._rules("p(X) -> q(X).")
@@ -206,24 +199,6 @@ class TestCachedChaseEquality:
         stats = engine.segment_cache_stats()
         assert stats["enabled"] is False and "store" not in stats
         assert segment_store_info()["stores"] == 0
-
-    def test_unguarded_fallback_disables_cache(self):
-        """A guard that cannot bind every variable makes firing ambiguous."""
-        x, y = Variable("X"), Variable("Y")
-        program = DatalogPMProgram(
-            [NTGD((Atom("p", (x,)), Atom("q", (y,))), Atom("r", (x,)), label="join")]
-        )
-        database = Database([Atom("p", (Constant("a"),)), Atom("q", (Constant("b"),))])
-        engine = WellFoundedEngine(
-            program, database, require_guarded=False, segment_cache=True
-        )
-        engine.model()
-        stats = engine.segment_cache_stats()
-        assert stats["enabled"] is False
-        assert "guard" in stats["disabled_reason"]
-        # declined caching must not register an orphan store either
-        assert segment_store_info()["stores"] == 0
-        assert engine.holds("? r(a)")
 
 
 class TestSharedNullCollisions:

@@ -35,12 +35,6 @@ class TestSkolemizeNTGD:
         assert isinstance(skolem, FunctionTerm)
         assert skolem.args == (X, Y, Z)
 
-    def test_frontier_mode_uses_only_shared_variables(self):
-        ntgd = parse_ntgd("r(X,Y,Z) -> exists W s(Z,W).")
-        rule = skolemize_ntgd(ntgd, "r", skolem_args="frontier")
-        skolem = rule.head.args[1]
-        assert skolem.args == (Z,)
-
     def test_negative_body_is_preserved(self):
         ntgd = parse_ntgd("r(X,Y), not q(X) -> exists Z s(X,Z).")
         rule = skolemize_ntgd(ntgd, "r")
