@@ -10,7 +10,6 @@ from .forest import ChaseForest, ChaseNode
 from .segments import (
     CachedSegment,
     SegmentStore,
-    canonical_atom_shape,
     clear_segment_stores,
     program_fingerprint,
     segment_store_info,
@@ -32,7 +31,6 @@ __all__ = [
     "ChaseNode",
     "CachedSegment",
     "SegmentStore",
-    "canonical_atom_shape",
     "clear_segment_stores",
     "program_fingerprint",
     "segment_store_info",

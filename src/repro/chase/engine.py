@@ -299,16 +299,6 @@ class GuardedChaseEngine:
         # current frontier, which the next deepening step will ask for) are
         # worth extracting.
         self._missed_keys: set[tuple] = set()
-        # The pre-saturation lookup key of each label that missed: compared
-        # against the post-saturation key at recording time to detect *cold
-        # context-sensitive keys* (a context that only materialises during
-        # saturation) and double-key such segments via a store alias.
-        self._miss_key_by_label: dict[Atom, tuple] = {}
-        # Segment keys that were looked up and hit: checked after saturation
-        # for staleness (saturation may have derived more under the spliced
-        # root than the stored segment knows, e.g. when the segment was
-        # recorded from a database lacking some side atoms).
-        self._hit_keys: set[tuple] = set()
         # Note: an explicit store must not go through truthiness — an empty
         # SegmentStore has len() == 0 and would read as "disabled".
         if segment_cache is not None and segment_cache is not False:
@@ -744,10 +734,8 @@ class GuardedChaseEngine:
             if segment is None:
                 self.cache_stats["misses"] += 1
                 self._missed_keys.add(key)
-                self._miss_key_by_label.setdefault(node.label, key)
                 continue
             self.cache_stats["hits"] += 1
-            self._hit_keys.add(key)
             created = self._instantiate_segment(node_id, key, segment, max_depth)
             if not created:
                 continue
@@ -802,16 +790,14 @@ class GuardedChaseEngine:
         the newly created nodes.
 
         **Memoized replays.**  Replaying a segment under a given root label is
-        deterministic (every substitution is fixed by the labels), so a fully
-        placed clean replay is recorded back into the store as ground
-        derivations keyed by ``(segment key, root label)``; the next engine
-        over the same inputs places the subtree through
-        :meth:`_replay_memoised` — side-atom set lookups and node insertion
-        only, no substitution machinery.
+        deterministic (every substitution is fixed by the labels), so when
+        the store holds a ground replay for ``(segment key, root label)`` —
+        seeded by :meth:`_record_segments` — the subtree is placed through
+        :meth:`_replay_memoised` instead: side-atom set lookups and node
+        insertion only, no substitution machinery.
         """
         forest = self.forest
-        root_label = forest.node(root_id).label
-        memo = self._segment_store.replay_lookup(key, root_label)
+        memo = self._segment_store.replay_lookup(key, forest.node(root_id).label)
         if memo is not None:
             created = self._replay_memoised(root_id, memo, segment, max_depth)
             if created is not None:
@@ -819,7 +805,6 @@ class GuardedChaseEngine:
         placed: dict[int, int] = {0: root_id}
         local_depth: dict[int, int] = {0: 0}
         created: list[int] = []
-        memo_entries: list[tuple] = []
         rules = self._canonical_rules
         #: local indices whose own children-replay is incomplete
         flagged: set[int] = set()
@@ -901,9 +886,6 @@ class GuardedChaseEngine:
                         continue
                     placed[local_index] = child_id
                     local_depth[local_index] = local_depth[parent_local] + 1
-                    memo_entries.append(
-                        (local_index, parent_local, rule_index, ground_rule, side_atoms)
-                    )
                     progress = True
                 pending = retry
         finally:
@@ -912,18 +894,6 @@ class GuardedChaseEngine:
             # still-blocked derivations: their parents' replay is incomplete
             flagged.update(parent_local for _, parent_local, _, _ in pending)
         if created:
-            if (
-                not void
-                and not flagged
-                and not pending
-                and len(created) == len(segment.entries)
-            ):
-                # clean, complete replay: memoize the ground derivations —
-                # but only against the segment they were derived from (a
-                # concurrent engine may have re-recorded the key meanwhile)
-                self._segment_store.replay_record(
-                    key, root_label, tuple(memo_entries), segment=segment
-                )
             self._finish_splice(segment, placed, local_depth, created, flagged, void)
         return created
 
@@ -1083,13 +1053,11 @@ class GuardedChaseEngine:
         saturated levels below it) and only when its relative depth improves
         on the stored segment.
 
-        Keys are computed against the *saturated* forest, which is also the
-        state every later lookup sees first (splices run before new
-        derivations).  A key whose side-atom context only materialises during
-        saturation would miss on the lookup side and never match a recording
-        — such *cold* keys are detected by comparing each missed label's
-        lookup key with its post-saturation key, and the segment is
-        double-keyed through a store alias (soundness argument inline below).
+        Keys are computed against the *saturated* forest, while lookups run
+        before saturation.  A type whose side-atom context only materialises
+        during saturation therefore misses under its pre-saturation key, and
+        its segment is recorded only when its post-saturation key is
+        demanded too (a miss elsewhere, or a frontier node).
         """
         store = self._segment_store
         hostable = self._rules_by_guard_pred
@@ -1107,45 +1075,7 @@ class GuardedChaseEngine:
             if best is None or node.depth < best.depth:
                 shallowest[key] = node
         demanded = self._missed_keys | frontier_keys
-        # A *hit* key is re-demanded when its stored segment went stale: the
-        # saturated subtree now holds more nodes than the segment has
-        # derivations (the segment was recorded from a forest where some side
-        # atoms were absent).  Without this, one hit on a stale segment would
-        # suppress re-recording forever and repeated workloads would silently
-        # re-derive the difference on every run.
-        for key in self._hit_keys - demanded:
-            node = shallowest.get(key)
-            segment = store.peek(key)
-            if (
-                node is not None
-                and segment is not None
-                and self._subtree_exceeds(node.node_id, len(segment))
-            ):
-                demanded.add(key)
-        # Cold context-sensitive keys: a label whose side-atom context only
-        # materialised *during* saturation was looked up under the lean
-        # pre-saturation key but keys under the rich post-saturation one —
-        # without help it records under a key no fresh engine's lookup ever
-        # produces (a guaranteed miss).  Demand the post-saturation key so
-        # the segment is recorded at all, and double-key it by aliasing the
-        # pre-saturation key to it.  The alias is sound exactly when the
-        # lookup context is a subset of the recorded context: a splice under
-        # the alias can then only find side atoms *missing*, which the
-        # flag/retry machinery and the wake-once watchers already cover; an
-        # incomparable context could enable firings the recording never saw,
-        # so it is never aliased.
-        alias_requests: list[tuple[tuple, tuple]] = []
-        for label, pre_key in self._miss_key_by_label.items():
-            post_key = self._segment_key(label)
-            if post_key == pre_key:
-                continue
-            if pre_key[0] != post_key[0] or not set(pre_key[1]) <= set(post_key[1]):
-                continue
-            demanded.add(post_key)
-            alias_requests.append((pre_key, post_key))
         self._missed_keys = set()
-        self._hit_keys = set()
-        self._miss_key_by_label = {}
         for key in demanded:
             node = shallowest.get(key)
             if node is None:
@@ -1153,10 +1083,7 @@ class GuardedChaseEngine:
             relative_depth = max_depth - node.depth
             existing = store.peek(key)
             if existing is not None and existing.relative_depth >= relative_depth:
-                # equal-depth staleness upgrades still need extraction; pure
-                # depth upgrades are gated the cheap way
-                if not self._subtree_exceeds(node.node_id, len(existing)):
-                    continue
+                continue
             extracted = self._extract_segment(node)
             if extracted is None:
                 continue
@@ -1169,25 +1096,6 @@ class GuardedChaseEngine:
                 # pinned to the segment just stored, so a concurrent
                 # re-recording between the two calls cannot adopt this memo
                 store.replay_record(key, node.label, replay, segment=stored)
-        for pre_key, post_key in alias_requests:
-            if store.peek(post_key) is not None:
-                store.record_alias(pre_key, post_key)
-
-    def _subtree_exceeds(self, node_id: int, limit: int) -> bool:
-        """Does the subtree below *node_id* have more than *limit* descendants?
-
-        Counting walk with early exit, so the cost is bounded by ``limit + 1``
-        rather than the subtree size.
-        """
-        count = 0
-        stack = list(self.forest.node(node_id).children)
-        while stack:
-            count += 1
-            if count > limit:
-                return True
-            current = self.forest.node(stack.pop())
-            stack.extend(current.children)
-        return False
 
     def _extract_segment(
         self, root: ChaseNode

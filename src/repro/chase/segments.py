@@ -8,12 +8,12 @@ Production Datalog± engines (e.g. Vadalog) turn exactly this observation into
 their termination/reuse machinery.  This module is the corresponding subsystem
 for :class:`repro.chase.engine.GuardedChaseEngine`:
 
-* **Canonicalisation** — :func:`canonical_atom_shape` maps a ground atom to its
-  *shape*: predicate, constant positions/values and the equality pattern among
-  its labelled nulls, modulo a bijective renaming of the nulls.  This is the
-  ``a`` part of the paper's type ``type_P(a) = (a, S)``.  The engine pairs the
-  shape with the chase-relevant fragment of the ``S`` part — the
-  side-relevant labels over ``dom(a)``, canonicalised by
+* **Canonicalisation** — :func:`repro.chase.types.shape_key` maps a ground
+  atom to its *shape*: predicate, constant positions/values and the equality
+  pattern among its labelled nulls, modulo a bijective renaming of the nulls.
+  This is the ``a`` part of the paper's type ``type_P(a) = (a, S)``.  The
+  engine pairs the shape with the chase-relevant fragment of the ``S`` part
+  — the side-relevant labels over ``dom(a)``, canonicalised by
   :func:`repro.chase.types.context_part_key` — to form the full *segment
   key*: equal keys mean identical firing environments for every inherited
   term, which is what lets a splice place interior nodes without re-matching
@@ -24,10 +24,12 @@ for :class:`repro.chase.engine.GuardedChaseEngine`:
   :class:`CachedSegment`: the fully expanded subtree below a node with that
   key, stored position-independently as a topologically ordered list of
   ``(parent index, canonical rule index)`` derivations plus the relative depth
-  to which the subtree was saturated.  Alongside, the store memoizes *ground
-  replays* per ``(key, root label)`` (:meth:`SegmentStore.replay_lookup`):
-  replaying a segment under a fixed root label is deterministic, so repeated
-  workloads place whole subtrees through set lookups and insertions only.
+  to which the subtree was saturated.  A stored segment is replaced only by
+  a deeper one.  Alongside, the store memoizes *ground replays* per ``(key,
+  root label)`` (:meth:`SegmentStore.replay_lookup`), seeded when a segment
+  is recorded: replaying a segment under a fixed root label is
+  deterministic, so repeated workloads place whole subtrees through set
+  lookups and insertions only.
 * **Persistence** — stores live in a module-level registry keyed by a
   *program fingerprint* (:func:`program_fingerprint`), so segments recorded by
   one engine instance are spliced by every later engine over the same rule set
@@ -67,33 +69,17 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
-from ..lang.atoms import Atom
 from ..lang.rules import NormalRule
-from .types import shape_key
 
 __all__ = [
     "CachedSegment",
     "SegmentStore",
-    "canonical_atom_shape",
     "program_fingerprint",
     "shared_segment_store",
     "clear_segment_stores",
     "segment_store_info",
     "REGISTRY_SIZE",
 ]
-
-
-def canonical_atom_shape(atom: Atom) -> tuple:
-    """The canonical type key of a ground atom for segment caching.
-
-    Identical to :func:`repro.chase.types.shape_key`: the predicate, the
-    constants (by value and position) and the equality pattern among the
-    labelled nulls, with nulls renamed by first occurrence.  Two atoms have
-    the same shape iff one is obtained from the other by a bijective renaming
-    of nulls fixing all constants — the precondition of Lemma 11 for the label
-    part of a type.
-    """
-    return shape_key(atom)
 
 
 def canonical_rule_order(rules: Iterable[NormalRule]) -> list[NormalRule]:
@@ -164,7 +150,8 @@ class SegmentStore:
 
     One store corresponds to one program fingerprint; engines sharing a
     fingerprint share the store (and hence each other's recorded segments and
-    memoized replays).  All operations are thread-safe.
+    memoized replays).  A key holds one segment, replaced only by a deeper
+    recording.  All operations are thread-safe.
     """
 
     def __init__(
@@ -195,84 +182,38 @@ class SegmentStore:
         # substitution machinery.
         self._replays: "OrderedDict[tuple, dict]" = OrderedDict()
         self._replay_count = 0
-        # Alias keys (see :meth:`record_alias`): a *cold* context-sensitive
-        # lookup key served by the segment recorded under a richer
-        # post-saturation key.  Resolved transparently by lookup/peek/the
-        # replay memos; entries whose target was evicted are dropped lazily.
-        self._aliases: "OrderedDict[tuple, tuple]" = OrderedDict()
         self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
         self._recordings = 0
         self._evictions = 0
-        self._alias_hits = 0
 
     # -- lookup / record --------------------------------------------------------
 
-    def _resolve_key(self, shape: tuple) -> tuple:
-        """The key actually holding a segment for *shape* (follows one alias).
-
-        Caller must hold the lock.  A directly recorded segment always wins
-        over an alias; an alias whose target segment was evicted is dropped
-        on the way through.
-        """
-        if shape in self._segments:
-            return shape
-        target = self._aliases.get(shape)
-        if target is not None:
-            if target in self._segments:
-                return target
-            del self._aliases[shape]
-        return shape
-
     def lookup(self, shape: tuple) -> Optional[CachedSegment]:
-        """The cached segment for a shape, or ``None`` (counts hit/miss).
-
-        Alias keys (:meth:`record_alias`) resolve to their target's segment
-        and count as hits (plus the ``alias_hits`` counter).
-        """
+        """The cached segment for a shape, or ``None`` (counts hit/miss)."""
         with self._lock:
-            resolved = self._resolve_key(shape)
-            segment = self._segments.get(resolved)
+            segment = self._segments.get(shape)
             if segment is None:
                 self._misses += 1
                 return None
-            self._segments.move_to_end(resolved)
-            if resolved is not shape:
-                self._aliases.move_to_end(shape)
-                self._alias_hits += 1
+            self._segments.move_to_end(shape)
             self._hits += 1
             return segment
-
-    def contains(self, shape: tuple) -> bool:
-        """Is a segment recorded for this shape?  No LRU or counter effects."""
-        with self._lock:
-            return self._resolve_key(shape) in self._segments
 
     def peek(self, shape: tuple) -> Optional[CachedSegment]:
         """The segment for a shape without LRU or counter effects."""
         with self._lock:
-            return self._segments.get(self._resolve_key(shape))
-
-    def needs(self, shape: tuple, relative_depth: int) -> bool:
-        """Would recording a segment saturated to *relative_depth* improve the store?"""
-        if relative_depth <= 0:
-            return False
-        with self._lock:
-            existing = self._segments.get(shape)
-            return existing is None or existing.relative_depth < relative_depth
+            return self._segments.get(shape)
 
     def record(
         self, shape: tuple, relative_depth: int, entries: tuple[tuple[int, int], ...]
     ) -> Optional[CachedSegment]:
-        """Store a segment unless it is too large or a better one exists.
+        """Store a segment unless it is too large or no deeper than the stored one.
 
-        A recorded segment is replaced when the new one is saturated deeper,
-        or equally deep but with more derivations — a segment recorded from a
-        forest where some side atoms were absent is *stale* (sound but
-        incomplete), and a later forest that derived more under the same
-        shape supersedes it.  Empty segments are never stored: "no children"
-        is a database-dependent observation, not a property of the shape.
+        A recorded segment is replaced only by one saturated deeper.  Empty
+        segments are never stored: "no children" is a database-dependent
+        observation, not a property of the shape.
 
         Returns the stored :class:`CachedSegment` (truthy) when recorded and
         ``None`` when rejected — callers that go on to memoize replays pass
@@ -283,15 +224,9 @@ class SegmentStore:
             return None
         with self._lock:
             existing = self._segments.get(shape)
-            if existing is not None and (
-                existing.relative_depth > relative_depth
-                or (
-                    existing.relative_depth == relative_depth
-                    and len(existing) >= len(entries)
-                )
-            ):
-                return None
             if existing is not None:
+                if existing.relative_depth >= relative_depth:
+                    return None
                 self._total_nodes -= len(existing)
                 # memoized replays of the superseded segment are stale
                 stale = self._replays.pop(shape, None)
@@ -300,7 +235,6 @@ class SegmentStore:
             stored = CachedSegment(relative_depth, entries)
             self._segments[shape] = stored
             self._segments.move_to_end(shape)
-            self._aliases.pop(shape, None)  # a direct segment supersedes an alias
             self._total_nodes += len(entries)
             self._recordings += 1
             while self._segments and (
@@ -315,33 +249,6 @@ class SegmentStore:
                 self._evictions += 1
             return stored if self._segments.get(shape) is stored else None
 
-    def record_alias(self, alias: tuple, target: tuple) -> None:
-        """Serve lookups of *alias* with the segment recorded under *target*.
-
-        Double-keying for *cold context-sensitive keys*: a type whose
-        side-atom context only materialises during saturation records under
-        the post-saturation key (*target*) while fresh engines look it up
-        under the pre-saturation key (*alias*) — without the alias the
-        segment would be a guaranteed miss.  The caller
-        (:meth:`repro.chase.engine.GuardedChaseEngine._record_segments`)
-        registers an alias only when the lookup context is a **subset** of
-        the recorded context, which keeps the splice sound: replayed
-        derivations can only find side atoms missing (handled by the
-        flag/retry machinery and the wake-once watchers), never fire beyond
-        what the recording saw.  Aliases are LRU-bounded by ``max_segments``
-        and dropped lazily when their target is evicted; a key with a
-        directly recorded segment is never aliased away.
-        """
-        with self._lock:
-            if alias == target or alias in self._segments:
-                return
-            if target not in self._segments:
-                return
-            self._aliases[alias] = target
-            self._aliases.move_to_end(alias)
-            while len(self._aliases) > self.max_segments:
-                self._aliases.popitem(last=False)
-
     # -- memoized replays ---------------------------------------------------------
 
     def replay_lookup(self, key: tuple, root_label) -> Optional[tuple]:
@@ -355,11 +262,10 @@ class SegmentStore:
         segment is re-recorded or evicted.
         """
         with self._lock:
-            resolved = self._resolve_key(key)
-            bucket = self._replays.get(resolved)
+            bucket = self._replays.get(key)
             if bucket is None:
                 return None
-            self._replays.move_to_end(resolved)
+            self._replays.move_to_end(key)
             return bucket.get(root_label)
 
     def replay_record(
@@ -372,21 +278,16 @@ class SegmentStore:
     ) -> None:
         """Memoize a fully placed ground replay (LRU-bounded per key bucket).
 
-        Alias keys resolve to their target's bucket, so a replay placed
-        through an alias lookup is reusable by direct lookups too (and vice
-        versa — the replay depends only on the segment and the root label).
-
         *segment*, when given, is the :class:`CachedSegment` the replay was
         derived from, and the memo is stored only while that **identical**
         object is still the one recorded under *key*.  Without the check, a
-        concurrent engine re-recording a deeper or richer segment between
-        this caller's lookup and its memoization would attach a memo of the
-        *old* (smaller) segment to the new one — replay_lookup then serves
+        concurrent engine re-recording a deeper segment between this
+        caller's recording and its memoization would attach a memo of the
+        *old* (shallower) segment to the new one — replay_lookup then serves
         an incomplete replay as if it were exact.  Checked under the store
         lock, so the compare-and-memoize step is atomic.
         """
         with self._lock:
-            key = self._resolve_key(key)
             current = self._segments.get(key)
             if current is None:
                 return  # the segment was evicted meanwhile; don't resurrect
@@ -410,11 +311,9 @@ class SegmentStore:
         with self._lock:
             self._segments.clear()
             self._replays.clear()
-            self._aliases.clear()
             self._replay_count = 0
             self._total_nodes = 0
             self._hits = self._misses = self._recordings = self._evictions = 0
-            self._alias_hits = 0
 
     def __len__(self) -> int:
         with self._lock:
@@ -430,8 +329,6 @@ class SegmentStore:
                 "misses": self._misses,
                 "recordings": self._recordings,
                 "evictions": self._evictions,
-                "aliases": len(self._aliases),
-                "alias_hits": self._alias_hits,
             }
 
     def __repr__(self) -> str:

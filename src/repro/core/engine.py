@@ -358,10 +358,12 @@ class WellFoundedEngine:
             OrderedDict()
         )
 
-        # The chase is built on first use (see :attr:`_chase`): a supported
-        # magic query never needs it.  It must still see the facts as they
-        # were at construction time, whatever happens to the database later.
-        self._chase_facts = tuple(database)
+        # The facts as they were at construction time: the chase, the magic
+        # path, the pruned fallback and the analysis all read this snapshot,
+        # so one engine answers from one database whatever happens to it
+        # later.  The chase is built on first use (see :attr:`_chase`): a
+        # supported magic query never needs it.
+        self._facts = tuple(database)
         self._model: Optional[DatalogWellFoundedModel] = None
         # The ground program induced by the chase segment, grown incrementally
         # across iterative-deepening rounds: the forest is append-only, so each
@@ -373,26 +375,19 @@ class WellFoundedEngine:
         # keeps the previous depth's component solutions and re-solves only
         # the components the depth step's delta touched (None when disabled).
         self._wfs_state: Optional[IncrementalWFS] = None
-        # Frontier-type key cache (per label atom), valid while no model
-        # literal inside the label's term domain changed value.  The pending
-        # set accumulates the incremental solver's changed atoms between
-        # stabilisation checks; terms index which cached labels each atom
-        # change can possibly invalidate.
-        self._frontier_key_cache: dict[Atom, tuple] = {}
-        self._frontier_labels_by_term: dict = {}
-        self._frontier_pending_changed: set[Atom] = set()
 
     @cached_property
     def _chase(self) -> GuardedChaseEngine:
         """The guarded chase of ``D ∪ Σ^f`` over the construction-time facts.
 
-        Built lazily: the classic path, :meth:`model`, the relevance-pruned
-        fallback and :meth:`segment_cache_stats` reach it through this
-        attribute, while a query answered by the magic-sets path never does.
+        Built lazily: the classic path, :meth:`model` and the
+        relevance-pruned fallback reach it through this attribute, while a
+        query answered by the magic-sets path never does (and
+        :meth:`segment_cache_stats` reads it only once built).
         """
         return GuardedChaseEngine(
             self.skolemized,
-            self._chase_facts,
+            self._facts,
             max_nodes=self.max_nodes,
             segment_cache=self.segment_cache,
             saturation=self.saturation,
@@ -426,7 +421,7 @@ class WellFoundedEngine:
         if self._analysis_report is None:
             from ..analysis.planner import analyze
 
-            self._analysis_report = analyze(self.program, self.database)
+            self._analysis_report = analyze(self.program, self._facts)
         return self._analysis_report
 
     def _analysis_summary(self) -> dict:
@@ -579,7 +574,7 @@ class WellFoundedEngine:
         fallback_reason = plan.reason
         if plan.supported:
             grounding = ground_magic(
-                plan, self.database, max_atoms=self.max_nodes, backend=self.backend
+                plan, self._facts, max_atoms=self.max_nodes, backend=self.backend
             )
             if grounding.saturated:
                 model = well_founded_model(grounding.ground)
@@ -643,7 +638,7 @@ class WellFoundedEngine:
         if sub_engine is None:
             sub_engine = WellFoundedEngine(
                 DatalogPMProgram(pruned_rules),
-                self.database,
+                self._facts,
                 initial_depth=self.initial_depth,
                 depth_step=self.depth_step,
                 max_depth=self.max_depth,
@@ -672,23 +667,26 @@ class WellFoundedEngine:
         ``hits``/``misses``/``splices``/``nodes_spliced``/``segments_recorded``
         are this engine's own traffic; ``store`` aggregates the persistent
         store shared by every engine over the same program fingerprint
-        (absent when caching is disabled or unsupported).  The counters of the
-        relevance-pruned sub-engines of the rewrite fallback are summed in
-        under ``pruned_engines``.
+        (absent when caching is disabled).  An engine whose chase is not
+        built yet (only magic queries so far) reports zero traffic and no
+        ``store`` without building it.  The counters of the relevance-pruned
+        sub-engines of the rewrite fallback are summed in under
+        ``pruned_engines``.
         """
-        stats: dict = dict(self._chase.cache_stats)
-        store = self._chase.segment_store
-        if store is not None:
-            stats["store"] = store.stats()
-            stats["fingerprint"] = store.fingerprint[:12]
-        if self._pruned_engines:
-            pruned = {
-                "hits": 0,
-                "misses": 0,
-                "splices": 0,
-                "nodes_spliced": 0,
-                "segments_recorded": 0,
+        counters = ("hits", "misses", "splices", "nodes_spliced", "segments_recorded")
+        if "_chase" in self.__dict__:
+            stats: dict = dict(self._chase.cache_stats)
+            store = self._chase.segment_store
+            if store is not None:
+                stats["store"] = store.stats()
+                stats["fingerprint"] = store.fingerprint[:12]
+        else:
+            stats = {
+                "enabled": self.segment_cache not in (None, False),
+                **dict.fromkeys(counters, 0),
             }
+        if self._pruned_engines:
+            pruned = dict.fromkeys(counters, 0)
             for sub_engine in self._pruned_engines.values():
                 sub_stats = sub_engine.segment_cache_stats()
                 for key in pruned:
@@ -770,10 +768,6 @@ class WellFoundedEngine:
         if not self.incremental:
             return well_founded_model(ground)
         model, self._wfs_state = well_founded_model_incremental(ground, self._wfs_state)
-        # Accumulate (never overwrite) value changes so the frontier-type key
-        # cache sees every change since it was last consulted, even if the
-        # solver runs more than once in between.
-        self._frontier_pending_changed |= self._wfs_state.last_changed_atoms
         return model
 
     def _ground_program(self) -> GroundProgram:
@@ -800,77 +794,35 @@ class WellFoundedEngine:
         the current approximation: the node's label together with every
         defined literal whose arguments all occur among the label's arguments,
         canonicalised up to renaming of nulls (:class:`repro.chase.types.AtomType`).
-
-        Per-label keys are cached across deepening rounds when the
-        incremental solver is active: a label's key only depends on the
-        defined literals inside its term domain, so a cached key stays valid
-        until some atom sharing a term with the label (or a nullary atom)
-        changes truth value — exactly the change set
-        :class:`~repro.lp.wfs.IncrementalWFS` reports.  Labels repeat heavily
-        across frontiers (isomorphic subtrees), so on stabilising rounds the
-        whole check degenerates to cache lookups.
         """
-        forest = self._chase.forest
-        frontier = [n for n in forest.nodes() if n.depth == self._chase.depth_bound]
-        if not frontier:
+        labels = {node.label for node in self._chase.frontier_nodes()}
+        if not labels:
             return frozenset()
 
-        cache = self._frontier_key_cache
-        by_term = self._frontier_labels_by_term
-        use_cache = self.incremental and self._wfs_state is not None
-        if use_cache:
-            pending = self._frontier_pending_changed
-            self._frontier_pending_changed = set()
-            for atom in pending:
-                if not atom.args:
-                    # a nullary literal lies in every label's domain
-                    cache.clear()
-                    by_term.clear()
-                    break
-                for term in set(atom.args):
-                    for label in by_term.pop(term, ()):
-                        cache.pop(label, None)
-        elif cache:
-            cache.clear()
-            by_term.clear()
+        # Index model literals by argument term so that the per-node type
+        # computation only inspects literals that can possibly lie inside
+        # the node's domain (instead of scanning the full model per node).
+        literals_by_term: dict[Term, list[Literal]] = {}
+        nullary_literals: list[Literal] = []
+        for literal in model.literals():
+            args = literal.atom.args
+            if not args:
+                nullary_literals.append(literal)
+                continue
+            for term in set(args):
+                literals_by_term.setdefault(term, []).append(literal)
 
-        labels = {node.label for node in frontier}
-        keys: dict[Atom, tuple] = {
-            label: cache[label] for label in labels if label in cache
-        }
-        missing = [label for label in labels if label not in keys]
-        if missing:
-            literals = model.literals()
-
-            # Index model literals by argument term so that the per-node type
-            # computation only inspects literals that can possibly lie inside
-            # the node's domain (instead of scanning the full model per node).
-            literals_by_term: dict[Term, list[Literal]] = {}
-            nullary_literals: list[Literal] = []
-            for literal in literals:
-                args = literal.atom.args
-                if not args:
-                    nullary_literals.append(literal)
-                    continue
-                for term in set(args):
-                    literals_by_term.setdefault(term, []).append(literal)
-
-            for label in missing:
-                domain = set(label.args)
-                candidates: set[Literal] = set(nullary_literals)
-                for term in domain:
-                    candidates.update(literals_by_term.get(term, ()))
-                selected = frozenset(
-                    lit for lit in candidates if set(lit.atom.args) <= domain
-                )
-                key = AtomType(label, selected).key()
-                keys[label] = key
-                if use_cache:
-                    cache[label] = key
-                    for term in domain:
-                        by_term.setdefault(term, set()).add(label)
-
-        return frozenset(keys.values())
+        keys = set()
+        for label in labels:
+            domain = set(label.args)
+            candidates: set[Literal] = set(nullary_literals)
+            for term in domain:
+                candidates.update(literals_by_term.get(term, ()))
+            selected = frozenset(
+                lit for lit in candidates if set(lit.atom.args) <= domain
+            )
+            keys.add(AtomType(label, selected).key())
+        return frozenset(keys)
 
     def _stabilised(
         self,

@@ -371,10 +371,6 @@ class IncrementalWFS:
         self.last_visited = 0
         self.last_resolved = 0
         self.last_reused = 0
-        #: atoms whose truth value changed in the most recent refresh
-        #: (empty on a no-change step); consumers such as the engine's
-        #: frontier-type cache invalidate exactly these
-        self.last_changed_atoms: frozenset = frozenset()
 
     @property
     def program(self) -> GroundProgram:
@@ -504,7 +500,6 @@ class IncrementalWFS:
             self.last_visited = 0
             self.last_resolved = 0
             self.last_reused = len(condensation)
-            self.last_changed_atoms = frozenset()
             return
         self._snapshot = None
         changed: set[int] = set()
@@ -522,7 +517,6 @@ class IncrementalWFS:
         self.last_visited = visited
         self.last_resolved = resolved
         self.last_reused = len(condensation) - resolved
-        self.last_changed_atoms = frozenset(index.atoms_of(changed))
 
     def _ripple(
         self, index: RuleIndex, dirty: set[int], changed: set[int]

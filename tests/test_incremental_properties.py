@@ -16,6 +16,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.chase.segments import clear_segment_stores
+from repro.chase.types import AtomType
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lp.fixpoint import IncrementalCondensation
@@ -172,3 +173,29 @@ def test_incremental_engine_budget_resume_equals_scratch(workload):
     scratch.max_nodes = 2_000
     incremental.max_nodes = 2_000
     assert observable_state(incremental) == observable_state(scratch)
+
+
+@given(workload=guarded_workloads(), incremental=st.booleans())
+@settings(max_examples=40, **COMMON_SETTINGS)
+def test_frontier_type_keys_follow_the_paper_definition(workload, incremental):
+    """The convergence test's frontier keys are the paper's types ``(a, S)``.
+
+    Each key must equal the :class:`~repro.chase.types.AtomType` of a
+    frontier label over the model's full literal set, computed without the
+    engine's per-term literal index.
+    """
+    program, database = workload
+    clear_segment_stores()
+    engine = WellFoundedEngine(
+        program, database, incremental=incremental, max_depth=13, max_nodes=2_000
+    )
+    try:
+        model = engine.model()
+    except GroundingError:
+        return
+    literals = model.literals()
+    expected = {
+        AtomType.of(node.label, literals).key()
+        for node in engine._chase.frontier_nodes()
+    }
+    assert engine._frontier_type_keys(model) == expected

@@ -291,7 +291,7 @@ class FullScanRipple:
     The resolve rule is the solver's (no stored solution, dirty, or a changed
     external input); only the walk differs — this one visits the whole
     order.  It shares the program's index (and its rule activity) with the
-    solver under test and reports ``(resolved, reused, changed atoms)``.
+    solver under test and reports ``(resolved, reused)``.
     """
 
     def __init__(self, program: GroundProgram):
@@ -352,7 +352,7 @@ class FullScanRipple:
                 for a in (*index.pos_ids(r), *index.neg_ids(r))
                 if a not in component
             )
-        return resolved, len(condensation) - resolved, frozenset(index.atoms_of(changed))
+        return resolved, len(condensation) - resolved
 
 
 @st.composite
@@ -398,11 +398,7 @@ def test_heap_ripple_matches_full_scan_reference(schedule):
             solver.invalidate_atom_ids([index.head_id(rule_id)])
             reference.dirty_atom_ids.add(index.head_id(rule_id))
         model = solver.model()
-        assert (
-            solver.last_resolved,
-            solver.last_reused,
-            solver.last_changed_atoms,
-        ) == reference.refresh()
+        assert (solver.last_resolved, solver.last_reused) == reference.refresh()
         assert solver.last_resolved <= solver.last_visited <= len(solver.condensation)
         active = GroundProgram(
             index.rule(r) for r in range(len(index)) if index.is_enabled(r)
@@ -435,11 +431,6 @@ def test_toggling_one_fact_visits_only_its_ripple():
         # e(n7) -> p(n7) -> q(n7): three components, each re-solved
         assert solver.last_visited == solver.last_resolved == 3
         assert solver.last_reused == len(solver.condensation) - 3
-        assert solver.last_changed_atoms == {
-            atom("e", "n7"),
-            atom("p", "n7"),
-            atom("q", "n7"),
-        }
     assert solver.model().is_true(atom("p", "n7"))
 
 

@@ -5,7 +5,7 @@ Three properties of the magic-sets query path of
 
 * the guarded chase is built on first use, so a supported magic query never
   builds one, while the classic and fallback paths build exactly one over the
-  construction-time facts;
+  construction-time facts — which every path, and the analysis, reads;
 * :func:`~repro.rewrite.magic.ground_magic` only hands the grounder facts of
   query-relevant predicates, so unrelated facts change nothing it reports;
 * the magic path's ``seconds`` statistic includes the restricted WFS solve.
@@ -19,9 +19,10 @@ import pytest
 
 import repro.core.engine as engine_module
 from repro.bench.generators import chain_reachability_workload, paper_example_program
-from repro.chase.segments import clear_segment_stores
+from repro.chase.segments import clear_segment_stores, segment_store_info
 from repro.core.engine import WellFoundedEngine
 from repro.lang.atoms import Atom, Literal
+from repro.lang.parser import parse_program
 from repro.lang.rules import NormalRule
 from repro.lang.skolem import skolemize_program
 from repro.lang.terms import Constant, Variable
@@ -58,6 +59,25 @@ def test_supported_magic_query_builds_no_chase(chase_builds):
     }
     assert engine.last_query_stats["mode"] == "magic"
     assert chase_builds["built"] == 0
+
+
+def test_cache_stats_after_magic_queries_build_no_chase():
+    program, database = chain_reachability_workload(2, 6)
+    engine = WellFoundedEngine(program, database, rewrite=True)
+    assert engine.holds("? reach(c0_6)")
+    assert engine.last_query_stats["mode"] == "magic"
+
+    stats = engine.segment_cache_stats()
+    assert "_chase" not in engine.__dict__
+    assert segment_store_info()["stores"] == 0
+    assert stats == {
+        "enabled": True,
+        "hits": 0,
+        "misses": 0,
+        "splices": 0,
+        "nodes_spliced": 0,
+        "segments_recorded": 0,
+    }
 
 
 def test_classic_path_builds_one_chase(chase_builds):
@@ -125,6 +145,39 @@ def test_lazy_chase_sees_the_construction_time_database(chase_builds):
     assert model.false_atoms() == reference.false_atoms()
     assert model.segment_atoms() == reference.segment_atoms()
     assert Atom("unreachable", (Constant("stray"),)) not in model.true_atoms()
+
+
+#: one program per rewrite path; ``marked(a)`` is added after construction
+SNAPSHOT_PROGRAMS = {
+    "magic": """
+        node(X) -> exists Y tag(X, Y).
+        tag(X, Y), marked(X) -> hot(X).
+        node(a).
+    """,
+    "pruned-chase": """
+        node(X) -> exists Y link(X, Y).
+        link(X, Y) -> node(Y).
+        link(X, Y), marked(X) -> hot(X).
+        other(X) -> exists Y junk(X, Y).
+        node(a).
+    """,
+}
+
+
+@pytest.mark.parametrize("mode", sorted(SNAPSHOT_PROGRAMS))
+def test_every_path_answers_from_the_construction_time_database(mode):
+    program, database = parse_program(SNAPSHOT_PROGRAMS[mode])
+    snapshot = database.copy()
+    engine = WellFoundedEngine(program, database)
+    database.add(Atom("marked", (Constant("a"),)))
+    fresh = WellFoundedEngine(program, snapshot)
+
+    for query in ("? hot(a)", "? node(a), not hot(a)", "? node(a)"):
+        expected = fresh.holds(query)
+        assert engine.holds(query, rewrite=False) == expected, query
+        assert engine.holds(query, rewrite=True) == expected, query
+        assert engine.last_query_stats["mode"] == mode
+    assert engine.analysis() == fresh.analysis()
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ from repro.bench.generators import paper_example_program
 from repro.chase.engine import GuardedChaseEngine, chase_forest
 from repro.chase.segments import (
     SegmentStore,
-    canonical_atom_shape,
     clear_segment_stores,
     program_fingerprint,
     segment_store_info,
     shared_segment_store,
 )
+from repro.chase.types import shape_key
 from repro.cli import main
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
@@ -41,20 +41,20 @@ class TestCanonicalAtomShape:
     def test_equal_up_to_null_renaming(self):
         left = Atom("p", (Constant("a"), n("f1"), n("f2")))
         right = Atom("p", (Constant("a"), n("g7"), n("g9")))
-        assert canonical_atom_shape(left) == canonical_atom_shape(right)
+        assert shape_key(left) == shape_key(right)
 
     def test_null_equality_pattern_distinguishes(self):
         repeated = Atom("p", (n("f1"), n("f1")))
         distinct = Atom("p", (n("f1"), n("f2")))
-        assert canonical_atom_shape(repeated) != canonical_atom_shape(distinct)
+        assert shape_key(repeated) != shape_key(distinct)
 
     def test_constants_are_fixed(self):
-        assert canonical_atom_shape(Atom("p", (Constant("a"),))) != canonical_atom_shape(
+        assert shape_key(Atom("p", (Constant("a"),))) != shape_key(
             Atom("p", (Constant("b"),))
         )
 
     def test_predicate_distinguishes(self):
-        assert canonical_atom_shape(Atom("p", ())) != canonical_atom_shape(Atom("q", ()))
+        assert shape_key(Atom("p", ())) != shape_key(Atom("q", ()))
 
 
 class TestProgramFingerprint:
@@ -82,7 +82,7 @@ class TestProgramFingerprint:
 class TestSegmentStore:
     def test_record_lookup_roundtrip(self):
         store = SegmentStore("fp")
-        shape = canonical_atom_shape(Atom("p", (n("f"),)))
+        shape = shape_key(Atom("p", (n("f"),)))
         assert store.lookup(shape) is None
         assert store.record(shape, 3, ((0, 0), (1, 1)))
         segment = store.lookup(shape)
@@ -91,32 +91,25 @@ class TestSegmentStore:
 
     def test_only_deeper_recordings_replace(self):
         store = SegmentStore("fp")
-        shape = canonical_atom_shape(Atom("p", ()))
+        shape = shape_key(Atom("p", ()))
         assert store.record(shape, 3, ((0, 0),))
-        assert not store.needs(shape, 3)
+        assert not store.record(shape, 3, ((0, 0), (1, 1)))
         assert not store.record(shape, 2, ())
         assert store.lookup(shape).relative_depth == 3
-        assert store.needs(shape, 4)
+        assert store.record(shape, 4, ((0, 0),))
+        assert store.lookup(shape).relative_depth == 4
 
     def test_zero_depth_empty_and_oversized_segments_rejected(self):
         store = SegmentStore("fp", max_segment_nodes=1)
-        shape = canonical_atom_shape(Atom("p", ()))
+        shape = shape_key(Atom("p", ()))
         assert not store.record(shape, 0, ((0, 0),))
         assert not store.record(shape, 2, ())  # "no children" is DB-dependent
         assert not store.record(shape, 2, ((0, 0), (1, 0)))
         assert len(store) == 0
 
-    def test_stale_equal_depth_segment_is_replaced_by_larger(self):
-        store = SegmentStore("fp")
-        shape = canonical_atom_shape(Atom("p", ()))
-        assert store.record(shape, 2, ((0, 0),))
-        assert not store.record(shape, 2, ((0, 1),))  # same depth, same size
-        assert store.record(shape, 2, ((0, 0), (1, 1)))  # same depth, larger
-        assert store.lookup(shape).entries == ((0, 0), (1, 1))
-
     def test_lru_eviction(self):
         store = SegmentStore("fp", max_segments=2)
-        shapes = [canonical_atom_shape(Atom(f"p{i}", ())) for i in range(3)]
+        shapes = [shape_key(Atom(f"p{i}", ())) for i in range(3)]
         for shape in shapes:
             store.record(shape, 1, ((0, 0),))
         assert len(store) == 2
@@ -408,13 +401,12 @@ class TestUnifiedSplicePlacement:
 
 
 class TestColdContextSensitiveKeys:
-    """A context that only materialises during saturation must still hit.
+    """A context that only materialises during saturation changes nothing.
 
     ``gate(X)`` is derived (not a database fact), so a fresh engine's lookup
     key for ``start(c)`` has an empty context while the recording key carries
-    ``gate(c)`` — before the alias double-keying this was a guaranteed miss
-    on every fresh engine over the same program (ROADMAP "Context-sensitive
-    key hit-rate").
+    ``gate(c)``.  Whatever the store then holds, a second fresh engine must
+    build the forest the first one and an uncached engine build.
     """
 
     PROGRAM = """
@@ -425,57 +417,31 @@ class TestColdContextSensitiveKeys:
     start(c2).
     """
 
-    def test_second_fresh_engine_hits_through_the_alias(self):
+    def test_second_engine_equals_first_and_uncached(self):
         program, database = parse_program(self.PROGRAM)
         skolemized = skolemize_program(program)
         store = SegmentStore("cold-key-test")
 
         first = GuardedChaseEngine(skolemized, database, segment_cache=store)
         first.expand(4)
-        assert first.cache_stats["hits"] == 0  # everything is cold
-        assert store.stats()["aliases"] > 0  # cold keys were double-keyed
 
         second = GuardedChaseEngine(skolemized, database, segment_cache=store)
         second.expand(4)
-        assert second.cache_stats["hits"] > 0, "cold key must now hit"
-        assert second.cache_stats["nodes_spliced"] > 0
-        assert store.stats()["alias_hits"] > 0
         assert _chase_signature(second.forest) == _chase_signature(first.forest)
 
         uncached = GuardedChaseEngine(skolemized, database, segment_cache=False)
         uncached.expand(4)
         assert _chase_signature(second.forest) == _chase_signature(uncached.forest)
 
-    def test_alias_never_registered_for_incomparable_contexts(self):
-        """Aliasing requires lookup context ⊆ recorded context."""
-        store = SegmentStore("alias-guard-test")
-        store.record(("shape",), 2, ((0, 0),))
-        # a directly recorded key is never aliased away
-        store.record_alias(("other",), ("missing",))  # target absent: ignored
-        assert store.lookup(("other",)) is None
-        store.record_alias(("shape",), ("shape",))  # self-alias: ignored
-        assert store.stats()["aliases"] == 0
-
-    def test_alias_dropped_when_target_evicted(self):
-        store = SegmentStore("alias-evict-test", max_segments=1)
-        store.record(("target",), 2, ((0, 0),))
-        store.record_alias(("alias",), ("target",))
-        assert store.lookup(("alias",)) is not None
-        store.record(("other",), 2, ((0, 0),))  # evicts ("target",) (LRU=1)
-        assert store.lookup(("alias",)) is None  # lazily dropped
-        assert store.stats()["aliases"] == 0
-
     def test_wellfounded_engine_end_to_end_warm(self):
         engine_a = WellFoundedEngine(*parse_program(self.PROGRAM))
         assert engine_a.holds("? good(Y)")
         engine_b = WellFoundedEngine(*parse_program(self.PROGRAM))
         assert engine_b.holds("? good(Y)")
-        stats = engine_b.segment_cache_stats()
-        assert stats["hits"] > 0, stats
 
 
 class TestSharedRegistryConcurrency:
-    """The satellite bugfix: every registry mutation — record, alias drops,
+    """The satellite bugfix: every registry mutation — record, eviction,
     replay memoization — runs under the store lock, and ``replay_record``
     refuses to attach a memo computed from a segment the store has since
     superseded (the compare-and-memoize identity check).  Two engines
@@ -484,20 +450,16 @@ class TestSharedRegistryConcurrency:
     """
 
     def test_record_returns_the_stored_segment_for_pinning(self):
-        from repro.chase.segments import canonical_atom_shape
-
         store = SegmentStore("pin-fp")
-        shape = canonical_atom_shape(Atom("p", ()))
+        shape = shape_key(Atom("p", ()))
         stored = store.record(shape, 2, ((0, 0),))
         assert stored is store.lookup(shape)
         # a rejected recording returns None, not a stale object
         assert store.record(shape, 1, ((0, 1),)) is None
 
     def test_replay_memo_from_superseded_segment_is_dropped(self):
-        from repro.chase.segments import canonical_atom_shape
-
         store = SegmentStore("memo-fp")
-        shape = canonical_atom_shape(Atom("p", ()))
+        shape = shape_key(Atom("p", ()))
         first = store.record(shape, 2, ((0, 0),))
         second = store.record(shape, 3, ((0, 0), (1, 1)))
         assert second is not None and second is not first

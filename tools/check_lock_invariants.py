@@ -6,9 +6,9 @@ callers' own threads may reach them concurrently.  This script re-checks
 their locking invariants statically on every CI run:
 
 * ``repro.chase.segments.SegmentStore`` — all mutations of the store's
-  internal state (``_segments``, ``_aliases``, ``_replays`` and the
-  counters) happen under ``self._lock``; the module-level store registry is
-  mutated only under ``_registry_lock``.
+  internal state (``_segments``, ``_replays`` and the counters) happen
+  under ``self._lock``; the module-level store registry is mutated only
+  under ``_registry_lock``.
 * ``repro.core.answering`` — the shared-engine LRU (``_engine_cache``) and
   its hit/miss counters are mutated only under ``_cache_lock``.
 
@@ -30,7 +30,6 @@ Exit code 0 when every mutation site is locked, 1 otherwise (sites listed).
 from __future__ import annotations
 
 import ast
-import sys
 from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator, Optional
@@ -77,7 +76,6 @@ RULES = [
         guarded=frozenset(
             {
                 "_segments",
-                "_aliases",
                 "_replays",
                 "_replay_count",
                 "_total_nodes",
@@ -85,7 +83,6 @@ RULES = [
                 "_misses",
                 "_recordings",
                 "_evictions",
-                "_alias_hits",
             }
         ),
         guarded_is_self_attr=True,
