@@ -72,8 +72,10 @@ def deep_type_workload(
 
     The number of root facts scales with the depth (``max(2, depth // 4)``)
     so forests grow in both dimensions.  From depth two on, every chain's
-    atoms have the same canonical shape (all-null arguments), so the segment
-    cache collapses the entire descent into splices.  The ``probe_k`` side
+    atoms have the same canonical shape (all-null arguments).  A repeated
+    engine over the same database finds each root's recorded subtree under
+    the root's own label, so the segment cache collapses the entire descent
+    into one splice per root.  The ``probe_k`` side
     atoms hold of the first root only: the gated rules stay *checkable*
     everywhere but *fire* almost nowhere, which keeps the uncached matching
     burden proportional to ``nodes × gated`` while the materialised forest

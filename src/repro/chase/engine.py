@@ -37,20 +37,21 @@ rebuilding it (frontier nodes deferred at the old bound are re-enqueued).  A
 too small) before doing anything else.
 
 With a :class:`~repro.chase.segments.SegmentStore` attached (``segment_cache``),
-expansion additionally *splices* memoized subtrees under nodes whose canonical
-atom shape was expanded before — by this engine, at a smaller depth, or by any
-previous engine over the same rule set — instead of re-deriving them through
-rule matching, and records newly saturated subtrees back into the store.  The
-spliced nodes are fed straight into the agenda through the forest's
-change-notification hooks (:meth:`repro.chase.forest.ChaseForest.add_listener`),
-so post-splice saturation only inspects the spliced frontier instead of
-re-scanning the forest; the resulting forest is bit-identical to the one
-built without the cache (see :mod:`repro.chase.segments` for the argument).
+expansion additionally *splices* memoized subtrees under nodes whose segment
+key and label equal those of a node expanded before — by this engine at a
+smaller depth, or by any previous engine over the same rule set — replaying
+the recorded ground firings instead of re-deriving them through rule
+matching, and records newly saturated subtrees back into the store.  Only the
+spliced nodes the certificate does not cover (the splice's frontier, or all
+of them when the certificate is void) enter the agenda, so post-splice
+saturation inspects the spliced frontier instead of re-scanning the forest;
+the resulting forest is bit-identical to the one built without the cache (see
+:mod:`repro.chase.segments` for the argument).
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Mapping, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence, Union
 
 from ..exceptions import GroundingError, NotGuardedError
 from ..lang.atoms import Atom
@@ -59,23 +60,10 @@ from ..lang.rules import NormalRule
 from ..lang.substitution import Substitution, match
 from ..lang.terms import Constant
 from .forest import ChaseForest, ChaseNode
-from .segments import (
-    CachedSegment,
-    SegmentStore,
-    canonical_rule_order,
-    shared_segment_store,
-)
+from .segments import CachedSegment, Derivation, SegmentStore, shared_segment_store
 from .types import context_part_key, shape_key
 
 __all__ = ["GuardedChaseEngine", "chase_forest"]
-
-#: Outcomes of :meth:`GuardedChaseEngine._place_one_derivation`, the shared
-#: placement core of the validated and memoised splice paths.
-_PLACE_PLACED = "placed"
-_PLACE_DEPTH_CUT = "depth-cut"
-_PLACE_SIDE_MISSING = "side-missing"
-_PLACE_ALREADY_APPLIED = "already-applied"
-
 
 class _PreparedRule:
     """A Skolemised rule with its guard singled out for efficient matching.
@@ -176,6 +164,9 @@ class GuardedChaseEngine:
         self.agenda_order = agenda_order
         self._rules: list[_PreparedRule] = []
         self._rules_by_guard_pred: dict[str, list[_PreparedRule]] = {}
+        # A replayed segment names each firing's Skolemised rule; the replay
+        # places the firing only if this engine has that rule.
+        self._prepared_by_rule: dict[NormalRule, _PreparedRule] = {}
 
         fact_atoms: list[Atom] = []
         for rule in skolemized_program:
@@ -186,6 +177,7 @@ class GuardedChaseEngine:
             prepared = _PreparedRule(rule, seq=len(self._rules))
             self._rules.append(prepared)
             self._rules_by_guard_pred.setdefault(prepared.guard.predicate, []).append(prepared)
+            self._prepared_by_rule.setdefault(rule, prepared)
 
         # Predicates occurring in non-guard positive body atoms: only labels
         # of these predicates can enable or disable a chase firing, so they
@@ -218,20 +210,11 @@ class GuardedChaseEngine:
         self._watches: dict[int, tuple[frozenset, list[int]]] = {}
         self._watch_by_term: dict = {}
         self._watch_counter = 0
-        # Per-label segment-key cache: the context part of a key is stable
-        # until a new side-relevant label lands on the label's terms, so
-        # recomputing it for every hostable node on every expansion (the
-        # `_record_segments` key scan) is pure waste.  Invalidated through
-        # the same side-label bookkeeping the splice watchers use
-        # (:meth:`_invalidate_key_cache` from :meth:`_on_node_added`), and
-        # initialised before the forest listener is installed — the listener
-        # consults it from the very first fact.
-        self._key_cache: dict[Atom, tuple] = {}
-        self._key_cache_by_term: dict = {}
-        # While True (inside _instantiate_segment), newly inserted nodes are
-        # *not* self-enqueued: the splice decides which placed nodes need
-        # processing (frontier, voided certificates) — that is the whole point
-        # of certified splicing.  Label indexing and waiter wake-ups still run.
+        # While True (inside _replay_segment), newly inserted nodes are *not*
+        # self-enqueued: the replay decides which placed nodes need processing
+        # (its frontier, or all of them when its certificate is void) — that
+        # is the whole point of certified splicing.  Label indexing and waiter
+        # wake-ups still run.
         self._suppress_agenda = False
 
         # -- agenda state ------------------------------------------------------
@@ -287,9 +270,6 @@ class GuardedChaseEngine:
             "segments_recorded": 0,
         }
         self._segment_store: Optional[SegmentStore] = None
-        self._canonical_rules: list[_PreparedRule] = []
-        #: canonical rule index of each engine rule, by seq
-        self._canonical_of_seq: list[int] = []
         # Label shapes recur across nodes.  (Only the context-free *shape*
         # part of a segment key is memoizable: the context part grows with
         # the forest.)
@@ -308,15 +288,6 @@ class GuardedChaseEngine:
                 else shared_segment_store(p.rule for p in self._rules)
             )
             self.cache_stats["enabled"] = True
-            # Cached segments refer to rules by index in the canonical ordering
-            # so that every engine sharing a store agrees on what an index means.
-            canonical = canonical_rule_order(p.rule for p in self._rules)
-            index_of = {rule: index for index, rule in enumerate(canonical)}
-            self._canonical_of_seq = [index_of[p.rule] for p in self._rules]
-            by_rule: dict[NormalRule, _PreparedRule] = {}
-            for prepared in self._rules:
-                by_rule.setdefault(prepared.rule, prepared)
-            self._canonical_rules = [by_rule[rule] for rule in canonical]
 
     @property
     def segment_store(self) -> Optional[SegmentStore]:
@@ -419,7 +390,6 @@ class GuardedChaseEngine:
                         self._side_labels_by_term.setdefault(term, []).append(label)
                 else:
                     self._side_nullary.add(label)
-                self._invalidate_key_cache(label)
                 if self._watches:
                     self._fire_watches(label)
 
@@ -643,78 +613,22 @@ class GuardedChaseEngine:
                     found.add(atom)
         return list(found)
 
-    def _segment_key_uncached(self, label: Atom) -> tuple:
+    def _segment_key(self, label: Atom) -> tuple:
         """The full segment key of a label: canonical shape plus context part."""
         context = self._context_atoms(label)
         if not context:
             return (self._shape(label), ())
         return (self._shape(label), context_part_key(label, context))
 
-    def _segment_key(self, label: Atom) -> tuple:
-        """The segment key of a label, cached until its context can change.
-
-        A label's context part only grows when a new side-relevant label
-        lands on its terms (or on the rule constants every context includes)
-        — exactly the event :meth:`_on_node_added` already tracks for the
-        splice watchers, which is where :meth:`_invalidate_key_cache` drops
-        the affected entries.  The hypothesis suite asserts cached keys equal
-        the recomputed ones (:meth:`_segment_key_uncached`) after arbitrary
-        expansions.
-        """
-        key = self._key_cache.get(label)
-        if key is None:
-            key = self._segment_key_uncached(label)
-            self._key_cache[label] = key
-            by_term = self._key_cache_by_term
-            for term in set(label.args):
-                by_term.setdefault(term, set()).add(label)
-        return key
-
-    def _invalidate_key_cache(self, label: Atom) -> None:
-        """Drop cached segment keys the new side-relevant *label* may extend.
-
-        A context over ``dom(a)`` gains the new label only when every one of
-        its arguments lies in ``dom(a)`` plus the rule constants, so it
-        suffices to drop the labels sharing one of its argument terms — and
-        to drop everything when the label has no discriminating terms at all
-        (nullary, or arguments purely over rule constants), mirroring the
-        conservative wake rule of :meth:`_fire_watches`.
-        """
-        cache = self._key_cache
-        if not cache:
-            return
-        if not label.args or all(arg in self._side_constants for arg in label.args):
-            cache.clear()
-            self._key_cache_by_term.clear()
-            return
-        by_term = self._key_cache_by_term
-        for term in set(label.args):
-            for cached in by_term.pop(term, ()):
-                if cache.pop(cached, None) is None:
-                    continue  # already dropped via an earlier term this round
-                # unregister the dropped label from its other terms' buckets
-                # (mirroring _fire_watches) so dead entries cannot accumulate
-                for other in set(cached.args):
-                    if other == term:
-                        continue
-                    bucket = by_term.get(other)
-                    if bucket is not None:
-                        bucket.discard(cached)
-                        if not bucket:
-                            del by_term[other]
-
-    def _splice_from_cache(self, max_depth: int) -> bool:
-        """Instantiate cached segments under every unexpanded matching node.
+    def _splice_from_cache(self, max_depth: int) -> None:
+        """Replay cached segments under every unexpanded matching node.
 
         Worklist over childless nodes below the depth bound; nodes spliced in
-        are fed back so that a segment's frontier can itself hit the cache
-        (this is how iterative deepening descends through repeated types
-        without ever re-matching rules).  Returns ``True`` if nodes were added.
+        are fed back so that a segment's frontier can itself hit the cache.
         """
         store = self._segment_store
         forest = self.forest
         hostable = self._rules_by_guard_pred
-        added = False
         # Nodes whose label predicate guards no rule can never have children,
         # so neither looking them up nor recording them can ever pay off.
         worklist = [
@@ -730,16 +644,15 @@ class GuardedChaseEngine:
             if node.children or node.depth >= max_depth:
                 continue
             key = self._segment_key(node.label)
-            segment = store.lookup(key)
+            segment = store.lookup(key, node.label)
             if segment is None:
                 self.cache_stats["misses"] += 1
                 self._missed_keys.add(key)
                 continue
             self.cache_stats["hits"] += 1
-            created = self._instantiate_segment(node_id, key, segment, max_depth)
+            created = self._replay_segment(node_id, segment, max_depth)
             if not created:
                 continue
-            added = True
             self.cache_stats["splices"] += 1
             self.cache_stats["nodes_spliced"] += len(created)
             for child_id in created:
@@ -750,262 +663,81 @@ class GuardedChaseEngine:
                     and child.label.predicate in hostable
                 ):
                     worklist.append(child_id)
-        return added
 
-    def _instantiate_segment(
-        self, root_id: int, key: tuple, segment: CachedSegment, max_depth: int
+    def _replay_segment(
+        self, root_id: int, segment: CachedSegment, max_depth: int
     ) -> list[int]:
-        """Replay a cached segment under *root_id*, renaming nulls by substitution.
+        """Place a segment's recorded firings under *root_id*, a node with its root label.
 
-        Every derivation is re-validated before being placed: the rule's guard
-        is re-matched against the (new) parent label, and the transported side
-        atoms must already label the forest — so each placed child is a firing
-        the ordinary saturation would also perform, only without the rule
-        matching.  Derivations whose side atoms are still missing are retried
-        (a cousin placed later in the same splice may provide them); those
-        whose parents were dropped, whose guard no longer matches (possible
-        when a key collision merged nulls), or that would exceed the depth
-        bound are dropped — saturation recovers anything genuinely derivable.
+        Each firing is placed verbatim under the node placed for its parent,
+        whose label is the firing's guard instance (the root label equals the
+        recorded one, and each placed child's label is its recorded head).
+        A firing whose parent sits at the depth bound is skipped, with its
+        descendants.  Every other firing is checked first: the engine must have its rule, every side atom must
+        already label the forest and the firing must not be applied yet.  The
+        first failed check stops the replay and voids its certificate.
 
         **Certified placement.**  Placed nodes do *not* individually re-enter
         the agenda.  The segment key matched shape *and* side-atom context, so
-        the replay is complete for every interior node — except where one of
-        the certificate's premises fails, and exactly those nodes are
-        enqueued for ordinary processing:
-
-        * nodes at the segment's recorded frontier (``relative depth ==
-          segment.relative_depth``) or at the forest's depth bound — nothing
-          below them was recorded / may be placed;
-        * parents of dropped or still-pending derivations — their replay is
-          incomplete;
-        * *every* placed node, when some placed label already existed in the
-          forest (a twin subtree may have derived atoms over this subtree's
-          nulls that the recording never saw), when the segment referenced a
-          rule this engine does not know, or when a ``was_applied`` collision
-          mapped a local node onto a pre-existing child.
-
-        Late arrivals are covered separately: a wake-once watcher over the
-        subtree's terms re-enqueues all placed nodes if a new side-relevant
-        label lands on them (see :meth:`_fire_watches`).  Returns the ids of
-        the newly created nodes.
-
-        **Memoized replays.**  Replaying a segment under a given root label is
-        deterministic (every substitution is fixed by the labels), so when
-        the store holds a ground replay for ``(segment key, root label)`` —
-        seeded by :meth:`_record_segments` — the subtree is placed through
-        :meth:`_replay_memoised` instead: side-atom set lookups and node
-        insertion only, no substitution machinery.
+        the replay is complete for every interior node, and only the nodes at
+        the segment's recorded frontier or at the forest's depth bound are
+        enqueued for ordinary processing — unless the certificate is void,
+        and then *every* placed node is: when a check failed, or when some
+        placed label already existed in the forest (a twin subtree may have
+        derived atoms over this subtree's nulls that the recording never
+        saw).  Late arrivals are covered separately: a wake-once watcher over
+        the subtree's terms re-enqueues all placed nodes if a new
+        side-relevant label lands on them (see :meth:`_fire_watches`).
+        Returns the ids of the newly created nodes.
         """
         forest = self.forest
-        memo = self._segment_store.replay_lookup(key, forest.node(root_id).label)
-        if memo is not None:
-            created = self._replay_memoised(root_id, memo, segment, max_depth)
-            if created is not None:
-                return created
-        placed: dict[int, int] = {0: root_id}
-        local_depth: dict[int, int] = {0: 0}
+        placed = {0: root_id}
         created: list[int] = []
-        rules = self._canonical_rules
-        #: local indices whose own children-replay is incomplete
-        flagged: set[int] = set()
-        #: certificate void: every placed node must be processed normally
-        void = any(rule_index >= len(rules) for _, rule_index in segment.entries)
-        # The last element is the forest size at the entry's last failed
-        # side-atom check: labels only grow, so while the forest has not
-        # grown since, re-validating the same ground atoms cannot succeed
-        # and the entry is carried over without rework.
-        pending: list[tuple[int, int, int, int]] = [
-            (index + 1, parent_local, rule_index, -1)
-            for index, (parent_local, rule_index) in enumerate(segment.entries)
-            if rule_index < len(rules)
-        ]
-        self._suppress_agenda = True
-        try:
-            progress = True
-            while pending and progress:
-                progress = False
-                retry: list[tuple[int, int, int, int]] = []
-                dropped: set[int] = set()
-                for local_index, parent_local, rule_index, checked_at in pending:
-                    parent_id = placed.get(parent_local)
-                    if parent_id is None:
-                        if parent_local in dropped:
-                            dropped.add(local_index)
-                        else:
-                            retry.append(
-                                (local_index, parent_local, rule_index, checked_at)
-                            )
-                        continue
-                    if checked_at == len(forest):
-                        retry.append((local_index, parent_local, rule_index, checked_at))
-                        continue
-                    parent = forest.node(parent_id)
-                    # cheap short-circuits before the substitution machinery;
-                    # _place_one_derivation re-checks both authoritatively
-                    if parent.depth >= max_depth:
-                        dropped.add(local_index)
-                        continue
-                    prepared = rules[rule_index]
-                    subst = match(prepared.guard, parent.label)
-                    if subst is None:
-                        dropped.add(local_index)
-                        flagged.add(parent_local)
-                        continue
-                    side_atoms = tuple(
-                        subst.apply_atom(atom) for atom in prepared.other_pos
-                    )
-                    if any(not forest.has_label(atom) for atom in side_atoms):
-                        retry.append((local_index, parent_local, rule_index, len(forest)))
-                        continue
-                    ground_rule = _instantiate(prepared.rule, subst)
-                    status, child_id, void = self._place_one_derivation(
-                        parent_id,
-                        prepared.seq,
-                        ground_rule,
-                        side_atoms,
-                        created,
-                        void,
-                        max_depth,
-                    )
-                    if status is _PLACE_DEPTH_CUT:
-                        dropped.add(local_index)
-                        continue
-                    if status is _PLACE_SIDE_MISSING:
-                        retry.append((local_index, parent_local, rule_index, len(forest)))
-                        continue
-                    if status is _PLACE_ALREADY_APPLIED:
-                        for sibling in forest.children(parent_id):
-                            if sibling.edge_rule == ground_rule:
-                                placed[local_index] = sibling.node_id
-                                local_depth[local_index] = local_depth[parent_local] + 1
-                                break
-                        # a pre-existing child is outside this replay's
-                        # certificate — treat the whole splice conservatively
-                        void = True
-                        progress = True
-                        continue
-                    placed[local_index] = child_id
-                    local_depth[local_index] = local_depth[parent_local] + 1
-                    progress = True
-                pending = retry
-        finally:
-            self._suppress_agenda = False
-        if pending:
-            # still-blocked derivations: their parents' replay is incomplete
-            flagged.update(parent_local for _, parent_local, _, _ in pending)
-        if created:
-            self._finish_splice(segment, placed, local_depth, created, flagged, void)
-        return created
-
-    def _replay_memoised(
-        self, root_id: int, memo: tuple, segment: CachedSegment, max_depth: int
-    ) -> Optional[list[int]]:
-        """Place a memoized ground replay: set lookups and insertions only.
-
-        The memo's derivations are exact for this (segment key, root label)
-        pair, so no substitution runs; each placement still goes through
-        :meth:`_place_one_derivation` — the same side-atom, depth-bound,
-        duplicate and budget checks as the validated replay.  Any surprise —
-        a missing side atom, an already applied derivation — aborts to
-        ``None`` after enqueueing the nodes placed so far, and the caller
-        falls back to the ordinary validated replay.  Certificate handling
-        (frontier and depth-bound enqueueing, twin-label voiding, watcher
-        registration) is the same as for a validated replay.
-        """
-        placed: dict[int, int] = {0: root_id}
-        local_depth: dict[int, int] = {0: 0}
-        created: list[int] = []
-        rules = self._canonical_rules
         void = False
         self._suppress_agenda = True
         try:
-            for local_index, parent_local, rule_index, ground_rule, side_atoms in memo:
-                if rule_index >= len(rules):  # pragma: no cover - defensive
-                    self._enqueue_all(created)
-                    return None
+            for local_index, (parent_local, rule, ground_rule, side_atoms) in enumerate(
+                segment.derivations, 1
+            ):
                 parent_id = placed.get(parent_local)
                 if parent_id is None:
-                    continue  # parent was cut by the depth bound
-                status, child_id, void = self._place_one_derivation(
-                    parent_id,
-                    rules[rule_index].seq,
-                    ground_rule,
-                    side_atoms,
-                    created,
-                    void,
-                    max_depth,
-                )
-                if status is _PLACE_DEPTH_CUT:
+                    continue  # an ancestor was cut by the depth bound
+                parent = forest.node(parent_id)
+                if parent.depth >= max_depth:
                     continue
-                if status is not _PLACE_PLACED:
-                    # a missing side atom or an already applied derivation:
-                    # the memo's premises failed — fall back to validation
-                    self._enqueue_all(created)
-                    return None
-                placed[local_index] = child_id
-                local_depth[local_index] = local_depth[parent_local] + 1
+                prepared = self._prepared_by_rule.get(rule)
+                if (
+                    prepared is None
+                    or not all(forest.has_label(atom) for atom in side_atoms)
+                    or forest.was_applied(parent_id, ground_rule)
+                ):
+                    void = True
+                    break
+                # resumable: on failure the nodes placed so far are re-enqueued
+                # for ordinary saturation under a larger budget
+                self._budget_guard(created)
+                if not void and forest.has_label(ground_rule.head):
+                    # a twin subtree may hold atoms over this label's nulls
+                    # that the recording never saw
+                    void = True
+                child = forest.add_child(
+                    parent_id, ground_rule.head, ground_rule, parent.level + 1
+                )
+                self._edge_seq[child.node_id] = prepared.seq
+                self._decided.add((parent_id, prepared.seq))
+                placed[local_index] = child.node_id
+                created.append(child.node_id)
         finally:
             self._suppress_agenda = False
         if created:
-            self._finish_splice(segment, placed, local_depth, created, set(), void)
+            self._finish_splice(segment, forest.node(root_id).depth, created, void)
         return created
-
-    def _place_one_derivation(
-        self,
-        parent_id: int,
-        rule_seq: int,
-        ground_rule: NormalRule,
-        side_atoms: Sequence[Atom],
-        created: list[int],
-        void: bool,
-        max_depth: int,
-    ) -> tuple[str, Optional[int], bool]:
-        """Place one replayed derivation under its (already resolved) parent.
-
-        The shared placement core of the validated
-        (:meth:`_instantiate_segment`) and memoised (:meth:`_replay_memoised`)
-        splice paths: the depth cut, the side-atom re-validation, duplicate
-        (``was_applied``) detection, the resumable budget guard, twin-label
-        certificate voiding and the forest/decided/created bookkeeping all
-        live here — and only here — so the memoised fast path can never drift
-        from the validated one.  Returns ``(status, child_id, void)``; the
-        child id is set only for ``_PLACE_PLACED``, and reacting to the other
-        outcomes (retry, drop, flag the parent, or abort the whole memo) is
-        the caller's policy.
-        """
-        forest = self.forest
-        parent = forest.node(parent_id)
-        if parent.depth >= max_depth:
-            return _PLACE_DEPTH_CUT, None, void
-        if any(not forest.has_label(atom) for atom in side_atoms):
-            return _PLACE_SIDE_MISSING, None, void
-        if forest.was_applied(parent_id, ground_rule):
-            # the pair's unique instance is in the forest, so the
-            # (parent, rule) pair is decided either way
-            self._decided.add((parent_id, rule_seq))
-            return _PLACE_ALREADY_APPLIED, None, void
-        # resumable: on failure the partially placed subtree is re-enqueued
-        # for ordinary saturation under a larger budget
-        self._budget_guard(created)
-        if not void and forest.has_label(ground_rule.head):
-            # a twin subtree may hold atoms over this label's nulls that the
-            # recording never saw
-            void = True
-        child = forest.add_child(
-            parent_id, ground_rule.head, ground_rule, parent.level + 1
-        )
-        self._edge_seq[child.node_id] = rule_seq
-        self._decided.add((parent_id, rule_seq))
-        created.append(child.node_id)
-        return _PLACE_PLACED, child.node_id, void
 
     def _finish_splice(
         self,
         segment: CachedSegment,
-        placed: Mapping[int, int],
-        local_depth: Mapping[int, int],
+        root_depth: int,
         created: Sequence[int],
-        flagged: set[int],
         void: bool,
     ) -> None:
         """Enqueue the placed nodes the splice certificate does not cover."""
@@ -1013,18 +745,10 @@ class GuardedChaseEngine:
         if void:
             self._enqueue_all(created)
             return
-        created_set = set(created)
-        to_enqueue: list[int] = []
-        for local_index, node_id in placed.items():
-            if node_id not in created_set:
-                continue
-            if (
-                local_depth[local_index] >= segment.relative_depth
-                or forest.node(node_id).depth >= self.depth_bound
-                or local_index in flagged
-            ):
-                to_enqueue.append(node_id)
-        self._enqueue_all(to_enqueue)
+        uncovered = min(root_depth + segment.relative_depth, self.depth_bound)
+        self._enqueue_all(
+            node_id for node_id in created if forest.node(node_id).depth >= uncovered
+        )
         if self._side_predicates:
             terms: set = set()
             for node_id in created:
@@ -1084,54 +808,40 @@ class GuardedChaseEngine:
             existing = store.peek(key)
             if existing is not None and existing.relative_depth >= relative_depth:
                 continue
-            extracted = self._extract_segment(node)
-            if extracted is None:
-                continue
-            entries, replay = extracted
-            stored = store.record(key, relative_depth, entries)
-            if stored is not None:
+            derivations = self._extract_segment(node)
+            if derivations is not None and store.record(
+                key, relative_depth, node.label, derivations
+            ):
                 self.cache_stats["segments_recorded"] += 1
-                # seed the replay memo too: the very next engine over the same
-                # database can place this subtree without any substitution —
-                # pinned to the segment just stored, so a concurrent
-                # re-recording between the two calls cannot adopt this memo
-                store.replay_record(key, node.label, replay, segment=stored)
 
-    def _extract_segment(
-        self, root: ChaseNode
-    ) -> Optional[tuple[tuple[tuple[int, int], ...], tuple]]:
-        """The subtree below *root* as position-independent derivation entries.
+    def _extract_segment(self, root: ChaseNode) -> Optional[tuple[Derivation, ...]]:
+        """The subtree below *root* as preorder derivations.
 
-        Preorder guarantees parents precede children, so entry ``i`` (local
-        node ``i + 1``) always refers to an earlier local index.  Returns the
-        pair ``(entries, replay)`` — the abstract derivations for the segment
-        plus their fully ground form for the replay memo (the subtree's edge
-        rules *are* the ground derivations, so the memo costs no substitution
-        work) — or ``None`` when the subtree exceeds the store's segment size
-        limit.  Each edge's rule is the one recorded when the edge was placed.
+        Preorder guarantees parents precede children, so derivation ``i``
+        (local node ``i + 1``) always refers to an earlier local index.  Each
+        derivation is ``(parent, rule, ground rule, side atoms)``: the rule
+        recorded when the edge was placed and the edge's ground rule, so
+        extraction costs no substitution work.  Returns ``None`` when the
+        subtree exceeds the store's segment size limit.
         """
         subtree = self.forest.subtree_nodes(root.node_id)
         if len(subtree) - 1 > self._segment_store.max_segment_nodes:
             return None
-        canonical_of_seq, edge_seq = self._canonical_of_seq, self._edge_seq
         local: dict[int, int] = {root.node_id: 0}
-        entries: list[tuple[int, int]] = []
-        replay: list[tuple] = []
+        derivations: list[Derivation] = []
         for node in subtree[1:]:
-            parent_local = local.get(node.parent)
-            if parent_local is None:  # pragma: no cover - preorder invariant
-                return None
-            rule_index = canonical_of_seq[edge_seq[node.node_id]]
+            prepared = self._rules[self._edge_seq[node.node_id]]
+            ground_rule = node.edge_rule
+            derivations.append(
+                (
+                    local[node.parent],
+                    prepared.rule,
+                    ground_rule,
+                    tuple(ground_rule.body_pos[i] for i in prepared.other_indices),
+                )
+            )
             local[node.node_id] = len(local)
-            entries.append((parent_local, rule_index))
-            side_atoms = tuple(
-                node.edge_rule.body_pos[i]
-                for i in self._canonical_rules[rule_index].other_indices
-            )
-            replay.append(
-                (len(local) - 1, parent_local, rule_index, node.edge_rule, side_atoms)
-            )
-        return tuple(entries), tuple(replay)
+        return tuple(derivations)
 
     # -- views used by the Datalog± engine ----------------------------------------------
 

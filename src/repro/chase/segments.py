@@ -17,19 +17,15 @@ for :class:`repro.chase.engine.GuardedChaseEngine`:
   :func:`repro.chase.types.context_part_key` — to form the full *segment
   key*: equal keys mean identical firing environments for every inherited
   term, which is what lets a splice place interior nodes without re-matching
-  any rules (*certified splicing*; see :mod:`repro.chase.engine`).  Every
-  reuse is additionally re-validated against the target forest (see below),
-  so even a key collision can never corrupt answers.
+  any rules (*certified splicing*; see :mod:`repro.chase.engine`).
 * **Memoisation** — :class:`SegmentStore` maps a segment key to a
-  :class:`CachedSegment`: the fully expanded subtree below a node with that
-  key, stored position-independently as a topologically ordered list of
-  ``(parent index, canonical rule index)`` derivations plus the relative depth
-  to which the subtree was saturated.  A stored segment is replaced only by
-  a deeper one.  Alongside, the store memoizes *ground replays* per ``(key,
-  root label)`` (:meth:`SegmentStore.replay_lookup`), seeded when a segment
-  is recorded: replaying a segment under a fixed root label is
-  deterministic, so repeated workloads place whole subtrees through set
-  lookups and insertions only.
+  :class:`CachedSegment`: the fully expanded subtree below one node with that
+  key, stored as the node's label, the relative depth to which the subtree
+  was saturated, and the subtree's ground firings in preorder.  A segment is
+  spliced only under a node whose label equals its recorded root label
+  (a lookup under any other label is a miss), so placing it takes set
+  lookups and node insertions only.  A stored segment is replaced only by a
+  deeper one.
 * **Persistence** — stores live in a module-level registry keyed by a
   *program fingerprint* (:func:`program_fingerprint`), so segments recorded by
   one engine instance are spliced by every later engine over the same rule set
@@ -41,19 +37,27 @@ for :class:`repro.chase.engine.GuardedChaseEngine`:
 Why the splice is exact
 -----------------------
 
-A cached derivation is *not* trusted blindly.  Splicing replays it under the
-new node by re-matching the rule's guard against the new label (the null
-renaming of Lemma 11 falls out of the substitution) and re-checking that every
-non-guard positive body atom is a label of the *current* forest.  Because
-labels only ever grow, every spliced child is a firing the ordinary
-breadth-first expansion would also perform; derivations whose side atoms are
-absent are simply dropped.  The engine then runs its normal saturation rounds,
-which add anything the segment missed and certify quiescence.  The saturated
-forest within a depth bound is the least fixpoint of the chase step and hence
-unique — so the forest built with the cache is **identical** (same node trees,
-labels, ground rules, levels) to the forest built without it, and every query
-answer is bit-identical.  The cache only changes *how fast* the fixpoint is
-reached, never *which* fixpoint.
+A cached firing is *not* trusted blindly.  The replay starts at a node whose
+label is the recorded root label, so by induction down the preorder every
+recorded ground rule's guard instance is the label of the node it is placed
+under.  Each firing names the Skolemised rule it instantiates, and is placed
+only if the engine has that rule, every side atom is already a label of the
+*current* forest and the firing has not been applied yet — so every spliced
+child is a firing the ordinary expansion would also perform.  The first
+failed check stops the replay and voids its certificate: every node placed so
+far goes through the engine's agenda.  The engine then runs its normal
+saturation, which adds anything the segment missed and certifies quiescence.
+The saturated forest within a depth bound is the least fixpoint of the chase
+step and hence unique — so the forest built with the cache is **identical**
+(same node trees, labels, ground rules, levels) to the forest built without
+it, and every query answer is bit-identical.  The cache only changes *how
+fast* the fixpoint is reached, never *which* fixpoint.
+
+The certificate that lets a splice skip its interior nodes assumes the
+recording engine had the same rules: the shared registry guarantees that by
+fingerprint, while engines sharing an explicit store must run the same rule
+set (a replay of a rule the engine lacks is voided, but a rule the recording
+engine lacked is not detected).
 
 The stores are safe to share between threads (all mutating operations take an
 internal lock) and bounded: at most :data:`REGISTRY_SIZE` fingerprints are
@@ -69,6 +73,7 @@ from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
 
+from ..lang.atoms import Atom
 from ..lang.rules import NormalRule
 
 __all__ = [
@@ -85,9 +90,9 @@ __all__ = [
 def canonical_rule_order(rules: Iterable[NormalRule]) -> list[NormalRule]:
     """The canonical (sorted, de-duplicated) ordering of a rule set.
 
-    Cached segments refer to rules by their index in this ordering, so any two
-    engines whose rule sets sort identically agree on what every stored
-    derivation means.  Fact rules never label chase edges and are excluded.
+    Two rule sets with the same canonical order fingerprint identically
+    (:func:`program_fingerprint`).  Fact rules never label chase edges and
+    are excluded.
     """
     seen: set[NormalRule] = set()
     unique: list[NormalRule] = []
@@ -105,9 +110,10 @@ def program_fingerprint(rules: Iterable[NormalRule]) -> str:
 
     The fingerprint is the SHA-256 of the sorted textual forms of the non-fact
     rules; it identifies the rule set up to rule order and duplicate rules,
-    and is independent of the database — segments are database-independent
-    because every splice is re-validated against the target forest (see the
-    module docstring).
+    and is independent of the database — engines over different databases
+    share a store because a segment is replayed only under its own root label
+    and every replayed firing is re-checked against the target forest (see
+    the module docstring).
     """
     digest = hashlib.sha256()
     for rule in canonical_rule_order(rules):
@@ -116,9 +122,13 @@ def program_fingerprint(rules: Iterable[NormalRule]) -> str:
     return digest.hexdigest()
 
 
+#: One recorded firing: ``(parent, rule, ground rule, side atoms)``.
+Derivation = tuple[int, NormalRule, NormalRule, tuple[Atom, ...]]
+
+
 @dataclass(frozen=True)
 class CachedSegment:
-    """A fully expanded chase subtree, stored position-independently.
+    """A fully expanded chase subtree and the root label it was recorded under.
 
     Attributes
     ----------
@@ -127,21 +137,24 @@ class CachedSegment:
         recorded (the root's distance to the depth bound at recording time).
         A splice under a node closer to the current bound simply places fewer
         levels; one further away leaves the deeper levels to the ordinary
-        rounds (which may re-enter the cache for the spliced frontier).
-    entries:
-        Topologically ordered derivations ``(parent, rule)``: entry ``i``
-        describes local node ``i + 1`` (the root is local node ``0``) as the
-        child of local node ``parent`` obtained by firing the canonical rule
-        with index ``rule`` — the rule's guard matched against the parent's
-        label yields the full ground instance, because guards of guarded rules
-        bind every rule variable.
+        saturation.
+    root_label:
+        The label of the node the subtree was recorded below; the segment is
+        replayed only under a node with this label.
+    derivations:
+        The subtree's nodes in preorder: derivation ``i`` describes local node
+        ``i + 1`` (the root is local node ``0``) as the child of the earlier
+        local node ``parent``, placed by the Skolemised ``rule`` through its
+        ground instance ``ground rule``, whose non-guard positive body atoms
+        are ``side atoms``.
     """
 
     relative_depth: int
-    entries: tuple[tuple[int, int], ...]
+    root_label: Atom
+    derivations: tuple[Derivation, ...]
 
     def __len__(self) -> int:
-        return len(self.entries)
+        return len(self.derivations)
 
 
 class SegmentStore:
@@ -149,9 +162,9 @@ class SegmentStore:
     (atom shape + side-atom context; the store treats keys as opaque tuples).
 
     One store corresponds to one program fingerprint; engines sharing a
-    fingerprint share the store (and hence each other's recorded segments and
-    memoized replays).  A key holds one segment, replaced only by a deeper
-    recording.  All operations are thread-safe.
+    fingerprint share the store (and hence each other's recorded segments).
+    A key holds one segment, replaced only by a deeper recording.  All
+    operations are thread-safe.
     """
 
     def __init__(
@@ -161,27 +174,16 @@ class SegmentStore:
         max_segments: int = 4096,
         max_segment_nodes: int = 100_000,
         max_total_nodes: int = 1_000_000,
-        max_replays: int = 4096,
     ):
         self.fingerprint = fingerprint
         self.max_segments = max_segments
         self.max_segment_nodes = max_segment_nodes
-        #: budget on the *sum* of entries across all segments, so a store full
-        #: of large segments cannot outgrow memory before hitting max_segments
+        #: budget on the *sum* of derivations across all segments, so a store
+        #: full of large segments cannot outgrow memory before hitting
+        #: max_segments
         self.max_total_nodes = max_total_nodes
-        #: bound on the number of memoized replays (see :meth:`replay_lookup`)
-        self.max_replays = max_replays
         self._segments: "OrderedDict[tuple, CachedSegment]" = OrderedDict()
         self._total_nodes = 0
-        # Memoized replays, bucketed per segment key: key -> {root label ->
-        # fully ground derivations}, LRU-bounded (by bucket) and invalidated
-        # in O(1) whenever the key's segment is re-recorded or evicted.  A
-        # replay under a given root label is deterministic (the guard
-        # substitutions are fixed by the labels), so engines over the same
-        # database can place repeated subtrees without re-running any
-        # substitution machinery.
-        self._replays: "OrderedDict[tuple, dict]" = OrderedDict()
-        self._replay_count = 0
         self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
@@ -190,119 +192,63 @@ class SegmentStore:
 
     # -- lookup / record --------------------------------------------------------
 
-    def lookup(self, shape: tuple) -> Optional[CachedSegment]:
-        """The cached segment for a shape, or ``None`` (counts hit/miss)."""
+    def lookup(self, key: tuple, root_label: Atom) -> Optional[CachedSegment]:
+        """The segment for *key* recorded under *root_label*, or ``None``.
+
+        A segment stored under another root label counts as a miss.
+        """
         with self._lock:
-            segment = self._segments.get(shape)
-            if segment is None:
+            segment = self._segments.get(key)
+            if segment is None or segment.root_label != root_label:
                 self._misses += 1
                 return None
-            self._segments.move_to_end(shape)
+            self._segments.move_to_end(key)
             self._hits += 1
             return segment
 
-    def peek(self, shape: tuple) -> Optional[CachedSegment]:
-        """The segment for a shape without LRU or counter effects."""
+    def peek(self, key: tuple) -> Optional[CachedSegment]:
+        """The segment for a key without LRU or counter effects."""
         with self._lock:
-            return self._segments.get(shape)
+            return self._segments.get(key)
 
     def record(
-        self, shape: tuple, relative_depth: int, entries: tuple[tuple[int, int], ...]
-    ) -> Optional[CachedSegment]:
+        self,
+        key: tuple,
+        relative_depth: int,
+        root_label: Atom,
+        derivations: tuple[Derivation, ...],
+    ) -> bool:
         """Store a segment unless it is too large or no deeper than the stored one.
 
         A recorded segment is replaced only by one saturated deeper.  Empty
         segments are never stored: "no children" is a database-dependent
-        observation, not a property of the shape.
-
-        Returns the stored :class:`CachedSegment` (truthy) when recorded and
-        ``None`` when rejected — callers that go on to memoize replays pass
-        the returned object back to :meth:`replay_record`, which memoizes
-        only while that *identical* segment is still the one recorded.
+        observation, not a property of the shape.  Returns whether the
+        segment was stored.
         """
-        if relative_depth <= 0 or not entries or len(entries) > self.max_segment_nodes:
-            return None
+        if (
+            relative_depth <= 0
+            or not derivations
+            or len(derivations) > self.max_segment_nodes
+        ):
+            return False
         with self._lock:
-            existing = self._segments.get(shape)
+            existing = self._segments.get(key)
             if existing is not None:
                 if existing.relative_depth >= relative_depth:
-                    return None
+                    return False
                 self._total_nodes -= len(existing)
-                # memoized replays of the superseded segment are stale
-                stale = self._replays.pop(shape, None)
-                if stale:
-                    self._replay_count -= len(stale)
-            stored = CachedSegment(relative_depth, entries)
-            self._segments[shape] = stored
-            self._segments.move_to_end(shape)
-            self._total_nodes += len(entries)
+            self._segments[key] = CachedSegment(relative_depth, root_label, derivations)
+            self._segments.move_to_end(key)
+            self._total_nodes += len(derivations)
             self._recordings += 1
             while self._segments and (
                 len(self._segments) > self.max_segments
                 or self._total_nodes > self.max_total_nodes
             ):
-                evicted_shape, evicted = self._segments.popitem(last=False)
+                _, evicted = self._segments.popitem(last=False)
                 self._total_nodes -= len(evicted)
-                dropped = self._replays.pop(evicted_shape, None)
-                if dropped:
-                    self._replay_count -= len(dropped)
                 self._evictions += 1
-            return stored if self._segments.get(shape) is stored else None
-
-    # -- memoized replays ---------------------------------------------------------
-
-    def replay_lookup(self, key: tuple, root_label) -> Optional[tuple]:
-        """The memoized ground replay for (segment key, root label), if any.
-
-        Returns the tuple recorded by :meth:`replay_record` — fully ground
-        ``(local index, parent local index, canonical rule index, ground
-        rule, side atoms)`` derivations in placement order — or ``None``.
-        Exact by construction: replaying a segment under a given root label
-        is deterministic, and the whole bucket is dropped whenever the key's
-        segment is re-recorded or evicted.
-        """
-        with self._lock:
-            bucket = self._replays.get(key)
-            if bucket is None:
-                return None
-            self._replays.move_to_end(key)
-            return bucket.get(root_label)
-
-    def replay_record(
-        self,
-        key: tuple,
-        root_label,
-        replay: tuple,
-        *,
-        segment: Optional[CachedSegment] = None,
-    ) -> None:
-        """Memoize a fully placed ground replay (LRU-bounded per key bucket).
-
-        *segment*, when given, is the :class:`CachedSegment` the replay was
-        derived from, and the memo is stored only while that **identical**
-        object is still the one recorded under *key*.  Without the check, a
-        concurrent engine re-recording a deeper segment between this
-        caller's recording and its memoization would attach a memo of the
-        *old* (shallower) segment to the new one — replay_lookup then serves
-        an incomplete replay as if it were exact.  Checked under the store
-        lock, so the compare-and-memoize step is atomic.
-        """
-        with self._lock:
-            current = self._segments.get(key)
-            if current is None:
-                return  # the segment was evicted meanwhile; don't resurrect
-            if segment is not None and current is not segment:
-                return  # superseded meanwhile; the memo belongs to the old one
-            bucket = self._replays.get(key)
-            if bucket is None:
-                bucket = self._replays[key] = {}
-            if root_label not in bucket:
-                self._replay_count += 1
-            bucket[root_label] = replay
-            self._replays.move_to_end(key)
-            while self._replay_count > self.max_replays and self._replays:
-                _, dropped = self._replays.popitem(last=False)
-                self._replay_count -= len(dropped)
+            return key in self._segments
 
     # -- maintenance / introspection --------------------------------------------
 
@@ -310,8 +256,6 @@ class SegmentStore:
         """Drop every segment and reset the counters."""
         with self._lock:
             self._segments.clear()
-            self._replays.clear()
-            self._replay_count = 0
             self._total_nodes = 0
             self._hits = self._misses = self._recordings = self._evictions = 0
 

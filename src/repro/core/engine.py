@@ -233,8 +233,8 @@ class WellFoundedEngine:
         ``"bound-first"``, or a :class:`~repro.rewrite.sips.SIPSStrategy`).
     segment_cache:
         Memoize saturated chase subtrees by canonical atom type
-        (:mod:`repro.chase.segments`) and splice them instead of re-deriving:
-        iterative deepening only expands genuinely new types, and the store
+        (:mod:`repro.chase.segments`) and replay them under later nodes of
+        the same type and label instead of re-deriving them.  The store
         persists across engine instances (keyed by a program fingerprint) so
         repeated workloads — including rebuilt engines after an
         :mod:`repro.core.answering` LRU eviction and the relevance-pruned
@@ -696,13 +696,13 @@ class WellFoundedEngine:
 
     def delta(self) -> int:
         """The theoretical locality constant δ of Prop. 12 for this program's schema."""
-        return delta_bound(self.program.schema(self.database))
+        return delta_bound(self.program.schema(self._facts))
 
     def query_depth_bound(self, query: Union[NormalBCQ, str]) -> int:
         """The theoretical depth bound ``n·δ`` of Prop. 12 for a concrete query."""
         if isinstance(query, str):
             query = parse_query(query)
-        return query_depth_bound(query, self.program.schema(self.database))
+        return query_depth_bound(query, self.program.schema(self._facts))
 
     # -- computation -------------------------------------------------------------------
 
@@ -861,4 +861,4 @@ class WellFoundedEngine:
 
     def __repr__(self) -> str:
         status = "unevaluated" if self._model is None else repr(self._model)
-        return f"WellFoundedEngine({len(self.program)} NTGDs, |D|={len(self.database)}, {status})"
+        return f"WellFoundedEngine({len(self.program)} NTGDs, |D|={len(self._facts)}, {status})"

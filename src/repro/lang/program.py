@@ -181,7 +181,9 @@ class Schema:
 
     @classmethod
     def from_program_and_database(
-        cls, program: "DatalogPMProgram | NormalProgram", database: Optional[Database] = None
+        cls,
+        program: "DatalogPMProgram | NormalProgram",
+        database: Optional[Iterable[Atom]] = None,
     ) -> "Schema":
         """Infer a schema from all atoms of a program and (optionally) a database."""
         atoms: list[Atom] = []
@@ -355,7 +357,7 @@ class DatalogPMProgram:
             result.update(ntgd.predicates())
         return result
 
-    def schema(self, database: Optional[Database] = None) -> Schema:
+    def schema(self, database: Optional[Iterable[Atom]] = None) -> Schema:
         """The schema inferred from the program (and optionally a database)."""
         return Schema.from_program_and_database(self, database)
 

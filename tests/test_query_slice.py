@@ -180,6 +180,18 @@ def test_every_path_answers_from_the_construction_time_database(mode):
     assert engine.analysis() == fresh.analysis()
 
 
+def test_schema_readers_use_the_construction_time_database():
+    """δ, the query depth bound and ``repr`` describe the facts the engine
+    answers from, not facts added to its database afterwards."""
+    text = "node(X) -> exists Y tag(X, Y). node(a)."
+    engine = WellFoundedEngine(text)
+    engine.database.add(Atom("wide", tuple(Constant(c) for c in "abcd")))
+    fresh = WellFoundedEngine(text)
+    assert engine.delta() == fresh.delta()
+    assert engine.query_depth_bound("? tag(a, Y)") == fresh.query_depth_bound("? tag(a, Y)")
+    assert repr(engine) == repr(fresh)
+
+
 # ---------------------------------------------------------------------------
 # Statistics of the magic path
 # ---------------------------------------------------------------------------

@@ -161,42 +161,35 @@ def test_cache_is_schedule_independent(workload, initial_depth, depth_step):
     assert chase_signature(cached) == chase_signature(uncached)
 
 
-@given(
-    workload=guarded_workloads(),
-    initial_depth=st.integers(min_value=1, max_value=4),
-    depth_step=st.integers(min_value=1, max_value=3),
-)
-@settings(max_examples=40, **COMMON_SETTINGS)
-def test_cached_segment_keys_equal_recomputed_keys(
-    workload, initial_depth, depth_step
-):
-    """The per-label segment-key cache is invisible (PR 5 satellite).
+@given(workload=guarded_workloads(), data=st.data())
+@settings(max_examples=150, **COMMON_SETTINGS)
+def test_store_warmed_on_one_database_replays_on_a_neighbour(workload, data):
+    """A store warmed over D serves an engine over D minus or plus one fact.
 
-    ``_segment_key`` caches per label and is invalidated through the
-    side-label machinery whenever a new side-relevant label lands on a
-    label's terms; after any deepening schedule every cached key must equal
-    a from-scratch recomputation (``_segment_key_uncached``) against the
-    final forest.
+    This is the pattern of an engine rebuilt after a fact update, where
+    segments replayed under their recorded root labels meet a changed
+    side-atom context.
     """
     program, database, _ = workload
+    facts = sorted(database, key=str)
+    if data.draw(st.booleans(), label="drop a fact"):
+        dropped = data.draw(st.sampled_from(facts), label="dropped")
+        neighbour = [fact for fact in facts if fact != dropped]
+    else:
+        signatures = sorted({(fact.predicate, len(fact.args)) for fact in facts})
+        predicate, arity = data.draw(st.sampled_from(signatures), label="predicate")
+        constants = sorted({arg for fact in facts for arg in fact.args}, key=str)
+        args = data.draw(
+            st.lists(st.sampled_from(constants), min_size=arity, max_size=arity),
+            label="args",
+        )
+        neighbour = facts + [Atom(predicate, tuple(args))]
     clear_segment_stores()
-    engine = WellFoundedEngine(
-        program,
-        database,
-        initial_depth=initial_depth,
-        depth_step=depth_step,
-        max_depth=initial_depth + 3 * depth_step,
-        max_nodes=2_000,
-    )
-    try:
-        engine.model()
-    except GroundingError:
-        pass  # a partially expanded forest must satisfy the invariant too
-    chase = engine._chase
-    if chase.segment_store is None:
-        return  # cache declined (unguarded rules); nothing cached
-    for label in chase.forest.labels():
-        assert chase._segment_key(label) == chase._segment_key_uncached(label), label
+    options = dict(max_depth=13, max_nodes=2_000)
+    chase_signature(WellFoundedEngine(program, facts, segment_cache=True, **options))
+    cached = WellFoundedEngine(program, neighbour, segment_cache=True, **options)
+    uncached = WellFoundedEngine(program, neighbour, segment_cache=False, **options)
+    assert chase_signature(cached) == chase_signature(uncached)
 
 
 # ---------------------------------------------------------------------------

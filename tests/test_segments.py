@@ -79,41 +79,53 @@ class TestProgramFingerprint:
         assert shared_segment_store(rules) is not shared_segment_store(other)
 
 
+#: Stand-ins for recorded derivations: the store never looks inside them.
+ONE = (("d0",),)
+TWO = (("d0",), ("d1",))
+
+
 class TestSegmentStore:
     def test_record_lookup_roundtrip(self):
         store = SegmentStore("fp")
-        shape = shape_key(Atom("p", (n("f"),)))
-        assert store.lookup(shape) is None
-        assert store.record(shape, 3, ((0, 0), (1, 1)))
-        segment = store.lookup(shape)
-        assert segment.relative_depth == 3 and segment.entries == ((0, 0), (1, 1))
+        root = Atom("p", (n("f"),))
+        shape = shape_key(root)
+        assert store.lookup(shape, root) is None
+        assert store.record(shape, 3, root, TWO)
+        segment = store.lookup(shape, root)
+        assert segment.relative_depth == 3 and segment.derivations == TWO
+        assert segment.root_label == root
         assert store.stats()["hits"] == 1 and store.stats()["misses"] == 1
+        # same key, another root label: a miss
+        assert store.lookup(shape, Atom("p", (n("g"),))) is None
+        assert store.stats()["hits"] == 1 and store.stats()["misses"] == 2
 
     def test_only_deeper_recordings_replace(self):
         store = SegmentStore("fp")
-        shape = shape_key(Atom("p", ()))
-        assert store.record(shape, 3, ((0, 0),))
-        assert not store.record(shape, 3, ((0, 0), (1, 1)))
-        assert not store.record(shape, 2, ())
-        assert store.lookup(shape).relative_depth == 3
-        assert store.record(shape, 4, ((0, 0),))
-        assert store.lookup(shape).relative_depth == 4
+        root = Atom("p", ())
+        shape = shape_key(root)
+        assert store.record(shape, 3, root, ONE)
+        assert not store.record(shape, 3, root, TWO)
+        assert not store.record(shape, 2, root, ())
+        assert store.lookup(shape, root).relative_depth == 3
+        assert store.record(shape, 4, root, ONE)
+        assert store.lookup(shape, root).relative_depth == 4
 
     def test_zero_depth_empty_and_oversized_segments_rejected(self):
         store = SegmentStore("fp", max_segment_nodes=1)
-        shape = shape_key(Atom("p", ()))
-        assert not store.record(shape, 0, ((0, 0),))
-        assert not store.record(shape, 2, ())  # "no children" is DB-dependent
-        assert not store.record(shape, 2, ((0, 0), (1, 0)))
+        root = Atom("p", ())
+        shape = shape_key(root)
+        assert not store.record(shape, 0, root, ONE)
+        assert not store.record(shape, 2, root, ())  # "no children" is DB-dependent
+        assert not store.record(shape, 2, root, TWO)
         assert len(store) == 0
 
     def test_lru_eviction(self):
         store = SegmentStore("fp", max_segments=2)
-        shapes = [shape_key(Atom(f"p{i}", ())) for i in range(3)]
-        for shape in shapes:
-            store.record(shape, 1, ((0, 0),))
+        roots = [Atom(f"p{i}", ()) for i in range(3)]
+        for root in roots:
+            store.record(shape_key(root), 1, root, ONE)
         assert len(store) == 2
-        assert store.lookup(shapes[0]) is None  # evicted first
+        assert store.lookup(shape_key(roots[0]), roots[0]) is None  # evicted first
         assert store.stats()["evictions"] == 1
 
 
@@ -262,13 +274,12 @@ class TestChaseEngineCache:
         with pytest.raises(GroundingError):
             engine.expand(12)
 
-    def test_deepening_engine_reuses_own_segments(self):
+    def test_deepening_engine_equals_one_shot_forest(self):
         rules, database = self._skolemized("e(X) -> exists Y n(X, Y). n(X,Y) -> e(Y). e(c).")
         store = shared_segment_store(rules)
         engine = GuardedChaseEngine(rules, database, segment_cache=store)
         engine.expand(4)
         engine.expand(8)
-        assert engine.cache_stats["nodes_spliced"] > 0
         plain = chase_forest(rules, database, 8)
         assert engine.forest.labels() == plain.labels()
         for atom in plain.labels():
@@ -332,12 +343,10 @@ from test_segment_properties import assert_edges_attributed  # noqa: E402
 
 
 class TestUnifiedSplicePlacement:
-    """The memoised replay and the validated replay share one placement core.
+    """Segments are placed by one replay, ``_replay_segment``.
 
-    ``_replay_memoised`` and ``_instantiate_segment`` both place derivations
-    exclusively through ``_place_one_derivation``; this differential pins
-    replayed ≡ instantiated ≡ underived forests, with the memo path proven to
-    actually run.
+    This differential pins warm ≡ recorder ≡ underived forests, with the
+    replay proven to actually run.
     """
 
     PROGRAM = """
@@ -356,48 +365,54 @@ class TestUnifiedSplicePlacement:
         recorder.expand(depth)
         return program, database, skolemized, store, recorder, depth
 
-    def test_memoised_equals_validated_equals_underived(self, monkeypatch):
+    def test_memoised_equals_validated_equals_underived(self):
         program, database, skolemized, store, recorder, depth = self._engines()
         expected = _chase_signature(recorder.forest)
 
-        # fast path: the recorder seeded replay memos, so this engine places
-        # subtrees through _replay_memoised
-        memoised = GuardedChaseEngine(skolemized, database, segment_cache=store)
-        memoised.expand(depth)
-        assert memoised.cache_stats["nodes_spliced"] > 0
-
-        # validated path: disable the memo lookups so the same splices run
-        # through _instantiate_segment's guard-matching replay
-        validated = GuardedChaseEngine(skolemized, database, segment_cache=store)
-        monkeypatch.setattr(
-            store, "replay_lookup", lambda key, root_label: None
-        )
-        validated.expand(depth)
-        assert validated.cache_stats["nodes_spliced"] > 0
+        # the recorder stored its segments, so this engine splices them
+        warm = GuardedChaseEngine(skolemized, database, segment_cache=store)
+        warm.expand(depth)
+        assert warm.cache_stats["nodes_spliced"] > 0
 
         # reference: no cache at all
         underived = GuardedChaseEngine(skolemized, database, segment_cache=False)
         underived.expand(depth)
 
-        assert _chase_signature(memoised.forest) == expected
-        assert _chase_signature(validated.forest) == expected
+        assert _chase_signature(warm.forest) == expected
         assert _chase_signature(underived.forest) == expected
 
     def test_memo_path_actually_taken(self):
         _, database, skolemized, store, recorder, depth = self._engines()
         replayed = GuardedChaseEngine(skolemized, database, segment_cache=store)
         calls = []
-        original = replayed._replay_memoised
+        original = replayed._replay_segment
 
-        def spy(root_id, memo, segment, max_depth):
-            result = original(root_id, memo, segment, max_depth)
-            calls.append(result is not None)
+        def spy(root_id, segment, max_depth):
+            result = original(root_id, segment, max_depth)
+            calls.append(bool(result))
             return result
 
-        replayed._replay_memoised = spy
+        replayed._replay_segment = spy
         replayed.expand(depth)
-        assert any(calls), "expected at least one successful memoised replay"
+        assert any(calls), "expected at least one replay that placed nodes"
         assert _chase_signature(replayed.forest) == _chase_signature(recorder.forest)
+
+    def test_replay_never_places_a_rule_the_engine_lacks(self):
+        """Two programs share an explicit store.  Their rules differ but
+        Skolemise to the same function name, so the second engine's root
+        ``p(a)`` hits the first program's segment: the replay must void
+        instead of placing ``q(a, sk_r0_Y(a))``, which the second program
+        cannot derive."""
+        store = SegmentStore("explicit")
+        first, database = parse_program("p(X) -> exists Y q(X, Y). p(a).")
+        GuardedChaseEngine(skolemize_program(first), database, segment_cache=store).expand(3)
+        second, database = parse_program("p(X) -> exists Y r(X, Y). p(a).")
+        cached = GuardedChaseEngine(skolemize_program(second), database, segment_cache=store)
+        cached.expand(3)
+        assert cached.cache_stats["hits"] == 1
+        uncached = GuardedChaseEngine(skolemize_program(second), database)
+        uncached.expand(3)
+        assert _chase_signature(cached.forest) == _chase_signature(uncached.forest)
 
 
 class TestColdContextSensitiveKeys:
@@ -441,33 +456,22 @@ class TestColdContextSensitiveKeys:
 
 
 class TestSharedRegistryConcurrency:
-    """The satellite bugfix: every registry mutation — record, eviction,
-    replay memoization — runs under the store lock, and ``replay_record``
-    refuses to attach a memo computed from a segment the store has since
-    superseded (the compare-and-memoize identity check).  Two engines
-    hammering one persistent registry concurrently must build forests
-    bit-identical to their uncached references.
+    """Every registry mutation — record, eviction — runs under the store
+    lock, and a segment carries its own recorded firings, so no separate
+    write can attach them to another segment.  Two engines hammering one
+    persistent registry concurrently must build forests bit-identical to
+    their uncached references.
     """
 
     def test_record_returns_the_stored_segment_for_pinning(self):
         store = SegmentStore("pin-fp")
-        shape = shape_key(Atom("p", ()))
-        stored = store.record(shape, 2, ((0, 0),))
-        assert stored is store.lookup(shape)
-        # a rejected recording returns None, not a stale object
-        assert store.record(shape, 1, ((0, 1),)) is None
-
-    def test_replay_memo_from_superseded_segment_is_dropped(self):
-        store = SegmentStore("memo-fp")
-        shape = shape_key(Atom("p", ()))
-        first = store.record(shape, 2, ((0, 0),))
-        second = store.record(shape, 3, ((0, 0), (1, 1)))
-        assert second is not None and second is not first
-        # a memo computed against `first` must not attach to `second`
-        store.replay_record(shape, Atom("p", ()), ((0, 0),), segment=first)
-        assert store.replay_lookup(shape, Atom("p", ())) is None
-        store.replay_record(shape, Atom("p", ()), ((0, 0),), segment=second)
-        assert store.replay_lookup(shape, Atom("p", ())) == ((0, 0),)
+        root = Atom("p", ())
+        shape = shape_key(root)
+        assert store.record(shape, 2, root, ONE) is True
+        assert store.lookup(shape, root).derivations == ONE
+        # a rejected recording reports False and leaves the stored segment
+        assert store.record(shape, 1, root, TWO) is False
+        assert store.lookup(shape, root).derivations == ONE
 
     def test_two_engines_share_one_registry_concurrently(self):
         import threading

@@ -6,9 +6,9 @@ callers' own threads may reach them concurrently.  This script re-checks
 their locking invariants statically on every CI run:
 
 * ``repro.chase.segments.SegmentStore`` — all mutations of the store's
-  internal state (``_segments``, ``_replays`` and the counters) happen
-  under ``self._lock``; the module-level store registry is mutated only
-  under ``_registry_lock``.
+  internal state (``_segments`` and the counters) happen under
+  ``self._lock``; the module-level store registry is mutated only under
+  ``_registry_lock``.
 * ``repro.core.answering`` — the shared-engine LRU (``_engine_cache``) and
   its hit/miss counters are mutated only under ``_cache_lock``.
 
@@ -20,11 +20,16 @@ mutation is an assignment / augmented assignment / ``del`` targeting a
 guarded name (or an attribute/subscript of one), or a call of a mutating
 method (``pop``, ``clear``, ``move_to_end``, …) on a guarded name.
 
+A guarded name the code no longer defines would pass that check vacuously,
+so every guarded ``self`` attribute must also be assigned somewhere in its
+class, and every guarded global at module level.
+
 Run from the repo root::
 
     python tools/check_lock_invariants.py
 
-Exit code 0 when every mutation site is locked, 1 otherwise (sites listed).
+Exit code 0 when every mutation site is locked and every guarded name is
+defined, 1 otherwise (findings listed).
 """
 
 from __future__ import annotations
@@ -76,8 +81,6 @@ RULES = [
         guarded=frozenset(
             {
                 "_segments",
-                "_replays",
-                "_replay_count",
                 "_total_nodes",
                 "_hits",
                 "_misses",
@@ -214,10 +217,67 @@ def _walk(
         )
 
 
+def _assignment_leaves(target: ast.expr) -> Iterator[ast.expr]:
+    """The individual targets of an assignment, with tuple unpacking flattened."""
+    if isinstance(target, (ast.Tuple, ast.List)):
+        for element in target.elts:
+            yield from _assignment_leaves(element)
+    else:
+        yield target
+
+
+def _scope_description(rule: Rule) -> str:
+    """Where a guarded name of *rule* must be assigned, for findings."""
+    if not rule.guarded_is_self_attr:
+        return "at module level"
+    if rule.scope_class is None:
+        return "in the module"
+    return f"in class {rule.scope_class}"
+
+
+def _defined_names(tree: ast.Module, rule: Rule) -> set[str]:
+    """The guarded-kind names the code assigns: ``self`` attributes anywhere
+    in the rule's class, or globals at module level."""
+    if not rule.guarded_is_self_attr:
+        statements = tree.body
+    else:
+        scopes = [tree]
+        if rule.scope_class is not None:
+            scopes = [
+                node
+                for node in ast.walk(tree)
+                if isinstance(node, ast.ClassDef) and node.name == rule.scope_class
+            ]
+        statements = [node for scope in scopes for node in ast.walk(scope)]
+    names: set[str] = set()
+    for node in statements:
+        if isinstance(node, ast.Assign):
+            targets = node.targets
+        elif isinstance(node, (ast.AnnAssign, ast.AugAssign)):
+            targets = [node.target]
+        else:
+            continue
+        for target in targets:
+            for leaf in _assignment_leaves(target):
+                if not rule.guarded_is_self_attr:
+                    if isinstance(leaf, ast.Name):
+                        names.add(leaf.id)
+                elif (
+                    isinstance(leaf, ast.Attribute)
+                    and isinstance(leaf.value, ast.Name)
+                    and leaf.value.id == "self"
+                ):
+                    names.add(leaf.attr)
+    return names
+
+
 def check_rule(rule: Rule) -> list[str]:
     path = REPO_ROOT / rule.path
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     findings = []
+    where = _scope_description(rule)
+    for name in sorted(rule.guarded - _defined_names(tree, rule)):
+        findings.append(f"{rule.path}: guarded name {name} is never assigned {where}")
     initial_scope = rule.scope_class is None
     for lineno, description in _walk(
         tree, rule, locked=False, exempt=False, in_scope=initial_scope
