@@ -31,9 +31,14 @@ WORKLOADS = {
 
 
 def converge(workload_name: str):
+    """The chase plan's model: its stabilisation depth is what E6 measures.
+
+    The employment and win/move programs are certified terminating, so
+    ``model()`` would answer them on the finite plan, with no chase depth.
+    """
     program, database = WORKLOADS[workload_name]()
     engine = WellFoundedEngine(program, database)
-    model = engine.model()
+    model = engine._chase_model()
     return engine, model
 
 

@@ -103,8 +103,9 @@ def main() -> None:
         big = OntologyReasoner(employment_ontology(persons, seed=1))
         model = big.model()
         valid_ids = sum(1 for atom in model.true_atoms() if atom.predicate == "validID")
+        plan = "finite plan" if model.depth is None else f"chase depth {model.depth}"
         print(f"  {persons:4d} persons -> {valid_ids:3d} valid IDs derived "
-              f"(chase depth {model.depth}, {len(model.forest())} nodes)")
+              f"({plan}, chase forest of {len(model.forest())} nodes)")
 
 
 if __name__ == "__main__":

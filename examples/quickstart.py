@@ -35,7 +35,10 @@ def main() -> None:
     model = engine.model()
 
     print("Well-founded model computed.")
-    print(f"  chase depth used : {model.depth}")
+    # depth is None on the finite plan: the program's chase terminates, so
+    # its finite grounding was solved directly, without deepening
+    plan = "finite grounding" if model.depth is None else f"chase to depth {model.depth}"
+    print(f"  plan             : {plan}")
     print(f"  converged        : {model.converged}")
     print(f"  true atoms       : {len(model.true_atoms())}")
     print(f"  false atoms      : {len(model.false_atoms())}")

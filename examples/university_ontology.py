@@ -37,8 +37,9 @@ def main() -> None:
 
     reasoner = OntologyReasoner(ontology)
     model = reasoner.model()
+    plan = "finite plan" if model.depth is None else f"chase depth {model.depth}"
     print(f"\nWell-founded model: {len(model.true_atoms())} true atoms, "
-          f"chase depth {model.depth}, converged={model.converged}")
+          f"{plan}, converged={model.converged}")
 
     print("\nInstance checks:")
     print("  Employee(prof0)      :", reasoner.instance_of("Employee", "prof0"))

@@ -34,6 +34,16 @@ head position holding a variable-carrying non-variable term acting as a
   ``p[0]`` feeds itself) but super-weakly acyclic (``p(·, b)`` never
   unifies with the body pattern ``p(·, a)``).
 
+Joint and super-weak acyclicity follow each generator's nulls separately,
+which is sound only while every site creates its own terms.  Two sites under
+one function symbol can build the same term — ``q(f(Y), f(Y))`` and
+``p(f(X), f(X))`` both create ``f(a)`` — so a variable can be bound through
+both sites' positions at once, and their Move sets miss the feeds cycle.
+Both criteria therefore require every function symbol to label one
+generator site, and otherwise fail with a reason naming the shared symbol.
+Skolemization never shares a symbol between sites, so the restriction only
+bites on hand-written normal rules.
+
 Each criterion provably subsumes the previous one (a joint-feeds cycle maps
 to a position-graph cycle through a special edge; a place is covered only if
 its bare position is), and :func:`is_jointly_acyclic` /
@@ -195,6 +205,36 @@ def _generators(rules: Sequence[NormalRule]) -> list[_Generator]:
     return found
 
 
+def _function_symbols(term: Term) -> set[str]:
+    """Every function symbol occurring in *term*."""
+    if not isinstance(term, FunctionTerm):
+        return set()
+    symbols = {term.function}
+    for arg in term.args:
+        symbols |= _function_symbols(arg)
+    return symbols
+
+
+def _shared_symbol_violation(generators: Sequence[_Generator]) -> Optional[str]:
+    """A reason two generator sites share a function symbol, or ``None``.
+
+    The per-site Move sets of joint and super-weak acyclicity assume each
+    site creates its own nulls; a shared symbol lets two sites create the
+    same term (see the module docstring).
+    """
+    owners: dict[str, _Generator] = {}
+    for generator in generators:
+        for symbol in sorted(_function_symbols(generator.term)):
+            owner = owners.setdefault(symbol, generator)
+            if owner is not generator:
+                return (
+                    f"function symbol {symbol} labels more than one generator site "
+                    f"({owner.describe()}; {generator.describe()}), so the sites can "
+                    "create the same term and per-site null tracking is unsound"
+                )
+    return None
+
+
 def _cycle_witness(
     edges: Mapping[_Node, set[_Node]],
 ) -> Optional[list[_Node]]:
@@ -287,6 +327,9 @@ def joint_acyclicity_violation(rules: Iterable[NormalRule]) -> Optional[str]:
     generators = _generators(rules)
     if not generators:
         return None
+    shared = _shared_symbol_violation(generators)
+    if shared is not None:
+        return f"{shared}; not jointly acyclic"
     moves = {g: _joint_move(g, rules) for g in generators}
     edges: dict[_Generator, set[_Generator]] = {g: set() for g in generators}
     for source in generators:
@@ -445,6 +488,9 @@ def super_weak_acyclicity_violation(rules: Iterable[NormalRule]) -> Optional[str
     generators = _generators(rules)
     if not generators:
         return None
+    shared = _shared_symbol_violation(generators)
+    if shared is not None:
+        return f"{shared}; not super-weakly acyclic"
     moves = {g: _swa_move(g, rules) for g in generators}
     edges: dict[_Generator, set[_Generator]] = {g: set() for g in generators}
     for source in generators:

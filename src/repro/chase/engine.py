@@ -60,7 +60,13 @@ from ..lang.rules import NormalRule
 from ..lang.substitution import Substitution, match
 from ..lang.terms import Constant
 from .forest import ChaseForest, ChaseNode
-from .segments import CachedSegment, Derivation, SegmentStore, shared_segment_store
+from .segments import (
+    CachedSegment,
+    Derivation,
+    SegmentStore,
+    program_fingerprint,
+    shared_segment_store,
+)
 from .types import context_part_key, shape_key
 
 __all__ = ["GuardedChaseEngine", "chase_forest"]
@@ -164,8 +170,8 @@ class GuardedChaseEngine:
         self.agenda_order = agenda_order
         self._rules: list[_PreparedRule] = []
         self._rules_by_guard_pred: dict[str, list[_PreparedRule]] = {}
-        # A replayed segment names each firing's Skolemised rule; the replay
-        # places the firing only if this engine has that rule.
+        # A replayed segment names each firing's Skolemised rule, one of this
+        # engine's own: segment keys carry the rule-set fingerprint.
         self._prepared_by_rule: dict[NormalRule, _PreparedRule] = {}
 
         fact_atoms: list[Atom] = []
@@ -279,15 +285,19 @@ class GuardedChaseEngine:
         # current frontier, which the next deepening step will ask for) are
         # worth extracting.
         self._missed_keys: set[tuple] = set()
+        # The rule-set fingerprint heads every segment key, so a segment is
+        # only ever spliced by an engine over the rules that recorded it —
+        # even from an explicit store shared between rule sets.
+        self._fingerprint = ""
         # Note: an explicit store must not go through truthiness — an empty
         # SegmentStore has len() == 0 and would read as "disabled".
-        if segment_cache is not None and segment_cache is not False:
-            self._segment_store = (
-                segment_cache
-                if isinstance(segment_cache, SegmentStore)
-                else shared_segment_store(p.rule for p in self._rules)
-            )
-            self.cache_stats["enabled"] = True
+        if isinstance(segment_cache, SegmentStore):
+            self._segment_store = segment_cache
+            self._fingerprint = program_fingerprint(p.rule for p in self._rules)
+        elif segment_cache is not None and segment_cache is not False:
+            self._segment_store = shared_segment_store(p.rule for p in self._rules)
+            self._fingerprint = self._segment_store.fingerprint
+        self.cache_stats["enabled"] = self._segment_store is not None
 
     @property
     def segment_store(self) -> Optional[SegmentStore]:
@@ -614,11 +624,12 @@ class GuardedChaseEngine:
         return list(found)
 
     def _segment_key(self, label: Atom) -> tuple:
-        """The full segment key of a label: canonical shape plus context part."""
+        """The full segment key of a label: rule-set fingerprint, canonical
+        shape and context part."""
         context = self._context_atoms(label)
         if not context:
-            return (self._shape(label), ())
-        return (self._shape(label), context_part_key(label, context))
+            return (self._fingerprint, self._shape(label), ())
+        return (self._fingerprint, self._shape(label), context_part_key(label, context))
 
     def _splice_from_cache(self, max_depth: int) -> None:
         """Replay cached segments under every unexpanded matching node.
@@ -673,9 +684,11 @@ class GuardedChaseEngine:
         whose label is the firing's guard instance (the root label equals the
         recorded one, and each placed child's label is its recorded head).
         A firing whose parent sits at the depth bound is skipped, with its
-        descendants.  Every other firing is checked first: the engine must have its rule, every side atom must
-        already label the forest and the firing must not be applied yet.  The
-        first failed check stops the replay and voids its certificate.
+        descendants.  Every other firing is checked first: every side atom must
+        already label the forest and the firing must not be applied yet (its
+        rule is this engine's: the segment key carries the rule-set
+        fingerprint).  The first failed check stops the replay and voids its
+        certificate.
 
         **Certified placement.**  Placed nodes do *not* individually re-enter
         the agenda.  The segment key matched shape *and* side-atom context, so
@@ -705,12 +718,10 @@ class GuardedChaseEngine:
                 parent = forest.node(parent_id)
                 if parent.depth >= max_depth:
                     continue
-                prepared = self._prepared_by_rule.get(rule)
-                if (
-                    prepared is None
-                    or not all(forest.has_label(atom) for atom in side_atoms)
-                    or forest.was_applied(parent_id, ground_rule)
-                ):
+                prepared = self._prepared_by_rule[rule]
+                if not all(
+                    forest.has_label(atom) for atom in side_atoms
+                ) or forest.was_applied(parent_id, ground_rule):
                     void = True
                     break
                 # resumable: on failure the nodes placed so far are re-enqueued

@@ -40,10 +40,11 @@ Why the splice is exact
 A cached firing is *not* trusted blindly.  The replay starts at a node whose
 label is the recorded root label, so by induction down the preorder every
 recorded ground rule's guard instance is the label of the node it is placed
-under.  Each firing names the Skolemised rule it instantiates, and is placed
-only if the engine has that rule, every side atom is already a label of the
-*current* forest and the firing has not been applied yet — so every spliced
-child is a firing the ordinary expansion would also perform.  The first
+under.  Each firing names the Skolemised rule it instantiates, which the
+engine has (segment keys carry the rule-set fingerprint, see below), and is
+placed only if every side atom is already a label of the *current* forest and
+the firing has not been applied yet — so every spliced child is a firing the
+ordinary expansion would also perform.  The first
 failed check stops the replay and voids its certificate: every node placed so
 far goes through the engine's agenda.  The engine then runs its normal
 saturation, which adds anything the segment missed and certifies quiescence.
@@ -54,10 +55,10 @@ it, and every query answer is bit-identical.  The cache only changes *how
 fast* the fixpoint is reached, never *which* fixpoint.
 
 The certificate that lets a splice skip its interior nodes assumes the
-recording engine had the same rules: the shared registry guarantees that by
-fingerprint, while engines sharing an explicit store must run the same rule
-set (a replay of a rule the engine lacks is voided, but a rule the recording
-engine lacked is not detected).
+recording engine had the same rules.  The engine heads every segment key with
+its rule-set fingerprint, so a lookup from an engine over other rules misses
+— in the fingerprint-keyed registry and in an explicit store shared between
+rule sets alike.
 
 The stores are safe to share between threads (all mutating operations take an
 internal lock) and bounded: at most :data:`REGISTRY_SIZE` fingerprints are

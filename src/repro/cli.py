@@ -87,7 +87,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--stats",
         action="store_true",
-        help="print engine statistics (chase depth, node count, convergence)",
+        help="print model statistics: the plan (finite, with its termination "
+        "criterion, or chase, with its depth and convergence) and atom counts",
     )
     parser.add_argument(
         "--rewrite",
@@ -139,8 +140,8 @@ def build_argument_parser() -> argparse.ArgumentParser:
         choices=BACKENDS,
         default="columnar",
         help=(
-            "grounding backend for the magic-sets query path and --updates "
-            "maintenance: bulk columnar hash joins over interned ids "
+            "grounding backend for the finite plan, the magic-sets query path "
+            "and --updates maintenance: bulk columnar hash joins over interned ids "
             "(default) or the per-candidate tuple matcher; ground programs "
             "and answers are identical across backends"
         ),
@@ -345,8 +346,13 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
         return 2
 
     if args.stats:
+        if model.depth is None:  # the finite plan has no chase depth
+            criterion = engine.analysis().verdicts["termination_criterion"]
+            plan = f"plan=finite criterion={criterion}"
+        else:
+            plan = f"plan=chase depth={model.depth} converged={model.converged}"
         print(
-            f"# model: depth={model.depth} converged={model.converged} "
+            f"# model: {plan} "
             f"true={len(model.true_atoms())} false={len(model.false_atoms())} "
             f"undefined={len(model.undefined_atoms())}"
         )

@@ -30,6 +30,15 @@ chase forest ``F⁺(P)``.
    did not change.  The theoretical bound ``n·δ`` of Prop. 12 guarantees that
    a stable depth exists; the type-repetition test finds it early.
 
+That procedure is the *chase plan*.  When the static analysis certifies that
+the Skolem chase of ``Σ^f`` terminates (a criterion of the acyclicity
+hierarchy in :mod:`repro.analysis.termination` accepts it), the relevant
+grounding of ``D ∪ Σ^f`` is finite and its WFS *is* Definition 3, so the
+engine's default *finite plan* grounds it once under the node budget and
+solves it, with no chase forest, deepening or stabilisation test.  A
+grounding that outgrows the budget falls back to the chase plan, so an
+unsound verdict costs time, never a wrong answer.
+
 The result is wrapped in :class:`DatalogWellFoundedModel`, which implements
 the three-valued protocol used by NBCQ evaluation.
 """
@@ -37,10 +46,11 @@ the three-valued protocol used by NBCQ evaluation.
 from __future__ import annotations
 
 import time
+import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, Union
 
 from ..exceptions import ConvergenceError
 from ..lang.atoms import Atom, Literal
@@ -61,7 +71,7 @@ from ..lang.terms import Constant, Term
 from ..chase.engine import GuardedChaseEngine, check_saturation
 from ..chase.forest import ChaseForest
 from ..chase.types import AtomType
-from ..lp.columnar import BACKENDS
+from ..lp.columnar import BACKENDS, make_grounder
 from ..lp.grounding import GroundProgram
 from ..lp.interpretation import TruthValue
 from ..lp.wfs import (
@@ -91,16 +101,23 @@ class DatalogWellFoundedModel:
     within its depth budget; when it is ``False`` the model is still a sound
     under-approximation of the positive part but negative/undefined values
     near the frontier may still change with deeper expansion.
+
+    On the engine's finite plan the model is the exact WFS of the whole
+    finite grounding: ``depth`` is ``None`` (there is no chase depth),
+    ``converged`` is ``True``, the "segment" is the grounding's atom set, and
+    ``forest`` is a zero-argument callable that runs the chase plan when
+    :meth:`forest` is first called.
     """
 
     def __init__(
         self,
         lp_model: WellFoundedModel,
-        forest: ChaseForest,
+        forest: Union[ChaseForest, Callable[[], ChaseForest]],
         *,
-        depth: int,
+        depth: Optional[int],
         converged: bool,
         iterations: int,
+        atoms: Optional[frozenset[Atom]] = None,
     ):
         self._lp_model = lp_model
         self._forest = forest
@@ -108,7 +125,7 @@ class DatalogWellFoundedModel:
         # iterative deepening keeps growing the underlying forest object, and
         # the stabilisation test compares models taken at different depths, so
         # each model must remember which atoms *its* segment contained.
-        self._labels = forest.labels()
+        self._labels = forest.labels() if atoms is None else atoms
         self.depth = depth
         self.converged = converged
         self.iterations = iterations
@@ -173,7 +190,13 @@ class DatalogWellFoundedModel:
         return self._labels
 
     def forest(self) -> ChaseForest:
-        """The materialised chase segment the model was computed on."""
+        """The materialised chase segment the model was computed on.
+
+        On the finite plan the first call runs the engine's chase plan and
+        returns its converged segment.
+        """
+        if not isinstance(self._forest, ChaseForest):
+            self._forest = self._forest()
         return self._forest
 
     def __repr__(self) -> str:
@@ -201,6 +224,19 @@ _PRUNED_ENGINE_CACHE_SIZE = 8
 class WellFoundedEngine:
     """Computes WFS(D, Σ) and answers NBCQs over it (Definition 3, Theorems 13/14).
 
+    :meth:`model` picks one of two plans.  The *finite plan* is taken when
+    :meth:`analysis` certifies that the Skolem chase terminates
+    (``verdicts["chase_terminates"]``) and ``saturation`` is ``"agenda"``:
+    the relevant grounding of ``D ∪ Σ^f`` is built once with the ``backend``
+    grounder under the ``max_nodes`` budget (counted in atoms) and solved
+    with :func:`~repro.lp.wfs.well_founded_model`.  Otherwise, or when that
+    grounding does not saturate within the budget, the *chase plan* deepens
+    the guarded chase forest until the stabilisation test fires.  The
+    options ``initial_depth``, ``depth_step``, ``max_depth``, ``strict``,
+    ``segment_cache``, ``agenda_order`` and ``incremental`` only affect the
+    chase plan, which a finite-plan model also runs the first time its
+    :meth:`~DatalogWellFoundedModel.forest` is requested.
+
     Parameters
     ----------
     program:
@@ -220,7 +256,8 @@ class WellFoundedEngine:
         ``depth_step`` must be at least 1 and ``max_depth`` at least
         ``initial_depth`` (``ValueError`` otherwise).
     max_nodes:
-        Budget on the number of chase nodes materialised.
+        Budget on the number of chase nodes materialised, and on the number
+        of atoms of the finite plan's and the magic path's groundings.
     strict:
         Whether failing to stabilise raises instead of returning a flagged model.
     rewrite:
@@ -245,7 +282,9 @@ class WellFoundedEngine:
         incremental worklist of :class:`~repro.chase.engine.GuardedChaseEngine`;
         ``"scan"`` runs the retained breadth-first re-scan rounds.  Both build
         bit-identical forests and models — ``"scan"`` exists as the
-        differential-testing reference and benchmark baseline.
+        differential-testing reference and benchmark baseline, so it always
+        runs the chase plan: the paper's construction of ``F⁺(P)`` stays the
+        reference the finite plan is checked against.
     agenda_order:
         Optional agenda scheduling hook (testing), forwarded to the chase
         engine; see :class:`~repro.chase.engine.GuardedChaseEngine`.
@@ -261,7 +300,8 @@ class WellFoundedEngine:
         differential oracle the incremental test suites compare against.
         Models and answers are bit-identical either way.
     backend:
-        Grounding backend for the magic-sets query path: ``"columnar"``
+        Grounding backend for the finite plan and the magic-sets query path:
+        ``"columnar"``
         (default; :class:`~repro.lp.columnar.ColumnarGrounder` — bulk hash
         joins over interned int columns), ``"tuple"`` (the per-candidate
         :class:`~repro.lp.grounding.SemiNaiveGrounder`, retained verbatim as
@@ -364,7 +404,14 @@ class WellFoundedEngine:
         # later.  The chase is built on first use (see :attr:`_chase`): a
         # supported magic query never needs it.
         self._facts = tuple(database)
+        # The model queries are answered from, and the chase plan's model
+        # (the same object unless the finite plan answered; see model()).
         self._model: Optional[DatalogWellFoundedModel] = None
+        self._chase_plan_model: Optional[DatalogWellFoundedModel] = None
+        # The finite plan's ground program, and why the plan was given up
+        # (None while it was not tried or saturated within the budget).
+        self._finite_ground: Optional[GroundProgram] = None
+        self._fallback_reason: Optional[str] = None
         # The ground program induced by the chase segment, grown incrementally
         # across iterative-deepening rounds: the forest is append-only, so each
         # round only feeds the nodes added since the previous depth into the
@@ -380,10 +427,10 @@ class WellFoundedEngine:
     def _chase(self) -> GuardedChaseEngine:
         """The guarded chase of ``D ∪ Σ^f`` over the construction-time facts.
 
-        Built lazily: the classic path, :meth:`model` and the
-        relevance-pruned fallback reach it through this attribute, while a
-        query answered by the magic-sets path never does (and
-        :meth:`segment_cache_stats` reads it only once built).
+        Built lazily: the chase plan (:meth:`_chase_model`) reaches it
+        through this attribute, while a query answered by the finite plan or
+        the magic-sets path never does (and :meth:`segment_cache_stats` reads
+        it only once built).
         """
         return GuardedChaseEngine(
             self.skolemized,
@@ -442,6 +489,10 @@ class WellFoundedEngine:
     def model(self) -> DatalogWellFoundedModel:
         """The well-founded model WFS(D, Σ) (computed on first use, then cached).
 
+        Certified-terminating programs take the finite plan (see the class
+        docstring); everything else, and a finite grounding that outgrows
+        ``max_nodes`` atoms, takes the chase plan.
+
         A :class:`~repro.exceptions.GroundingError` from an exhausted chase
         node budget is **sticky but resumable**: a retried ``model()`` call
         first finishes the interrupted saturation pass, so it re-raises while
@@ -451,7 +502,12 @@ class WellFoundedEngine:
         (``engine.max_nodes`` / the chase engine's ``max_nodes``).
         """
         if self._model is None:
-            self._model = self._compute()
+            finite = None
+            if self.saturation == "agenda" and self.analysis().verdicts.get(
+                "chase_terminates"
+            ):
+                finite = self._finite_model()
+            self._model = finite if finite is not None else self._chase_model()
         return self._model
 
     def holds(
@@ -513,9 +569,13 @@ class WellFoundedEngine:
         return self.model().value(atom)
 
     def ground_program(self) -> GroundProgram:
-        """The ground program of the converged chase segment (computing it if needed)."""
+        """The ground program :meth:`model` was solved on (computing it if needed).
+
+        The finite grounding of ``D ∪ Σ^f`` on the finite plan, the converged
+        chase segment's program on the chase plan.
+        """
         self.model()
-        return self._ground
+        return self._finite_ground if self._finite_ground is not None else self._ground
 
     # -- goal-directed (magic-sets) query path ------------------------------------------
 
@@ -536,15 +596,29 @@ class WellFoundedEngine:
             started = time.perf_counter()
             cache_hit = self._model is not None
             model = self.model()
+            if self._finite_ground is not None:
+                stats = {
+                    "mode": "finite",
+                    "termination_criterion": self.analysis().verdicts[
+                        "termination_criterion"
+                    ],
+                    "ground_rules": len(self._finite_ground),
+                }
+            else:
+                stats = {
+                    "mode": "classic",
+                    "ground_rules": len(self._ground),
+                    "chase_nodes": len(self._chase.forest),
+                    "depth": model.depth,
+                    "converged": model.converged,
+                    "segment_cache": self._chase.cache_stats["enabled"],
+                    "nodes_spliced": self._chase.cache_stats["nodes_spliced"],
+                    "incremental": self.incremental,
+                }
+                if self._fallback_reason is not None:
+                    stats["fallback_reason"] = self._fallback_reason
             self.last_query_stats = {
-                "mode": "classic",
-                "ground_rules": len(self._ground),
-                "chase_nodes": len(self._chase.forest),
-                "depth": model.depth,
-                "converged": model.converged,
-                "segment_cache": self._chase.cache_stats["enabled"],
-                "nodes_spliced": self._chase.cache_stats["nodes_spliced"],
-                "incremental": self.incremental,
+                **stats,
                 "backend": self.backend,
                 "cache_hit": cache_hit,
                 "rounds": model.iterations or 0,
@@ -597,7 +671,8 @@ class WellFoundedEngine:
                 f"magic grounding exceeded the atom budget of {self.max_nodes} "
                 "without saturating"
             )
-        model, relevant_rules = self._pruned_model(plan.relevant_predicates())
+        engine, relevant_rules = self._pruned_engine(plan.relevant_predicates())
+        model = engine.model()
         stats = {
             "mode": "pruned-chase" if relevant_rules < len(self.program) else "full-chase",
             "sips": plan.sips,
@@ -612,50 +687,53 @@ class WellFoundedEngine:
             "relevant_predicates": len(plan.relevant_predicates()),
             "rules_total": len(self.program),
             "rules_relevant": relevant_rules,
-            "ground_rules": len(model.forest().edge_rules()),
+            "ground_rules": len(engine.ground_program()),
             "seconds": time.perf_counter() - started,
         }
         return _RewriteOutcome(model, stats)
 
-    def _pruned_model(
-        self, relevant: frozenset
-    ) -> tuple[DatalogWellFoundedModel, int]:
-        """Unrewritten evaluation restricted to the query-relevant NTGDs.
+    def _pruned_engine(self, relevant: frozenset) -> tuple["WellFoundedEngine", int]:
+        """The engine for unrewritten evaluation restricted to the query-relevant NTGDs.
 
         Rules whose head predicate the adorned query cannot reach never
         influence a query-relevant atom (the dependency closure is head →
         body, so the relevant rule set is downward closed); dropping them
         prunes the chase's existential expansions while leaving the
         well-founded values of all relevant atoms untouched.  Returns the
-        model plus the relevant-rule count so the caller can report honestly
-        whether any pruning actually happened.
+        engine (this one when nothing is pruned) plus the relevant-rule count
+        so the caller can report honestly whether any pruning actually
+        happened.  The sub-engine picks its own plan in its :meth:`model`.
         """
         pruned_rules = [n for n in self.program if n.head.predicate in relevant]
         if len(pruned_rules) == len(self.program):
-            return self.model(), len(pruned_rules)
+            return self, len(pruned_rules)
         key = frozenset(relevant)
         sub_engine = self._pruned_engines.get(key)
         if sub_engine is None:
             sub_engine = WellFoundedEngine(
-                DatalogPMProgram(pruned_rules),
-                self._facts,
-                initial_depth=self.initial_depth,
-                depth_step=self.depth_step,
-                max_depth=self.max_depth,
-                max_nodes=self.max_nodes,
-                strict=self.strict,
-                segment_cache=self.segment_cache,
-                saturation=self.saturation,
-                agenda_order=self.agenda_order,
-                incremental=self.incremental,
-                backend=self.backend,
+                DatalogPMProgram(pruned_rules), self._facts, **self._evaluation_options()
             )
             self._pruned_engines[key] = sub_engine
             while len(self._pruned_engines) > _PRUNED_ENGINE_CACHE_SIZE:
                 self._pruned_engines.popitem(last=False)
         else:
             self._pruned_engines.move_to_end(key)
-        return sub_engine.model(), len(pruned_rules)
+        return sub_engine, len(pruned_rules)
+
+    def _evaluation_options(self) -> dict:
+        """The options that shape evaluation (not query answering), by keyword."""
+        return dict(
+            initial_depth=self.initial_depth,
+            depth_step=self.depth_step,
+            max_depth=self.max_depth,
+            max_nodes=self.max_nodes,
+            strict=self.strict,
+            segment_cache=self.segment_cache,
+            saturation=self.saturation,
+            agenda_order=self.agenda_order,
+            incremental=self.incremental,
+            backend=self.backend,
+        )
 
     def chase_forest(self) -> ChaseForest:
         """The materialised chase segment used by the current model."""
@@ -705,6 +783,56 @@ class WellFoundedEngine:
         return query_depth_bound(query, self.program.schema(self._facts))
 
     # -- computation -------------------------------------------------------------------
+
+    def _finite_model(self) -> Optional[DatalogWellFoundedModel]:
+        """The finite plan: WFS of the whole relevant grounding of ``D ∪ Σ^f``.
+
+        ``None`` when the grounding does not saturate within ``max_nodes``
+        atoms, so a wrong termination verdict costs the budget and then the
+        chase plan, never a hang or a partial model.
+        """
+        grounder = make_grounder(self.skolemized, backend=self.backend)
+        for atom in self._facts:
+            grounder.add_fact(atom)
+        if not grounder.run(max_atoms=self.max_nodes, raise_on_budget=False):
+            self._fallback_reason = (
+                f"finite grounding exceeded the atom budget of {self.max_nodes} "
+                "without saturating"
+            )
+            return None
+        self._fallback_reason = None
+        self._finite_ground = ground = grounder.ground
+        # The model reaches this engine's chase plan through a weak reference,
+        # so engine and model form no reference cycle and are freed as soon
+        # as they are dropped; a model that outlived its engine rebuilds an
+        # equal engine for the forest.
+        owner = weakref.ref(self)
+        program, facts, options = self.program, self._facts, self._evaluation_options()
+
+        def chase_forest() -> ChaseForest:
+            engine = owner()
+            if engine is None:
+                engine = WellFoundedEngine(program, facts, **options)
+            return engine._chase_model().forest()
+
+        return DatalogWellFoundedModel(
+            well_founded_model(ground),
+            chase_forest,
+            depth=None,
+            converged=True,
+            iterations=grounder.rounds,
+            atoms=ground.atoms(),
+        )
+
+    def _chase_model(self) -> DatalogWellFoundedModel:
+        """The chase plan's model (computed on first use, then cached).
+
+        :meth:`model` answers from it whenever the finite plan does not; a
+        finite-plan model reaches it only for its forest.
+        """
+        if self._chase_plan_model is None:
+            self._chase_plan_model = self._compute()
+        return self._chase_plan_model
 
     def _compute(self) -> DatalogWellFoundedModel:
         """Iterative deepening with the type-repetition stabilisation test."""

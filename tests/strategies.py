@@ -29,6 +29,7 @@ __all__ = [
     "ground_programs",
     "safe_normal_workloads",
     "guarded_workloads",
+    "repeated_skolem_programs",
     "agenda_orderings",
     "scenario_bundles",
     "scenario_traces",
@@ -165,6 +166,47 @@ def guarded_workloads(draw):
         num_facts=8,
         seed=seed,
     )
+
+
+#: Predicates of :func:`repeated_skolem_programs`: mostly low arities, where
+#: two rules' Skolem terms meet at one position most often.
+_SKOLEM_PREDICATES = [("p", 1), ("q", 1), ("r", 2), ("s", 2), ("t", 3)]
+
+
+@st.composite
+def repeated_skolem_programs(draw):
+    """Small normal rule sets aimed at the acyclicity hierarchy's weak spots.
+
+    1–4 rules with 1–3 positive body atoms over two variables and one
+    constant (so self-joins such as ``r(X, X)`` and constant filters are
+    common), whose heads repeat one Skolem term at several positions — the
+    shape of the bugs the joint and super-weak criteria have had.  One branch
+    gives every rule its own function symbol, as Skolemization does; the
+    other gives every rule the symbol ``f``, so generator sites share it.
+    """
+    shared = draw(st.booleans())
+    pool = [Variable("X"), Variable("Y"), Constant("a")]
+    rules = []
+    for index in range(draw(st.integers(min_value=1, max_value=4))):
+        body = []
+        for _ in range(draw(st.integers(min_value=1, max_value=3))):
+            name, arity = draw(st.sampled_from(_SKOLEM_PREDICATES))
+            body.append(Atom(name, tuple(draw(st.sampled_from(pool)) for _ in range(arity))))
+        bound = sorted(
+            {t for atom in body for t in atom.args if isinstance(t, Variable)}, key=str
+        )
+        if not bound:
+            bound = [Variable("X")]
+            body[0] = Atom(body[0].predicate, (bound[0], *body[0].args[1:]))
+        symbol = "f" if shared else f"f{index}"
+        skolem = FunctionTerm(
+            symbol, tuple(draw(st.lists(st.sampled_from(bound), min_size=1, max_size=2)))
+        )
+        name, arity = draw(st.sampled_from(_SKOLEM_PREDICATES))
+        head_terms = st.sampled_from([skolem, skolem, skolem, *bound, Constant("a")])
+        head = Atom(name, tuple(draw(head_terms) for _ in range(arity)))
+        rules.append(NormalRule(head, tuple(body)))
+    return NormalProgram(rules)
 
 
 #: Per-scenario size overrides keeping property examples fast (the registry

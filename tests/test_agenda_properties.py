@@ -69,14 +69,20 @@ def guarded_workloads(draw):
 def observable_state(engine: WellFoundedEngine):
     """Everything a caller can see of an engine's chase segment and model.
 
-    A chase that exceeds the node budget is itself an observable outcome,
-    reified as a sentinel so every configuration must agree on it too.
+    The three-valued model is the one ``model()`` answers from, whichever
+    plan it took; the forest, the chase plan's own model and its
+    ``(depth, converged, iterations)`` come from the chase plan, which the
+    scan twin runs for ``model()`` itself and the agenda engine runs when the
+    forest is requested.  A chase that exceeds the node budget is itself an
+    observable outcome, reified as a sentinel so every configuration must
+    agree on it too.
     """
     try:
         model = engine.model()
+        forest = model.forest()
+        chase = engine._chase_model()
     except GroundingError:
         return "node-budget-exceeded"
-    forest = model.forest()
     labels = forest.labels()
     return (
         labels,
@@ -86,7 +92,10 @@ def observable_state(engine: WellFoundedEngine):
         model.true_atoms(),
         model.false_atoms(),
         model.undefined_atoms(),
-        (model.depth, model.converged, model.iterations),
+        chase.true_atoms(),
+        chase.false_atoms(),
+        chase.undefined_atoms(),
+        (chase.depth, chase.converged, chase.iterations),
     )
 
 

@@ -78,6 +78,14 @@ HIERARCHY_PINS = {
 #: position, unsoundly accepting it as terminating).
 REPEATED_SKOLEM = "b(X) -> exists Z p(Z, Z). p(U, U) -> b(U)."
 
+#: Two generator sites under one function symbol: rule 1's ``q``-term and
+#: rule 2's ``p``-term are both ``f(a)``, so rule 1's ``Y`` is bound through
+#: both sites and the program grounds ``f(f(…))`` forever.  Per-site Move
+#: sets used to miss that and certify it jointly acyclic.
+SHARED_SYMBOL = (
+    "p(Y, Y), q(Y, Y) -> q(f(Y), f(Y)). q(X, X) -> p(f(X), f(X)). p(a, a). q(a, a)."
+)
+
 
 class TestDiagnostics:
     def test_severity_is_derived_from_the_code_prefix(self):
@@ -260,6 +268,24 @@ class TestTerminationHierarchy:
         verdict = termination_verdict(rules)
         assert verdict.criterion is None
         assert "not super-weakly acyclic" in verdict.reason
+
+    def test_shared_function_symbol_is_rejected_by_the_widening_criteria(self):
+        rules = parse_normal_program(SHARED_SYMBOL)
+        assert not is_weakly_acyclic(rules)
+        assert not is_jointly_acyclic(rules)
+        assert not is_super_weakly_acyclic(rules)
+        verdict = termination_verdict(rules)
+        assert verdict.criterion is None
+        assert "function symbol f labels more than one generator site" in verdict.reason
+        assert analyze(rules).verdicts["plan"]["materializable"] is False
+
+    def test_unshared_symbols_keep_the_joint_verdict(self):
+        # the same shape with one symbol per site: the p-term's null never
+        # reaches both q positions, so the feeds graph stays acyclic
+        rules = parse_normal_program(
+            "p(Y, Y), q(Y, Y) -> q(f(Y), f(Y)). q(X, X) -> p(g(X), g(X))."
+        )
+        assert termination_verdict(rules).criterion == "joint"
 
     def test_benign_repeated_head_skolem_is_still_accepted(self):
         # same repeated-existential head, but nothing feeds the null back
@@ -452,6 +478,12 @@ class TestMaterializedTermination:
         with pytest.raises(AnalysisError) as excinfo:
             MaterializedEngine(skolemized(REPEATED_SKOLEM), ())
         assert excinfo.value.diagnostics[0].code == "E103"
+
+    def test_shared_symbol_program_is_rejected(self):
+        with pytest.raises(AnalysisError) as excinfo:
+            MaterializedEngine(parse_normal_program(SHARED_SYMBOL))
+        assert excinfo.value.diagnostics[0].code == "E103"
+        assert "function symbol f" in str(excinfo.value)
 
     def test_terminating_program_records_its_criterion(self):
         engine = MaterializedEngine(

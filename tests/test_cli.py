@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import pytest
 
+from repro.bench.generators import paper_example_program
 from repro.cli import build_argument_parser, main
 
 LITERATURE = """
@@ -56,6 +57,28 @@ class TestMain:
         assert code == 0
         assert out.startswith("# model:")
         assert "true   article(pods13)" in out
+
+    def test_stats_names_the_finite_plan(self, tmp_path, capsys):
+        path = tmp_path / "win.dlp"
+        path.write_text(
+            "move(a, b). move(b, a). move(b, c). move(c, d).\n"
+            "move(X, Y), not win(Y) -> win(X).\n"
+        )
+        assert main([str(path), "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith(
+            "# model: plan=finite criterion=function-free true=5 false=1 undefined=2"
+        ), out
+        assert "depth=" not in out
+
+    def test_stats_names_the_chase_plan(self, tmp_path, capsys):
+        program, database = paper_example_program(0)
+        path = tmp_path / "paper.dlp"
+        path.write_text(f"{program}\n" + "".join(f"{atom}.\n" for atom in database))
+        assert main([str(path), "--stats"]) == 0
+        out = capsys.readouterr().out
+        assert out.startswith("# model: plan=chase depth=") and "converged=True" in out, out
+        assert "criterion=" not in out
 
     def test_extra_database_file(self, program_file, tmp_path, capsys):
         database = tmp_path / "extra.facts"
@@ -115,7 +138,10 @@ class TestMain:
         code = main([program_file, "--no-rewrite", "--verbose", "--query", "? article(pods13)"])
         out = capsys.readouterr().out
         assert code == 0
-        assert "mode=classic" in out
+        # unrewritten evaluation; the program is certified terminating, so it
+        # answers on the finite plan
+        assert "mode=finite" in out
+        assert "mode=magic" not in out
 
     def test_bound_first_sips_option(self, program_file, capsys):
         code = main([program_file, "--rewrite", "--sips", "bound-first", "--verbose",

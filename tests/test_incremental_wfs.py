@@ -478,8 +478,10 @@ class TestGroundingDeltas:
 
 class TestEngineIncremental:
     def observables(self, engine):
+        # the chase plan's model: the deepening schedule is where the
+        # incremental solver works, whichever plan model() takes
         try:
-            model = engine.model()
+            model = engine._chase_model()
         except GroundingError:
             return "node-budget-exceeded"
         return (

@@ -3,9 +3,10 @@
 Three properties of the magic-sets query path of
 :class:`~repro.core.engine.WellFoundedEngine`:
 
-* the guarded chase is built on first use, so a supported magic query never
-  builds one, while the classic and fallback paths build exactly one over the
-  construction-time facts — which every path, and the analysis, reads;
+* the guarded chase is built on first use, so a supported magic query and
+  the finite plan never build one, while the chase plan, the fallback path
+  and a forest request build exactly one over the construction-time facts —
+  which every path, and the analysis, reads;
 * :func:`~repro.rewrite.magic.ground_magic` only hands the grounder facts of
   query-relevant predicates, so unrelated facts change nothing it reports;
 * the magic path's ``seconds`` statistic includes the restricted WFS solve.
@@ -82,11 +83,24 @@ def test_cache_stats_after_magic_queries_build_no_chase():
 
 def test_classic_path_builds_one_chase(chase_builds):
     program, database = chain_reachability_workload(2, 6)
-    engine = WellFoundedEngine(program, database)
+    # the scan reference always takes the chase plan
+    engine = WellFoundedEngine(program, database, saturation="scan")
     assert chase_builds["built"] == 0
     assert engine.holds("? reach(c0_6)")
     assert engine.holds("? reach(c1_2)")
     assert engine.last_query_stats["mode"] == "classic"
+    assert chase_builds["built"] == 1
+
+
+def test_finite_plan_builds_a_chase_only_for_the_forest(chase_builds):
+    program, database = chain_reachability_workload(2, 6)
+    engine = WellFoundedEngine(program, database)
+    assert engine.holds("? reach(c0_6)")
+    assert engine.answer("? reach(X)")
+    assert engine.last_query_stats["mode"] == "finite"
+    assert chase_builds["built"] == 0
+    assert engine.segment_cache_stats()["misses"] == 0
+    assert engine.model().forest() is engine.chase_forest()
     assert chase_builds["built"] == 1
 
 
@@ -107,18 +121,21 @@ def test_chase_built_after_magic_queries_matches_a_fresh_engine(chase_builds):
     clear_segment_stores()
     model = engine.model()
     forest = engine.chase_forest()
+    chase = engine._chase_model()
     stats = engine.segment_cache_stats()
     clear_segment_stores()
     fresh = WellFoundedEngine(program, database)
     fresh_model = fresh.model()
+    fresh_forest = fresh.chase_forest()
+    fresh_chase = fresh._chase_model()
     assert chase_builds["built"] == 2
 
     assert model.true_atoms() == fresh_model.true_atoms()
     assert model.false_atoms() == fresh_model.false_atoms()
     assert model.undefined_atoms() == fresh_model.undefined_atoms()
-    assert (model.depth, model.converged) == (fresh_model.depth, fresh_model.converged)
-    assert forest.labels() == fresh.chase_forest().labels()
-    assert forest.edge_rules() == fresh.chase_forest().edge_rules()
+    assert (chase.depth, chase.converged) == (fresh_chase.depth, fresh_chase.converged)
+    assert forest.labels() == fresh_forest.labels()
+    assert forest.edge_rules() == fresh_forest.edge_rules()
     assert stats == fresh.segment_cache_stats()
 
 

@@ -297,9 +297,10 @@ class TestEngineRewritePath:
         engine = WellFoundedEngine(program, database, rewrite=True)
         assert engine.holds("? reach(c1_3)")
         assert engine.last_query_stats["mode"] == "magic"
-        # per-call override wins over the engine default
+        # per-call override wins over the engine default: the unrewritten
+        # path, here on the finite plan (the program is function-free)
         assert engine.holds("? reach(c1_3)", rewrite=False)
-        assert engine.last_query_stats["mode"] == "classic"
+        assert engine.last_query_stats["mode"] == "finite"
 
     def test_rewrite_results_are_cached_per_query(self):
         program, database = chain_reachability_workload(2, 3)

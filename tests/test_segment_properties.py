@@ -73,13 +73,16 @@ def chase_signature(engine: WellFoundedEngine):
 
     A chase that exceeds the node budget is itself an observable outcome (the
     saturated segment is too large in *any* construction order), represented
-    by a sentinel so cached and uncached runs must agree on it too.
+    by a sentinel so cached and uncached runs must agree on it too.  The
+    forest and ``(depth, converged, iterations)`` are the chase plan's, which
+    a finite-plan model runs when its forest is requested.
     """
     try:
         model = engine.model()
+        forest = model.forest()
+        chase = engine._chase_model()
     except GroundingError:
         return "node-budget-exceeded"
-    forest = model.forest()
     labels = forest.labels()
     return (
         labels,
@@ -89,7 +92,10 @@ def chase_signature(engine: WellFoundedEngine):
         model.true_atoms(),
         model.false_atoms(),
         model.undefined_atoms(),
-        (model.depth, model.converged, model.iterations),
+        chase.true_atoms(),
+        chase.false_atoms(),
+        chase.undefined_atoms(),
+        (chase.depth, chase.converged, chase.iterations),
     )
 
 

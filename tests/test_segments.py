@@ -18,7 +18,7 @@ from repro.cli import main
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lang.atoms import Atom
-from repro.lang.parser import parse_program
+from repro.lang.parser import parse_atom, parse_program
 from repro.lang.program import Database
 from repro.lang.skolem import skolemize_program
 from repro.lang.terms import Constant, FunctionTerm
@@ -130,9 +130,14 @@ class TestSegmentStore:
 
 
 def _forest_signature(engine: WellFoundedEngine):
-    """Everything structural about an engine's chase segment and model."""
+    """Everything structural about an engine's chase segment and model.
+
+    The forest and ``(depth, converged, iterations)`` are the chase plan's,
+    which a finite-plan model runs when its forest is requested.
+    """
     model = engine.model()
     forest = model.forest()
+    chase = engine._chase_model()
     labels = forest.labels()
     return (
         labels,
@@ -141,7 +146,10 @@ def _forest_signature(engine: WellFoundedEngine):
         model.true_atoms(),
         model.false_atoms(),
         model.undefined_atoms(),
-        (model.depth, model.converged, model.iterations),
+        chase.true_atoms(),
+        chase.false_atoms(),
+        chase.undefined_atoms(),
+        (chase.depth, chase.converged, chase.iterations),
     )
 
 
@@ -187,10 +195,13 @@ class TestCachedChaseEquality:
         program = "p(X), q(X) -> r(X)."
         poor = Database([Atom("p", (Constant("a"),))])
         rich = Database([Atom("p", (Constant("a"),)), Atom("q", (Constant("a"),))])
-        WellFoundedEngine(program, poor, segment_cache=True).model()  # p(a) alone: no firing
-        WellFoundedEngine(program, rich, segment_cache=True).model()  # derives r(a), must record it
+        # the program is function-free, so model() takes the finite plan; the
+        # forest requests run the chase plan this test is about.  p(a) alone
+        # fires nothing; the rich database derives r(a), which must be recorded
+        WellFoundedEngine(program, poor, segment_cache=True).chase_forest()
+        WellFoundedEngine(program, rich, segment_cache=True).chase_forest()
         third = WellFoundedEngine(program, rich, segment_cache=True)
-        third.model()
+        third.chase_forest()
         assert third.holds("? r(a)")
         assert third.segment_cache_stats()["nodes_spliced"] > 0, (
             "third engine should splice r(a), not re-derive it",
@@ -318,7 +329,14 @@ class TestCLISegmentCacheFlags:
         assert "? isAuthorOf(john, Y) : yes" in with_cache
 
     def test_verbose_prints_cache_stats(self, program_file, capsys):
+        # the finite plan builds no chase: zero traffic and no store line
         assert main([program_file, "--verbose", "--query", "? scientist(john)"]) == 0
+        out = capsys.readouterr().out
+        assert "# segment-cache:" in out
+        assert "# segment-store:" not in out
+        # the chase plan fills the store
+        assert main([program_file, "--verbose", "--saturation", "scan",
+                     "--query", "? scientist(john)"]) == 0
         out = capsys.readouterr().out
         assert "# segment-cache:" in out
         assert "# segment-store:" in out
@@ -399,19 +417,37 @@ class TestUnifiedSplicePlacement:
 
     def test_replay_never_places_a_rule_the_engine_lacks(self):
         """Two programs share an explicit store.  Their rules differ but
-        Skolemise to the same function name, so the second engine's root
-        ``p(a)`` hits the first program's segment: the replay must void
-        instead of placing ``q(a, sk_r0_Y(a))``, which the second program
-        cannot derive."""
+        Skolemise to the same function name, so the first program's segment
+        for the root ``p(a)`` would place ``q(a, sk_r0_Y(a))``, which the
+        second program cannot derive.  Segment keys carry the rule-set
+        fingerprint, so the second engine's lookup misses instead."""
         store = SegmentStore("explicit")
         first, database = parse_program("p(X) -> exists Y q(X, Y). p(a).")
         GuardedChaseEngine(skolemize_program(first), database, segment_cache=store).expand(3)
         second, database = parse_program("p(X) -> exists Y r(X, Y). p(a).")
         cached = GuardedChaseEngine(skolemize_program(second), database, segment_cache=store)
         cached.expand(3)
-        assert cached.cache_stats["hits"] == 1
+        assert cached.cache_stats["hits"] == 0 and cached.cache_stats["misses"] >= 1
         uncached = GuardedChaseEngine(skolemize_program(second), database)
         uncached.expand(3)
+        assert _chase_signature(cached.forest) == _chase_signature(uncached.forest)
+
+    def test_replay_never_skips_a_rule_the_recording_engine_lacked(self):
+        """The converse: the recording program lacks ``q(X, Y) -> s(Y)``, so
+        its segment under ``p(a)`` never derives ``s(sk_r0_Y(a))``.  A splice
+        into the second program would skip the spliced ``q`` node's own
+        firings; keyed by fingerprint, the second engine derives them."""
+        store = SegmentStore("explicit")
+        first, database = parse_program("p(X) -> exists Y q(X, Y). p(a).")
+        GuardedChaseEngine(skolemize_program(first), database, segment_cache=store).expand(3)
+        second, database = parse_program(
+            "p(X) -> exists Y q(X, Y). q(X, Y) -> s(Y). p(a)."
+        )
+        cached = GuardedChaseEngine(skolemize_program(second), database, segment_cache=store)
+        cached.expand(3)
+        uncached = GuardedChaseEngine(skolemize_program(second), database)
+        uncached.expand(3)
+        assert cached.forest.has_label(parse_atom("s(sk_r0_Y(a))"))
         assert _chase_signature(cached.forest) == _chase_signature(uncached.forest)
 
 

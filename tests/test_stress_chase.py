@@ -76,12 +76,14 @@ def model_fingerprint(model):
 @pytest.mark.parametrize("segment_cache", [False, True])
 def test_deep_chain_budget_exhaustion_is_resumable(saturation, segment_cache):
     """Chain workload at depth ≥ 32, budget blown mid-saturation, resumed."""
+    # The chain program is function-free, so model() would take the finite
+    # plan; the budget contract under test is the chase plan's.
     program, database = chain_reachability_workload(8, DEPTH)
     clear_segment_stores()
     sizing = WellFoundedEngine(
         program, database, initial_depth=DEPTH, max_depth=DEPTH, segment_cache=False
     )
-    reference = sizing.model()
+    reference = sizing._chase_model()
     saturated_nodes = len(reference.forest())
 
     clear_segment_stores()
@@ -95,12 +97,12 @@ def test_deep_chain_budget_exhaustion_is_resumable(saturation, segment_cache):
         segment_cache=segment_cache,
     )
     with pytest.raises(GroundingError):
-        engine.model()
+        engine._chase_model()
     # the ROADMAP retry bug: this used to return converged=True
     with pytest.raises(GroundingError):
-        engine.model()
+        engine._chase_model()
     engine.max_nodes = saturated_nodes + 10
-    resumed = engine.model()
+    resumed = engine._chase_model()
     assert model_fingerprint(resumed) == model_fingerprint(reference)
     assert len(resumed.forest()) == saturated_nodes
 
@@ -149,12 +151,15 @@ def test_ontology_workloads_deepen_beyond_32(segment_cache):
             initial_depth=33,
             max_depth=37,
             segment_cache=segment_cache,
-        ).model()
+        )
         scan = WellFoundedEngine(
             program, database, initial_depth=33, max_depth=37,
             saturation="scan", segment_cache=False,
         ).model()
-        assert model_fingerprint(agenda) == model_fingerprint(scan)
+        # both ontologies terminate: model() is the finite plan, and the
+        # agenda chase deepened beyond 32 is the chase plan's model
+        assert model_fingerprint(agenda._chase_model()) == model_fingerprint(scan)
+        assert model_fingerprint(agenda.model()) == model_fingerprint(scan)
 
 
 def test_repeated_budget_cycling_converges():
