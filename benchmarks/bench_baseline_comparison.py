@@ -1,37 +1,37 @@
 """E4 — the WFS for Datalog± generalises both stratified Datalog± and the
 classical LP well-founded semantics.
 
-Three comparisons on the same workloads:
+Three comparisons:
 
 * win/move game: the Datalog± engine must assign exactly the same truth
-  values as the classical LP substrate (existential-free programs), and the
-  table reports the cost of both routes;
-* a stratified program: the WFS coincides with the stratified (perfect-model)
-  semantics; again both costs are reported;
+  values to ``win`` as the classical LP substrate (existential-free
+  programs); both routes are timed;
+* a stratified program: the WFS is total and coincides with the stratified
+  (perfect-model) semantics;
 * the employment ontology of Example 2: the stratified Datalog± baseline of
-  [1] *rejects* it (negation cycle), while the WFS engine answers — the "who
-  wins" column of this experiment.
+  [1] *rejects* it (negation cycle), while the WFS engine answers.
+
+Section ``E4`` of ``BENCH_paper.json``.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.engine import WellFoundedEngine
-from repro.core.stratified import StratifiedDatalogPM
-from repro.exceptions import NotStratifiedError
-from repro.lp.grounding import relevant_grounding
-from repro.lp.stratification import perfect_model
-from repro.lp.wfs import well_founded_model
 from repro.bench.generators import (
     employment_workload,
     reachability_program,
     win_move_datalog_pm,
     win_move_game,
 )
-from repro.bench.harness import ResultTable, time_call
+from repro.bench.harness import time_call
+from repro.core.engine import WellFoundedEngine
+from repro.core.stratified import StratifiedDatalogPM
+from repro.exceptions import NotStratifiedError
+from repro.lp.grounding import relevant_grounding
+from repro.lp.stratification import perfect_model
+from repro.lp.wfs import well_founded_model
 
 GAME_SIZES = [20, 40, 80]
+EMPLOYMENT_QUERY = "? employeeID(X, V), validID(V)"
 
 
 def lp_win_move(size: int):
@@ -43,81 +43,49 @@ def dpm_win_move(size: int):
     return WellFoundedEngine(program, database).model()
 
 
-@pytest.mark.experiment("E4")
-@pytest.mark.parametrize("size", GAME_SIZES)
-def test_win_move_via_lp_substrate(benchmark, size):
-    """Classical LP WFS of the win/move game."""
-    benchmark.pedantic(lp_win_move, args=(size,), rounds=2, iterations=1)
+def _rejected_by_stratified(program, database) -> bool:
+    try:
+        StratifiedDatalogPM(program, database)
+    except NotStratifiedError:
+        return True
+    return False
 
 
-@pytest.mark.experiment("E4")
-@pytest.mark.parametrize("size", GAME_SIZES)
-def test_win_move_via_datalog_pm_engine(benchmark, size):
-    """The same game through the guarded Datalog± WFS engine."""
-    model = benchmark.pedantic(dpm_win_move, args=(size,), rounds=2, iterations=1)
-    reference = lp_win_move(size)
-    for atom in reference.universe():
-        if atom.predicate == "win":
-            assert reference.is_true(atom) == model.is_true(atom)
-            assert reference.is_false(atom) == model.is_false(atom)
+def measure() -> dict:
+    rows = []
+    for size in GAME_SIZES:
+        reference, model = lp_win_move(size), dpm_win_move(size)
+        rows.append(
+            {
+                "positions": size,
+                "lp_seconds": time_call(lambda: lp_win_move(size), repeats=2),
+                "engine_seconds": time_call(lambda: dpm_win_move(size), repeats=2),
+                "win_agrees": all(
+                    reference.is_true(atom) == model.is_true(atom)
+                    and reference.is_false(atom) == model.is_false(atom)
+                    for atom in reference.universe()
+                    if atom.predicate == "win"
+                ),
+            }
+        )
 
+    reachability = reachability_program(60, seed=37)
+    ground = relevant_grounding(reachability)
+    wfs = well_founded_model(ground)
+    perfect = perfect_model(reachability, ground=ground)
 
-@pytest.mark.experiment("E4")
-def test_stratified_program_wfs_equals_perfect_model(benchmark):
-    """On a stratified program the WFS must equal the perfect model."""
-    program = reachability_program(60, seed=37)
-    ground = relevant_grounding(program)
-
-    wfs = benchmark(lambda: well_founded_model(ground))
-    perfect = perfect_model(program, ground=ground)
-    assert wfs.is_total()
-    assert wfs.true_atoms() == perfect.true_atoms()
-
-
-@pytest.mark.experiment("E4")
-def test_wfs_succeeds_where_stratified_datalog_pm_is_undefined(benchmark):
-    """Example 2's ontology: stratified Datalog± rejects it, the WFS answers."""
     program, database = employment_workload(40, seed=41)
 
-    with pytest.raises(NotStratifiedError):
-        StratifiedDatalogPM(program, database)
+    def employment_answer() -> bool:
+        return WellFoundedEngine(program, database).holds(EMPLOYMENT_QUERY)
 
-    engine_result = benchmark.pedantic(
-        lambda: WellFoundedEngine(program, database).holds("? employeeID(X, V), validID(V)"),
-        rounds=3,
-        iterations=1,
-    )
-    assert engine_result is True
-
-
-def report() -> None:
-    """Print the E4 comparison tables."""
-    table = ResultTable(
-        "E4a — win/move game: classical LP WFS vs guarded Datalog± WFS engine",
-        ["positions", "LP substrate (s)", "Datalog± engine (s)", "models agree"],
-    )
-    for size in GAME_SIZES:
-        lp_seconds = time_call(lambda s=size: lp_win_move(s), repeats=3)
-        dpm_seconds = time_call(lambda s=size: dpm_win_move(s), repeats=3)
-        reference, model = lp_win_move(size), dpm_win_move(size)
-        agree = all(
-            reference.is_true(a) == model.is_true(a)
-            and reference.is_false(a) == model.is_false(a)
-            for a in reference.universe()
-            if a.predicate == "win"
-        )
-        table.add_row(size, lp_seconds, dpm_seconds, agree)
-    table.print()
-
-    table = ResultTable(
-        "E4b — semantics coverage (who can answer which workload)",
-        ["workload", "stratified Datalog± [1]", "WFS (this paper)"],
-    )
-    table.add_row("stratified reachability", "yes (= WFS)", "yes")
-    table.add_row("win/move game (unstratified)", "rejected", "yes")
-    table.add_row("Example 2 employment ontology", "rejected", "yes")
-    table.print()
-
-
-if __name__ == "__main__":
-    report()
+    return {
+        "results": rows,
+        "stratified_wfs_seconds": time_call(lambda: well_founded_model(ground)),
+        "employment_seconds": time_call(employment_answer),
+        "all_win_agree": all(row["win_agrees"] for row in rows),
+        "stratified_wfs_total": wfs.is_total(),
+        "stratified_wfs_equals_perfect_model": wfs.true_atoms() == perfect.true_atoms(),
+        "stratified_baseline_rejects_employment": _rejected_by_stratified(program, database),
+        "engine_answers_employment": employment_answer() is True,
+    }

@@ -25,39 +25,28 @@ subject):
   :class:`repro.core.engine.WellFoundedEngine` usage pattern.
 
 Forests are checked to be bit-identical between the modes (labels, parents,
-edge rules and canonical levels) via a canonical node signature.  Running the
-module directly prints the comparison table and writes the machine-readable
-``BENCH_chase_agenda.json`` at the repository root (uploaded as a CI
-artifact; ROADMAP's BENCH trajectory asks ≥ 3× at the largest size).  Pass
-explicit depths for a quick smoke run
-(``python benchmarks/bench_chase_agenda.py 12``).
+edge rules and canonical levels) via a canonical node signature, and again at
+depths 8 and 12 with four gated rules, where both the first-run and the
+deepening agenda forest must equal the first-run scan forest.
+``benchmarks/run_cases.py`` runs the ``chase_agenda`` case and writes
+``BENCH_chase_agenda.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
-from pathlib import Path
 
-import pytest
-
-from repro.bench.harness import ResultTable
 from repro.chase.engine import GuardedChaseEngine
 from repro.lang.skolem import skolemize_program
 
 from bench_chase_cache import deep_type_workload
 
-SMOKE_SIZES = [8, 12]
-#: Chase depths for the standalone report; the largest is where the JSON's
-#: headline speedup is measured.
-REPORT_SIZES = [32, 48, 64]
-
 #: Deepening schedule factor: the deepening scenario expands at 3, 5, 9, …
 #: up to the target depth (initial_depth=3, depth_step doubling-ish).
 DEEPENING_STEPS = (3, 5, 9, 17, 33)
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_chase_agenda.json"
+#: Depths at which the agenda forests (four gated rules) must equal the scan's.
+CHECKED_DEPTHS = [8, 12]
 
 
 def forest_signature(forest) -> frozenset:
@@ -97,30 +86,17 @@ def _deepening(skolemized, database, depth: int, saturation: str):
     return time.perf_counter() - started, engine.forest
 
 
-@pytest.mark.experiment("chase_agenda")
-@pytest.mark.parametrize("depth", SMOKE_SIZES)
-def test_agenda_forest_matches_scan(depth):
-    """Both saturation modes must build bit-identical forests."""
+def agenda_matches_scan(depth: int, run) -> bool:
+    """The agenda forest built by *run* equals the first-run scan forest."""
     program, database = deep_type_workload(depth, gated=4)
     skolemized = skolemize_program(program)
-    _, agenda = _first_run(skolemized, database, depth, "agenda")
+    _, agenda = run(skolemized, database, depth, "agenda")
     _, scan = _first_run(skolemized, database, depth, "scan")
-    assert forest_signature(agenda) == forest_signature(scan)
+    return forest_signature(agenda) == forest_signature(scan)
 
 
-@pytest.mark.experiment("chase_agenda")
-@pytest.mark.parametrize("depth", SMOKE_SIZES)
-def test_agenda_deepening_matches_scan(depth):
-    program, database = deep_type_workload(depth, gated=4)
-    skolemized = skolemize_program(program)
-    _, agenda = _deepening(skolemized, database, depth, "agenda")
-    _, scan = _first_run(skolemized, database, depth, "scan")
-    assert forest_signature(agenda) == forest_signature(scan)
-
-
-def measure(sizes=None) -> dict:
+def measure(sizes) -> dict:
     """Compare agenda and scan saturation over growing chase depths."""
-    sizes = list(sizes) if sizes else list(REPORT_SIZES)
     rows = []
     for depth in sizes:
         program, database = deep_type_workload(depth)
@@ -170,48 +146,8 @@ def measure(sizes=None) -> dict:
         "largest_size_speedup": largest["speedup_first_run"],
         "largest_size_speedup_deepening": largest["speedup_deepening"],
         "all_forests_identical": all(row["forests_identical"] for row in rows),
+        "agenda_matches_scan": all(agenda_matches_scan(d, _first_run) for d in CHECKED_DEPTHS),
+        "deepening_agenda_matches_scan": all(
+            agenda_matches_scan(d, _deepening) for d in CHECKED_DEPTHS
+        ),
     }
-
-
-def report(sizes=None) -> dict:
-    """Print the comparison table and write ``BENCH_chase_agenda.json``."""
-    data = measure(sizes)
-    table = ResultTable(
-        "Agenda-based chase saturation — incremental worklist vs. round-based re-scan",
-        [
-            "depth",
-            "nodes",
-            "scan (s)",
-            "agenda (s)",
-            "speedup",
-            "deepen scan (s)",
-            "deepen agenda (s)",
-            "speedup",
-        ],
-    )
-    for row in data["results"]:
-        table.add_row(
-            row["depth"],
-            row["nodes"],
-            row["scan_seconds"],
-            row["agenda_seconds"],
-            f"{row['speedup_first_run']:.1f}x",
-            row["deepening_scan_seconds"],
-            row["deepening_agenda_seconds"],
-            f"{row['speedup_deepening']:.1f}x",
-        )
-    table.print()
-    print(
-        f"\nlargest size (depth {data['largest_size']}): first-run speedup "
-        f"{data['largest_size_speedup']:.1f}x, deepening speedup "
-        f"{data['largest_size_speedup_deepening']:.1f}x, forests identical: "
-        f"{data['all_forests_identical']}"
-    )
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
-    return data
-
-
-if __name__ == "__main__":
-    cli_sizes = [int(arg) for arg in sys.argv[1:]] or None
-    report(cli_sizes)

@@ -25,24 +25,17 @@ computing its model and answering a query, the pattern produced by the
 — once with the segment cache off and once with it on (stores cleared first,
 so the first cached engine pays for recording).  A secondary scenario runs a
 single engine through full iterative deepening from depth 3.  Answers are
-checked to be identical between modes in both scenarios.
-
-Running the module directly prints the comparison table and writes the
-machine-readable ``BENCH_chase_cache.json`` at the repository root (uploaded
-as a CI artifact; the ROADMAP's BENCH-trajectory item).  Pass explicit depths
-for a quick smoke run (``python benchmarks/bench_chase_cache.py 12``).
+checked to be identical between modes in both scenarios.  At depths 8 and 12,
+with four gated rules, it also checks cached ≡ uncached answers and that an
+engine over a warm store splices and records nothing.
+``benchmarks/run_cases.py`` runs the ``chase_cache`` case and writes
+``BENCH_chase_cache.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
-from pathlib import Path
 
-import pytest
-
-from repro.bench.harness import ResultTable
 from repro.chase.segments import clear_segment_stores, segment_store_info
 from repro.core.engine import WellFoundedEngine
 from repro.lang.atoms import Atom
@@ -57,12 +50,8 @@ GATED_RULES = 192
 #: steady state of a recurring workload, not the cold start.
 REPEATS = 12
 
-SMOKE_SIZES = [8, 12]
-#: Chase depths for the standalone report; the largest is where the JSON's
-#: headline speedup is measured.
-REPORT_SIZES = [32, 48, 64]
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_chase_cache.json"
+#: Depths of the cached ≡ uncached and warm-splice checks (four gated rules).
+CHECKED_DEPTHS = [8, 12]
 
 
 def deep_type_workload(
@@ -153,51 +142,43 @@ def _run_deepening(program, database, depth: int, *, segment_cache: bool):
     return time.perf_counter() - started, signature
 
 
-@pytest.mark.experiment("chase_cache")
-@pytest.mark.parametrize("depth", SMOKE_SIZES)
-def test_cached_answers_match_uncached(depth):
-    """Cached and uncached engines must produce bit-identical models/answers."""
+def cached_matches_uncached(depth: int) -> bool:
+    """Cached and uncached engines produce bit-identical models/answers."""
     program, database = deep_type_workload(depth, gated=4)
     _, cached = _run_repeated(program, database, depth, segment_cache=True, repeats=2)
     _, uncached = _run_repeated(program, database, depth, segment_cache=False, repeats=1)
-    assert cached == uncached
+    return cached == uncached
 
 
-@pytest.mark.experiment("chase_cache")
-@pytest.mark.parametrize("depth", SMOKE_SIZES)
-def test_warm_engine_splices(depth):
-    """A fresh engine over a warm store derives (almost) nothing itself."""
+def warm_engine_splices(depth: int) -> bool:
+    """A fresh engine over a warm store splices and records no segment itself."""
     program, database = deep_type_workload(depth, gated=4)
     clear_segment_stores()
-    WellFoundedEngine(
-        program, database, initial_depth=depth, max_depth=depth, segment_cache=True
-    ).model()
-    warm = WellFoundedEngine(
-        program, database, initial_depth=depth, max_depth=depth, segment_cache=True
-    )
-    warm.model()
-    stats = warm.segment_cache_stats()
-    assert stats["nodes_spliced"] > 0
-    assert stats["segments_recorded"] == 0  # the store already knew every type
+    for _ in range(2):  # the first engine records, the second finds a warm store
+        engine = WellFoundedEngine(
+            program, database, initial_depth=depth, max_depth=depth, segment_cache=True
+        )
+        engine.model()
+    stats = engine.segment_cache_stats()
+    return stats["nodes_spliced"] > 0 and stats["segments_recorded"] == 0
 
 
-def measure(sizes=None, *, repeats: int = REPEATS) -> dict:
+def measure(sizes) -> dict:
     """Compare cache-on and cache-off over growing chase depths.
 
-    Returns the JSON-ready dictionary (see :func:`report`).  Each row holds
-    both scenarios: ``repeated`` (the headline — *repeats* fresh engines over
-    the same inputs) and ``deepening`` (one engine, full iterative deepening).
+    Each row holds both scenarios: ``repeated`` (the headline — ``REPEATS``
+    fresh engines over the same inputs) and ``deepening`` (one engine, full
+    iterative deepening).
     """
-    sizes = list(sizes) if sizes else list(REPORT_SIZES)
     rows = []
     for depth in sizes:
         program, database = deep_type_workload(depth)
 
         off_seconds, off_signature = _run_repeated(
-            program, database, depth, segment_cache=False, repeats=repeats
+            program, database, depth, segment_cache=False, repeats=REPEATS
         )
         on_seconds, on_signature = _run_repeated(
-            program, database, depth, segment_cache=True, repeats=repeats
+            program, database, depth, segment_cache=True, repeats=REPEATS
         )
         store = segment_store_info()
 
@@ -213,7 +194,7 @@ def measure(sizes=None, *, repeats: int = REPEATS) -> dict:
                 "depth": depth,
                 "roots": max(2, depth // 4),
                 "gated_rules": GATED_RULES,
-                "repeats": repeats,
+                "repeats": REPEATS,
                 "db_facts": len(database),
                 "uncached_seconds": off_seconds,
                 "cached_seconds": on_seconds,
@@ -240,46 +221,6 @@ def measure(sizes=None, *, repeats: int = REPEATS) -> dict:
         "largest_size_speedup": largest["speedup_repeated"],
         "largest_size_speedup_deepening": largest["speedup_deepening"],
         "all_answers_equal": all(row["answers_equal"] for row in rows),
+        "cached_matches_uncached": all(cached_matches_uncached(d) for d in CHECKED_DEPTHS),
+        "warm_engine_splices": all(warm_engine_splices(d) for d in CHECKED_DEPTHS),
     }
-
-
-def report(sizes=None) -> dict:
-    """Print the comparison table and write ``BENCH_chase_cache.json``."""
-    data = measure(sizes)
-    table = ResultTable(
-        "Chase-segment cache — splicing memoized subtrees vs. re-deriving",
-        [
-            "depth",
-            "uncached (s)",
-            "cached (s)",
-            "speedup",
-            "deepen off (s)",
-            "deepen on (s)",
-            "speedup",
-        ],
-    )
-    for row in data["results"]:
-        table.add_row(
-            row["depth"],
-            row["uncached_seconds"],
-            row["cached_seconds"],
-            f"{row['speedup_repeated']:.1f}x",
-            row["deepening_uncached_seconds"],
-            row["deepening_cached_seconds"],
-            f"{row['speedup_deepening']:.1f}x",
-        )
-    table.print()
-    print(
-        f"\nlargest size (depth {data['largest_size']}): repeated-workload speedup "
-        f"{data['largest_size_speedup']:.1f}x, deepening speedup "
-        f"{data['largest_size_speedup_deepening']:.1f}x, answers equal: "
-        f"{data['all_answers_equal']}"
-    )
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
-    return data
-
-
-if __name__ == "__main__":
-    cli_sizes = [int(arg) for arg in sys.argv[1:]] or None
-    report(cli_sizes)

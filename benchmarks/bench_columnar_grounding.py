@@ -7,28 +7,18 @@ while the bulk of the database is background edges and node facts the
 derivation never touches.  For every size the benchmark runs the semi-naive
 relevant grounding once per backend — the per-candidate ``tuple`` matcher
 (the differential oracle) and the pure-Python ``columnar`` hash-join
-backend — checks that the resulting ground programs are *set-identical*
-(same rules modulo insertion order) with identical well-founded models, and
-records the cold wall-clock times.
-
-Running the module directly prints the comparison table **and** writes the
-machine-readable ``BENCH_columnar_grounding.json`` next to the repository
-root, so the backend trajectory is tracked across PRs (the ROADMAP's
-BENCH-trajectory item).  Pass explicit fact counts on the command line for a
-quick smoke run (``python benchmarks/bench_columnar_grounding.py 2000``).
+backend — checks that both saturate and that the resulting ground programs
+are *set-identical* (same rules modulo insertion order) with identical
+well-founded models, and records the cold wall-clock times.
+``benchmarks/run_cases.py`` runs the ``columnar_grounding`` case and writes
+``BENCH_columnar_grounding.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
-from pathlib import Path
-
-import pytest
 
 from repro.bench.generators import large_edb_reachability
-from repro.bench.harness import ResultTable
 from repro.lp.columnar import BACKENDS, make_grounder
 from repro.lp.wfs import well_founded_model
 
@@ -36,13 +26,9 @@ from repro.lp.wfs import well_founded_model
 #: extension on every one of these deepening rounds, the columnar backend
 #: only probes its hash indexes.
 CORE_SIZE = 128
-
-SMOKE_SIZES = [2000, 5000]
-#: EDB fact counts for the standalone report; the largest is where the JSON's
-#: headline speedup is measured (the ISSUE's >= 1e5-fact regime).
-REPORT_SIZES = [10_000, 30_000, 100_000]
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_columnar_grounding.json"
+#: each timing is the median of this many cold runs (one for tuple runs above
+#: 20k facts)
+REPEATS = 3
 
 
 def _timed_grounding(program, edb, backend: str, *, repeats: int):
@@ -58,44 +44,13 @@ def _timed_grounding(program, edb, backend: str, *, repeats: int):
     return samples[len(samples) // 2], grounder
 
 
-@pytest.mark.experiment("columnar")
-@pytest.mark.parametrize("backend", BACKENDS)
-def test_backend_grounding(benchmark, backend):
-    """Cold semi-naive grounding of the large-EDB workload, per backend."""
-    program, edb = large_edb_reachability(SMOKE_SIZES[0], core_size=CORE_SIZE)
-
-    def run():
-        grounder = make_grounder(program, edb, backend=backend)
-        grounder.run()
-        return grounder
-
-    assert benchmark.pedantic(run, rounds=2, iterations=1).saturated
-
-
-@pytest.mark.experiment("columnar")
-@pytest.mark.parametrize("facts_count", SMOKE_SIZES)
-def test_backends_agree(facts_count):
-    """Both backends must produce set-identical ground programs and models."""
-    program, edb = large_edb_reachability(facts_count, core_size=CORE_SIZE)
-    grounders = {}
-    for backend in BACKENDS:
-        grounders[backend] = make_grounder(program, edb, backend=backend)
-        grounders[backend].run()
-    oracle, columnar = grounders["tuple"].ground, grounders["columnar"].ground
-    assert set(columnar) == set(oracle)
-    assert well_founded_model(columnar) == well_founded_model(oracle)
-
-
-def measure(sizes=None, *, repeats: int = 3) -> dict:
+def measure(sizes) -> dict:
     """Compare the grounding backends over a growing EDB.
 
     Each measurement is *cold*: grounder construction (term interning, index
     building) and the full semi-naive run both happen inside the timed
-    region.  The slow tuple runs above 20k facts are timed once instead of
-    ``repeats`` times.  Returns the JSON-ready dictionary (see
-    :func:`report`).
+    region.
     """
-    sizes = list(sizes) if sizes else list(REPORT_SIZES)
     rows = []
     for facts_count in sizes:
         program, edb = large_edb_reachability(facts_count, core_size=CORE_SIZE)
@@ -103,7 +58,7 @@ def measure(sizes=None, *, repeats: int = 3) -> dict:
         seconds = {}
         grounders = {}
         for backend in BACKENDS:
-            backend_repeats = 1 if backend == "tuple" and facts_count > 20_000 else repeats
+            backend_repeats = 1 if backend == "tuple" and facts_count > 20_000 else REPEATS
             seconds[backend], grounders[backend] = _timed_grounding(
                 program, edb, backend, repeats=backend_repeats
             )
@@ -125,6 +80,7 @@ def measure(sizes=None, *, repeats: int = 3) -> dict:
                 else float("inf"),
                 "ground_rules_equal": rules_equal,
                 "models_equal": models_equal,
+                "saturated": all(grounder.saturated for grounder in grounders.values()),
             }
         )
     largest = rows[-1]
@@ -138,41 +94,5 @@ def measure(sizes=None, *, repeats: int = 3) -> dict:
         "largest_size_speedup_columnar": largest["speedup_columnar"],
         "all_ground_rules_equal": all(row["ground_rules_equal"] for row in rows),
         "all_models_equal": all(row["models_equal"] for row in rows),
+        "all_saturated": all(row["saturated"] for row in rows),
     }
-
-
-def report(sizes=None) -> dict:
-    """Print the comparison table and write ``BENCH_columnar_grounding.json``."""
-    data = measure(sizes)
-    table = ResultTable(
-        "Columnar grounding — bulk delta joins vs. the per-candidate tuple matcher",
-        [
-            "facts",
-            "ground rules",
-            "tuple (s)",
-            "columnar (s)",
-            "speedup",
-        ],
-    )
-    for row in data["results"]:
-        table.add_row(
-            row["db_facts"],
-            row["ground_rules"],
-            row["tuple_seconds"],
-            row["columnar_seconds"],
-            f"{row['speedup_columnar']:.1f}x",
-        )
-    table.print()
-    print(
-        f"\nlargest size ({data['largest_size']} facts): columnar speedup "
-        f"{data['largest_size_speedup_columnar']:.1f}x, ground programs equal: "
-        f"{data['all_ground_rules_equal']}, models equal: {data['all_models_equal']}"
-    )
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
-    return data
-
-
-if __name__ == "__main__":
-    cli_sizes = [int(arg) for arg in sys.argv[1:]] or None
-    report(cli_sizes)

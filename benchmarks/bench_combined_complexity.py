@@ -4,18 +4,17 @@ bounded arity).
 Here the database stays small and fixed while the *program/schema* grows: the
 number of predicates and, separately, the maximum predicate arity.  The paper
 predicts much steeper growth in these parameters than in the data (E2); the
-reported series makes that contrast visible (the arity sweep in particular
+recorded series makes that contrast visible (the arity sweep in particular
 grows much faster than linearly), without attempting to reach the
-doubly-exponential asymptotics on a laptop.
+doubly-exponential asymptotics on a laptop.  Every model must converge.
+Section ``E3`` of ``BENCH_paper.json``.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.engine import WellFoundedEngine
 from repro.bench.generators import combined_complexity_workload
-from repro.bench.harness import ResultTable, fit_powerlaw_exponent, scaling_series
+from repro.bench.harness import fit_powerlaw_exponent, time_call
+from repro.core.engine import WellFoundedEngine
 
 #: sweep over the number of predicates (arity fixed at 2)
 PREDICATE_COUNTS = [2, 4, 8, 16]
@@ -24,66 +23,39 @@ PREDICATE_COUNTS = [2, 4, 8, 16]
 ARITIES = [1, 2, 3, 4]
 
 
-def build_predicates(num_predicates: int):
-    return combined_complexity_workload(num_predicates, arity=2)
+def solve(program, database):
+    return WellFoundedEngine(program, database, max_depth=9).model()
 
 
-def build_arity(arity: int):
-    return combined_complexity_workload(3, arity=arity, num_constants=3)
+def measure() -> dict:
+    sweeps = {
+        "predicates": [(n, combined_complexity_workload(n, arity=2)) for n in PREDICATE_COUNTS],
+        "arity": [
+            (a, combined_complexity_workload(3, arity=a, num_constants=3)) for a in ARITIES
+        ],
+    }
+    rows = []
+    for sweep, points in sweeps.items():
+        for size, (program, database) in points:
+            model = solve(program, database)
+            rows.append(
+                {
+                    "sweep": sweep,
+                    "size": size,
+                    "true_atoms": len(model.true_atoms()),
+                    "depth": model.depth,
+                    "converged": model.converged,
+                    "seconds": time_call(lambda: solve(program, database), repeats=2),
+                }
+            )
 
+    def exponent(sweep: str) -> float:
+        points = [(row["size"], row["seconds"]) for row in rows if row["sweep"] == sweep]
+        return fit_powerlaw_exponent(*zip(*points))
 
-def solve(workload) -> int:
-    program, database = workload
-    engine = WellFoundedEngine(program, database, max_depth=9)
-    model = engine.model()
-    return len(model.true_atoms())
-
-
-@pytest.mark.experiment("E3")
-@pytest.mark.parametrize("num_predicates", PREDICATE_COUNTS)
-def test_combined_complexity_in_schema_size(benchmark, num_predicates):
-    """Growing the number of predicates at fixed arity and database."""
-    workload = build_predicates(num_predicates)
-    benchmark.pedantic(solve, args=(workload,), rounds=2, iterations=1)
-
-
-@pytest.mark.experiment("E3")
-@pytest.mark.parametrize("arity", ARITIES)
-def test_combined_complexity_in_arity(benchmark, arity):
-    """Growing the maximum predicate arity at fixed schema size and database."""
-    workload = build_arity(arity)
-    benchmark.pedantic(solve, args=(workload,), rounds=2, iterations=1)
-
-
-def report() -> None:
-    """Print both E3 sweeps and their growth exponents."""
-    predicate_series = scaling_series(PREDICATE_COUNTS, build_predicates, solve, repeats=2)
-    table = ResultTable(
-        "E3a — combined complexity: growing number of predicates (arity 2)",
-        ["predicates", "seconds"],
-    )
-    for size, elapsed in predicate_series:
-        table.add_row(size, elapsed)
-    table.print()
-
-    arity_series = scaling_series(ARITIES, build_arity, solve, repeats=2)
-    table = ResultTable(
-        "E3b — combined complexity: growing arity (3 predicates)",
-        ["arity", "seconds"],
-    )
-    for size, elapsed in arity_series:
-        table.add_row(size, elapsed)
-    table.print()
-
-    print(
-        "\ngrowth exponents: predicates ~ %.2f, arity ~ %.2f "
-        "(combined complexity grows much faster than the data complexity of E2)"
-        % (
-            fit_powerlaw_exponent(*zip(*predicate_series)),
-            fit_powerlaw_exponent(*zip(*arity_series)),
-        )
-    )
-
-
-if __name__ == "__main__":
-    report()
+    return {
+        "results": rows,
+        "predicates_growth_exponent": exponent("predicates"),
+        "arity_growth_exponent": exponent("arity"),
+        "all_converged": all(row["converged"] for row in rows),
+    }

@@ -2,63 +2,51 @@
 
 The program Σ (the employment ontology of Example 2, translated to guarded
 normal Datalog±) and the query are fixed; only the database grows.  The paper
-proves the problem is PTIME-complete in data complexity; the experiment
-reports the empirical growth exponent of the measured running times, which
+proves the problem is PTIME-complete in data complexity; the experiment fits
+the growth exponent of the answer time against the number of persons, which
 should be a small constant (roughly linear for this workload) rather than
-exponential.
+exponential.  Section ``E2`` of ``BENCH_paper.json``; the runner's floor
+table bounds ``growth_exponent``.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.core.engine import WellFoundedEngine
 from repro.bench.generators import employment_workload
-from repro.bench.harness import ResultTable, fit_powerlaw_exponent, scaling_series
+from repro.bench.harness import fit_powerlaw_exponent, time_call
+from repro.core.engine import WellFoundedEngine
 
 #: database sizes (number of persons) of the sweep
-SIZES = [25, 50, 100, 200]
+PERSONS = [25, 50, 100, 200]
+SEED = 17
+#: each point is the median of this many cold answers
+REPEATS = 3
 
 #: the fixed NBCQ: "is there an employee ID that is a valid ID?"
 QUERY = "? employeeID(X, V), validID(V)"
 
 
-def build(num_persons: int) -> tuple:
-    return employment_workload(num_persons, seed=17)
+def answer(program, database) -> bool:
+    return WellFoundedEngine(program, database).holds(QUERY)
 
 
-def answer(workload: tuple) -> bool:
-    program, database = workload
-    engine = WellFoundedEngine(program, database)
-    return engine.holds(QUERY)
-
-
-@pytest.mark.experiment("E2")
-@pytest.mark.parametrize("num_persons", SIZES)
-def test_data_complexity_scaling(benchmark, num_persons):
-    """Answering the fixed NBCQ as the number of persons grows."""
-    workload = build(num_persons)
-    result = benchmark.pedantic(answer, args=(workload,), rounds=3, iterations=1)
-    assert result is True
-
-
-def report() -> None:
-    """Print the E2 series and the fitted growth exponent."""
-    series = scaling_series(SIZES, build, answer, repeats=3)
-    table = ResultTable(
-        "E2 — data complexity: fixed Σ and Q, growing database",
-        ["persons", "database atoms", "seconds"],
-    )
-    for (size, elapsed) in series:
-        _, database = build(size)
-        table.add_row(size, len(database), elapsed)
-    table.print()
-    exponent = fit_powerlaw_exponent([s for s, _ in series], [t for _, t in series])
-    print(
-        f"\nempirical growth exponent ~ {exponent:.2f} "
-        "(paper: PTIME data complexity — a small constant exponent is expected)"
-    )
-
-
-if __name__ == "__main__":
-    report()
+def measure() -> dict:
+    rows = []
+    for persons in PERSONS:
+        program, database = employment_workload(persons, seed=SEED)
+        rows.append(
+            {
+                "persons": persons,
+                "database_atoms": len(database),
+                "seconds": time_call(lambda: answer(program, database), repeats=REPEATS),
+                "answer": answer(program, database),
+            }
+        )
+    return {
+        "workload": f"employment_workload(persons, seed={SEED})",
+        "query": QUERY,
+        "results": rows,
+        "growth_exponent": fit_powerlaw_exponent(
+            [row["persons"] for row in rows], [row["seconds"] for row in rows]
+        ),
+        "all_answers_true": all(row["answer"] is True for row in rows),
+    }

@@ -27,39 +27,23 @@ call per step:
   schedule.
 
 Models are checked bit-identical (true/false/undefined sets) at every step.
-Running the module directly prints the comparison table and writes
-``BENCH_incremental_wfs.json`` at the repository root (uploaded as a CI
-artifact; the ROADMAP asks ≥ 3× total deepening-resolve speedup at the
-largest size).  Pass explicit widths for a quick smoke run
-(``python benchmarks/bench_incremental_wfs.py 8 16``).
+``benchmarks/run_cases.py`` runs the ``incremental_wfs`` case and writes
+``BENCH_incremental_wfs.json``.
 """
 
 from __future__ import annotations
 
-import json
 import random
-import sys
 import time
-from pathlib import Path
 
-import pytest
-
-from repro.bench.harness import ResultTable
 from repro.lang.atoms import Atom
 from repro.lang.rules import NormalRule
 from repro.lang.terms import Constant
 from repro.lp.grounding import GroundProgram
 from repro.lp.wfs import well_founded_model, well_founded_model_incremental
 
-SMOKE_SIZES = [8, 16]
-#: Layer widths for the standalone report; the largest is where the JSON's
-#: headline speedup is measured.
-REPORT_SIZES = [24, 48, 96]
-
 #: Number of growth steps (layers): the deepening schedule length.
 LAYERS = 24
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_incremental_wfs.json"
 
 
 def layered_win_move(layers: int, width: int, seed: int = 0) -> list[list[NormalRule]]:
@@ -137,19 +121,8 @@ def _run_incremental(chunks):
     return seconds, fingerprints, state
 
 
-@pytest.mark.experiment("incremental_wfs")
-@pytest.mark.parametrize("width", SMOKE_SIZES)
-def test_incremental_models_match_scratch(width):
-    """Both resolve paths must produce bit-identical models at every step."""
-    chunks = layered_win_move(8, width)
-    _, expected = _run_scratch(chunks)
-    _, actual, _ = _run_incremental(chunks)
-    assert actual == expected
-
-
-def measure(sizes=None) -> dict:
+def measure(sizes) -> dict:
     """Compare incremental and from-scratch deepening resolves over growing widths."""
-    sizes = list(sizes) if sizes else list(REPORT_SIZES)
     rows = []
     for width in sizes:
         chunks = layered_win_move(LAYERS, width)
@@ -185,44 +158,3 @@ def measure(sizes=None) -> dict:
         "largest_size_speedup": largest["speedup_deepening_resolve"],
         "all_models_identical": all(row["models_identical"] for row in rows),
     }
-
-
-def report(sizes=None) -> dict:
-    """Print the comparison table and write ``BENCH_incremental_wfs.json``."""
-    data = measure(sizes)
-    table = ResultTable(
-        "Incremental WFS maintenance — dirty-component re-solve vs. from-scratch per depth",
-        [
-            "width",
-            "rules",
-            "components",
-            "scratch (s)",
-            "incremental (s)",
-            "speedup",
-            "resolved/reused (last step)",
-        ],
-    )
-    for row in data["results"]:
-        table.add_row(
-            row["width"],
-            row["ground_rules"],
-            row["components"],
-            row["scratch_seconds"],
-            row["incremental_seconds"],
-            f"{row['speedup_deepening_resolve']:.1f}x",
-            f"{row['last_step_resolved']}/{row['last_step_reused']}",
-        )
-    table.print()
-    print(
-        f"\nlargest size (width {data['largest_size']}): deepening-resolve "
-        f"speedup {data['largest_size_speedup']:.1f}x, models identical: "
-        f"{data['all_models_identical']}"
-    )
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
-    return data
-
-
-if __name__ == "__main__":
-    cli_sizes = [int(arg) for arg in sys.argv[1:]] or None
-    report(cli_sizes)

@@ -7,83 +7,70 @@ Two ontology workloads:
   employee ID is derived to be a *valid* ID, which needs the UNA) and
   measures reasoning time;
 * a LUBM-flavoured university ontology with existential axioms, an inverse
-  role and default negation, where the stratified baseline is applicable, so
-  the table also compares WFS vs stratified cost on ontologies.
+  role and default negation, where the stratified baseline is applicable:
+  the well-founded model must be total and its true atoms must equal the
+  stratified model's, and the default-negation rule must derive
+  ``needsAdvisor`` for the expected number of students.  Both are timed.
+
+Section ``E5`` of ``BENCH_paper.json``.
 """
 
 from __future__ import annotations
 
-import pytest
-
-from repro.dl.reasoner import OntologyReasoner
-from repro.core.stratified import StratifiedDatalogPM
 from repro.bench.generators import employment_ontology, university_ontology
-from repro.bench.harness import ResultTable, time_call
+from repro.bench.harness import time_call
+from repro.core.stratified import StratifiedDatalogPM
+from repro.dl.reasoner import OntologyReasoner
 
 PERSON_COUNTS = [20, 60, 120]
-UNIVERSITY_SIZES = [(2, 10), (4, 20), (8, 30)]
+#: (departments, students per department) -> students needing an advisor
+UNIVERSITY_SIZES = {(2, 10): 7, (4, 20): 44, (8, 30): 126}
 
 
-def employment_reasoner(num_persons: int) -> OntologyReasoner:
-    return OntologyReasoner(employment_ontology(num_persons, seed=43))
-
-
-def count_valid_ids(reasoner: OntologyReasoner) -> int:
-    model = reasoner.model()
+def count_valid_ids(num_persons: int) -> int:
+    model = OntologyReasoner(employment_ontology(num_persons, seed=43)).model()
     return sum(1 for atom in model.true_atoms() if atom.predicate == "validID")
 
 
-@pytest.mark.experiment("E5")
-@pytest.mark.parametrize("num_persons", PERSON_COUNTS)
-def test_employment_ontology_reasoning(benchmark, num_persons):
-    """Classify the employment ontology and count derived valid IDs."""
-    valid = benchmark.pedantic(
-        lambda: count_valid_ids(employment_reasoner(num_persons)),
-        rounds=2,
-        iterations=1,
-    )
-    # Every employed person has an employee ID whose validity needs the UNA.
-    assert valid > 0
-
-
-@pytest.mark.experiment("E5")
-@pytest.mark.parametrize("departments,students", UNIVERSITY_SIZES)
-def test_university_ontology_reasoning(benchmark, departments, students):
-    """Well-founded reasoning over the university ontology."""
-    def run():
-        reasoner = OntologyReasoner(university_ontology(departments, students, seed=47))
-        model = reasoner.model()
-        return sum(1 for atom in model.true_atoms() if atom.predicate == "needsAdvisor")
-
-    needing_advisor = benchmark.pedantic(run, rounds=2, iterations=1)
-    assert needing_advisor >= 0
-
-
-def report() -> None:
-    """Print the E5 tables."""
-    table = ResultTable(
-        "E5a — Example 2 employment ontology under WFS + UNA",
-        ["persons", "valid IDs derived", "seconds"],
-    )
-    for count in PERSON_COUNTS:
-        seconds = time_call(lambda c=count: count_valid_ids(employment_reasoner(c)), repeats=2)
-        table.add_row(count, count_valid_ids(employment_reasoner(count)), seconds)
-    table.print()
-
-    table = ResultTable(
-        "E5b — university ontology: WFS engine vs stratified baseline",
-        ["departments", "students/dept", "WFS (s)", "stratified (s)"],
-    )
-    for departments, students in UNIVERSITY_SIZES:
+def measure() -> dict:
+    rows = [
+        {
+            "persons": persons,
+            "valid_ids": count_valid_ids(persons),
+            "seconds": time_call(lambda: count_valid_ids(persons), repeats=2),
+        }
+        for persons in PERSON_COUNTS
+    ]
+    university = []
+    for (departments, students), needing_advisor in UNIVERSITY_SIZES.items():
         ontology = university_ontology(departments, students, seed=47)
         reasoner = OntologyReasoner(ontology)
-        wfs_seconds = time_call(lambda r=reasoner: OntologyReasoner(ontology).model(), repeats=2)
-        stratified_seconds = time_call(
-            lambda r=reasoner: StratifiedDatalogPM(r.program, r.database).model(), repeats=2
+        model = reasoner.model()
+        stratified = StratifiedDatalogPM(reasoner.program, reasoner.database).model()
+        needs_advisor = sum(1 for atom in model.true_atoms() if atom.predicate == "needsAdvisor")
+        university.append(
+            {
+                "departments": departments,
+                "students": students,
+                "true_atoms": len(model.true_atoms()),
+                "undefined_atoms": len(model.undefined_atoms()),
+                "needs_advisor": needs_advisor,
+                "wfs_seconds": time_call(lambda: OntologyReasoner(ontology).model(), repeats=2),
+                "stratified_seconds": time_call(
+                    lambda: StratifiedDatalogPM(reasoner.program, reasoner.database).model(),
+                    repeats=2,
+                ),
+                "equals_stratified": model.true_atoms() == stratified.true_atoms(),
+                "needs_advisor_as_expected": needs_advisor == needing_advisor,
+            }
         )
-        table.add_row(departments, students, wfs_seconds, stratified_seconds)
-    table.print()
-
-
-if __name__ == "__main__":
-    report()
+    return {
+        "results": rows,
+        "university": university,
+        "all_valid_ids_derived": all(row["valid_ids"] > 0 for row in rows),
+        "university_wfs_total": all(row["undefined_atoms"] == 0 for row in university),
+        "university_wfs_equals_stratified": all(row["equals_stratified"] for row in university),
+        "university_needs_advisor_as_expected": all(
+            row["needs_advisor_as_expected"] for row in university
+        ),
+    }

@@ -1,19 +1,18 @@
 """E1 — the paper's running example (Examples 4, 6, 9).
 
-Reproduces the literal-by-literal content of Example 4/9 (the well-founded
+Checks the literal-by-literal content of Example 4/9 (the well-founded
 model containing ``P(0,1)``, ``¬Q(1)``, ``¬S(0)`` and the "transfinite"
-``T(0)``) and measures how the engine scales when the database contains
-additional isomorphic chains.
+``T(0)``) with 0, 4 and 16 additional isomorphic chains in the database,
+times the model at each size, and checks and times the NBCQ
+``? t(X), not s(X)``.  Section ``E1`` of ``BENCH_paper.json``.
 """
 
 from __future__ import annotations
 
-import pytest
-
+from repro.bench.generators import paper_example_program
+from repro.bench.harness import time_call
 from repro.core.engine import WellFoundedEngine
 from repro.lang.parser import parse_atom
-from repro.bench.generators import paper_example_program
-from repro.bench.harness import ResultTable, time_call
 
 EXPECTED_LITERALS = {
     "r(0,0,1)": "true",
@@ -24,61 +23,40 @@ EXPECTED_LITERALS = {
     "t(0)": "true",
 }
 
+EXTRA_CHAINS = [0, 4, 16]
+QUERY = "? t(X), not s(X)"
+
 
 def compute_model(extra_chains: int):
     program, database = paper_example_program(extra_chains=extra_chains)
-    engine = WellFoundedEngine(program, database)
-    return engine.model()
+    return WellFoundedEngine(program, database).model()
 
 
-def check_expected(model) -> None:
-    for text, value in EXPECTED_LITERALS.items():
-        assert model.value(parse_atom(text)) == value, text
-
-
-@pytest.mark.experiment("E1")
-@pytest.mark.parametrize("extra_chains", [0, 4, 16])
-def test_paper_example_model(benchmark, extra_chains):
-    """Well-founded model of Example 4 with 0/4/16 extra isomorphic chains."""
-    model = benchmark.pedantic(
-        compute_model, args=(extra_chains,), rounds=3, iterations=1
-    )
-    check_expected(model)
-    assert model.converged
-
-
-@pytest.mark.experiment("E1")
-def test_paper_example_query_answering(benchmark):
-    """Answering the NBCQ ``? t(X), not s(X)`` over Example 4."""
+def measure() -> dict:
+    rows = []
+    for extra in EXTRA_CHAINS:
+        model = compute_model(extra)
+        rows.append(
+            {
+                "extra_chains": extra,
+                "chase_nodes": len(model.forest()),
+                "depth": model.depth,
+                "seconds": time_call(lambda: compute_model(extra), repeats=3),
+                "literals_match": all(
+                    model.value(parse_atom(text)) == value
+                    for text, value in EXPECTED_LITERALS.items()
+                ),
+                "converged": model.converged,
+            }
+        )
     program, database = paper_example_program()
     engine = WellFoundedEngine(program, database)
-    engine.model()  # materialise once; the benchmark measures query evaluation
-
-    result = benchmark(lambda: engine.holds("? t(X), not s(X)"))
-    assert result is True
-
-
-def report() -> None:
-    """Print the E1 table: expected vs. computed truth values and timings."""
-    table = ResultTable(
-        "E1 — Example 4/9 of the paper (expected vs computed literals)",
-        ["literal", "paper", "computed"],
-    )
-    model = compute_model(0)
-    for text, value in EXPECTED_LITERALS.items():
-        table.add_row(text, value, model.value(parse_atom(text)))
-    table.print()
-
-    scaling = ResultTable(
-        "E1 — scaling with extra isomorphic chains",
-        ["extra chains", "chase nodes", "seconds"],
-    )
-    for extra in (0, 4, 16, 64):
-        elapsed = time_call(lambda e=extra: compute_model(e), repeats=3)
-        model = compute_model(extra)
-        scaling.add_row(extra, len(model.forest()), elapsed)
-    scaling.print()
-
-
-if __name__ == "__main__":
-    report()
+    engine.model()  # materialise once; the timing covers query evaluation only
+    return {
+        "results": rows,
+        "query": QUERY,
+        "query_seconds": time_call(lambda: engine.holds(QUERY), repeats=3),
+        "all_literals_match": all(row["literals_match"] for row in rows),
+        "all_converged": all(row["converged"] for row in rows),
+        "query_holds": engine.holds(QUERY) is True,
+    }

@@ -18,40 +18,23 @@ reports the serving-latency profile:
   the same states (measured at the checkpoints), and the speedup of a
   maintained update over a rebuild — the number the ROADMAP thresholds.
 
-Running the module directly prints the table and writes
-``BENCH_scenarios.json`` at the repository root (uploaded as a CI
-artifact).  ``python benchmarks/bench_scenarios.py smoke`` runs shortened
-traces for CI; explicit scenario names restrict the run
-(``python benchmarks/bench_scenarios.py win-move supply-chain``).
+``benchmarks/run_cases.py`` runs the ``scenarios`` case, whose sizes are trace
+lengths, and writes ``BENCH_scenarios.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
-from pathlib import Path
 
-import pytest
-
-from repro.bench.harness import ResultTable
 from repro.scenarios import build_scenario, build_target, replay_trace, scenario_names
 
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_scenarios.json"
-
 BACKEND = "columnar"
-#: Trace lengths: the full report stresses the warm path; smoke keeps CI fast.
-REPORT_TRACE_LENGTH = 120
-SMOKE_TRACE_LENGTH = 24
 
 
-def measure_scenario(
-    name: str, *, trace_length: int | None = None, backend: str = BACKEND
-) -> dict:
+def measure_scenario(name: str, trace_length: int) -> dict:
     """Replay one scenario (checkpoints on) and summarise its latency profile."""
-    overrides = {"trace_length": trace_length} if trace_length else {}
-    bundle = build_scenario(name, **overrides)
-    target = build_target(bundle, engine="materialized", backend=backend)
+    bundle = build_scenario(name, trace_length=trace_length)
+    target = build_target(bundle, engine="materialized", backend=BACKEND)
 
     # Instrument the differential checkpoints so the oracle's own wall-clock
     # becomes the from-scratch comparator for the same engine states.
@@ -90,10 +73,10 @@ def measure_scenario(
     }
 
 
-def measure(names=None, *, trace_length: int | None = None) -> dict:
-    """Replay the selected (default: all) scenarios; return the JSON payload."""
-    names = list(names) if names else list(scenario_names())
-    rows = [measure_scenario(name, trace_length=trace_length) for name in names]
+def measure(trace_length: int) -> dict:
+    """Replay every registered scenario's trace of *trace_length* events."""
+    names = list(scenario_names())
+    rows = [measure_scenario(name, trace_length) for name in names]
     return {
         "benchmark": "scenario corpus trace replay",
         "description": (
@@ -107,64 +90,3 @@ def measure(names=None, *, trace_length: int | None = None) -> dict:
         "results": rows,
         "all_models_identical": all(row["models_identical"] for row in rows),
     }
-
-
-@pytest.mark.experiment("scenarios")
-@pytest.mark.parametrize("name", ["telemetry-rca", "win-move", "supply-chain"])
-def test_scenario_replay_matches_oracle(name):
-    """Replaying a scenario with checkpoints on never diverges from the oracle."""
-    row = measure_scenario(name, trace_length=SMOKE_TRACE_LENGTH)
-    assert row["models_identical"], row["divergences"]
-    assert row["checkpoints"] > 0
-    assert row["updates"]["count"] > 0
-
-
-def report(names=None, *, trace_length: int | None = None) -> dict:
-    """Print the replay-latency table and write ``BENCH_scenarios.json``."""
-    data = measure(names, trace_length=trace_length)
-    table = ResultTable(
-        "Scenario trace replay — warm maintained engine, checkpoints on",
-        [
-            "scenario",
-            "events",
-            "upd p50 (ms)",
-            "upd p99 (ms)",
-            "qry p50 (ms)",
-            "qry p99 (ms)",
-            "hit rate",
-            "scratch p50 (ms)",
-            "speedup",
-            "identical",
-        ],
-    )
-    for row in data["results"]:
-        table.add_row(
-            row["scenario"],
-            row["events"],
-            f"{row['updates']['p50_seconds'] * 1000:.3f}",
-            f"{row['updates']['p99_seconds'] * 1000:.3f}",
-            f"{row['queries']['p50_seconds'] * 1000:.3f}",
-            f"{row['queries']['p99_seconds'] * 1000:.3f}",
-            "n/a"
-            if row["query_cache_hit_rate"] is None
-            else f"{row['query_cache_hit_rate']:.2f}",
-            f"{row['scratch_p50_seconds'] * 1000:.3f}",
-            f"{row['update_speedup_vs_scratch']:.1f}x",
-            row["models_identical"],
-        )
-    table.print()
-    print(
-        f"\n{len(data['results'])} scenarios, all models identical to the "
-        f"from-scratch oracle: {data['all_models_identical']}"
-    )
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
-    return data
-
-
-if __name__ == "__main__":
-    argv = sys.argv[1:]
-    if argv and argv[0] == "smoke":
-        report(argv[1:] or None, trace_length=SMOKE_TRACE_LENGTH)
-    else:
-        report(argv or None, trace_length=REPORT_TRACE_LENGTH)

@@ -23,43 +23,32 @@ while a from-scratch rebuild pays for all of them:
 Each trial retracts a mid-chain edge (DRed overdeletes the chain's suffix,
 the negation probe flips) and re-inserts it (delta grounding reactivates the
 suffix).  The maintained latency charged is *update + model re-solve* — the
-time until queries are answerable again.  The from-scratch comparator is
+time until queries are answerable again.  The engine's initial solve runs
+once before the first trial and is recorded as ``initial_solve_seconds``, so
+no trial is charged for it.  The from-scratch comparator is
 :meth:`MaterializedEngine.scratch_model` on the same state (full reground +
 full solve), which doubles as the differential oracle: the maintained model
-is checked bit-identical against it after **every** update.
-
-Running the module directly prints the comparison table and writes
-``BENCH_view_maintenance.json`` at the repository root (uploaded as a CI
-artifact; the ROADMAP asks ≥ 10× for both single-fact insert and retract at
-the largest size).  Pass explicit chain counts for a quick smoke run
-(``python benchmarks/bench_view_maintenance.py 4 8``).
+is checked bit-identical against it after **every** update.  Two-trial runs
+at 4 and 8 chains are checked the same way and must overdelete.
+``benchmarks/run_cases.py`` runs the ``view_maintenance`` case and writes
+``BENCH_view_maintenance.json``.
 """
 
 from __future__ import annotations
 
-import json
-import sys
 import time
-from pathlib import Path
 
-import pytest
-
-from repro.bench.harness import ResultTable
 from repro.lang.atoms import Atom
 from repro.lang.parser import parse_normal_program
 from repro.lang.terms import Constant
 from repro.views import MaterializedEngine
 
-SMOKE_SIZES = [4, 8]
-#: Chain counts for the standalone report; the largest is where the JSON's
-#: headline speedups are measured.
-REPORT_SIZES = [16, 48, 128]
-
+BACKEND = "tuple"
 CHAIN_LENGTH = 24
 #: Retract/insert trials per size (each on a different chain).
 TRIALS = 3
-
-RESULTS_PATH = Path(__file__).resolve().parent.parent / "BENCH_view_maintenance.json"
+#: Chain counts of the two-trial identity and overdeletion check.
+CHECKED_CHAINS = [4, 8]
 
 RULES = parse_normal_program(
     """
@@ -99,59 +88,55 @@ def _maintained_latency(engine: MaterializedEngine, update) -> float:
     return time.perf_counter() - started
 
 
-def measure(sizes=None, *, backend: str = "tuple", trials: int = TRIALS) -> dict:
+def maintain(chains: int, *, trials: int = TRIALS) -> dict:
+    """One row: *trials* maintained retract/insert pairs against rebuilds."""
+    engine = MaterializedEngine(RULES, chain_facts(chains), backend=BACKEND)
+    started = time.perf_counter()
+    engine.model()
+    initial_solve_seconds = time.perf_counter() - started
+    identical = True
+    insert_seconds: list[float] = []
+    retract_seconds: list[float] = []
+    scratch_seconds: list[float] = []
+    for trial in range(trials):
+        chain = (trial * chains) // trials
+        mid = CHAIN_LENGTH // 2
+        edge = Atom("edge", (node(chain, mid), node(chain, mid + 1)))
+        for update, latencies in (
+            (engine.retract_facts, retract_seconds),
+            (engine.add_facts, insert_seconds),
+        ):
+            latencies.append(_maintained_latency(engine, lambda: update([edge])))
+            started = time.perf_counter()
+            oracle = engine.scratch_model()
+            scratch_seconds.append(time.perf_counter() - started)
+            identical &= model_fingerprint(engine.model()) == model_fingerprint(oracle)
+
+    scratch = sum(scratch_seconds) / len(scratch_seconds)
+    insert = sum(insert_seconds) / len(insert_seconds)
+    retract = sum(retract_seconds) / len(retract_seconds)
+    stored, active = engine.ground_rule_count()
+    return {
+        "chains": chains,
+        "edb_facts": len(engine.edb),
+        "stored_rules": stored,
+        "active_rules": active,
+        "initial_solve_seconds": initial_solve_seconds,
+        "scratch_seconds": scratch,
+        "insert_seconds": insert,
+        "retract_seconds": retract,
+        "insert_speedup": scratch / insert if insert > 0 else float("inf"),
+        "retract_speedup": scratch / retract if retract > 0 else float("inf"),
+        "counting_kept": engine.total_stats["counting_kept"],
+        "overdeleted": engine.total_stats["overdeleted"],
+        "models_identical": identical,
+    }
+
+
+def measure(sizes) -> dict:
     """Compare maintained single-fact updates against from-scratch rebuilds."""
-    sizes = list(sizes) if sizes else list(REPORT_SIZES)
-    rows = []
-    for chains in sizes:
-        engine = MaterializedEngine(
-            RULES, chain_facts(chains), backend=backend
-        )
-        identical = True
-        insert_seconds: list[float] = []
-        retract_seconds: list[float] = []
-        scratch_seconds: list[float] = []
-        for trial in range(trials):
-            chain = (trial * chains) // trials
-            mid = CHAIN_LENGTH // 2
-            edge = Atom("edge", (node(chain, mid), node(chain, mid + 1)))
-
-            retract_seconds.append(
-                _maintained_latency(engine, lambda: engine.retract_facts([edge]))
-            )
-            started = time.perf_counter()
-            oracle = engine.scratch_model()
-            scratch_seconds.append(time.perf_counter() - started)
-            identical &= model_fingerprint(engine.model()) == model_fingerprint(oracle)
-
-            insert_seconds.append(
-                _maintained_latency(engine, lambda: engine.add_facts([edge]))
-            )
-            started = time.perf_counter()
-            oracle = engine.scratch_model()
-            scratch_seconds.append(time.perf_counter() - started)
-            identical &= model_fingerprint(engine.model()) == model_fingerprint(oracle)
-
-        scratch = sum(scratch_seconds) / len(scratch_seconds)
-        insert = sum(insert_seconds) / len(insert_seconds)
-        retract = sum(retract_seconds) / len(retract_seconds)
-        stored, active = engine.ground_rule_count()
-        rows.append(
-            {
-                "chains": chains,
-                "edb_facts": len(engine.edb),
-                "stored_rules": stored,
-                "active_rules": active,
-                "scratch_seconds": scratch,
-                "insert_seconds": insert,
-                "retract_seconds": retract,
-                "insert_speedup": scratch / insert if insert > 0 else float("inf"),
-                "retract_speedup": scratch / retract if retract > 0 else float("inf"),
-                "counting_kept": engine.total_stats["counting_kept"],
-                "overdeleted": engine.total_stats["overdeleted"],
-                "models_identical": identical,
-            }
-        )
+    rows = [maintain(chains) for chains in sizes]
+    checked = [maintain(chains, trials=2) for chains in CHECKED_CHAINS]
     largest = rows[-1]
     return {
         "experiment": "view_maintenance",
@@ -160,65 +145,13 @@ def measure(sizes=None, *, backend: str = "tuple", trials: int = TRIALS) -> dict
             "stratified-negation probe; per-trial mid-chain edge retract + "
             "re-insert, maintained latency = update + model re-solve"
         ),
-        "backend": backend,
+        "backend": BACKEND,
         "sizes": sizes,
         "results": rows,
         "largest_size": largest["chains"],
         "largest_insert_speedup": largest["insert_speedup"],
         "largest_retract_speedup": largest["retract_speedup"],
         "all_models_identical": all(row["models_identical"] for row in rows),
+        "two_trial_models_identical": all(row["models_identical"] for row in checked),
+        "two_trial_runs_overdelete": all(row["overdeleted"] > 0 for row in checked),
     }
-
-
-@pytest.mark.experiment("view_maintenance")
-@pytest.mark.parametrize("chains", SMOKE_SIZES)
-def test_maintained_models_match_scratch(chains):
-    """The maintained model must equal the from-scratch oracle at every step."""
-    data = measure([chains], trials=2)
-    assert data["all_models_identical"]
-    row = data["results"][0]
-    assert row["overdeleted"] > 0  # the retractions actually exercised DRed
-
-
-def report(sizes=None) -> dict:
-    """Print the comparison table and write ``BENCH_view_maintenance.json``."""
-    data = measure(sizes)
-    table = ResultTable(
-        "Materialized-view maintenance — single-fact update vs. from-scratch rebuild",
-        [
-            "chains",
-            "facts",
-            "rules",
-            "scratch (s)",
-            "insert (s)",
-            "retract (s)",
-            "insert speedup",
-            "retract speedup",
-        ],
-    )
-    for row in data["results"]:
-        table.add_row(
-            row["chains"],
-            row["edb_facts"],
-            row["stored_rules"],
-            row["scratch_seconds"],
-            row["insert_seconds"],
-            row["retract_seconds"],
-            f"{row['insert_speedup']:.1f}x",
-            f"{row['retract_speedup']:.1f}x",
-        )
-    table.print()
-    print(
-        f"\nlargest size ({data['largest_size']} chains): insert "
-        f"{data['largest_insert_speedup']:.1f}x, retract "
-        f"{data['largest_retract_speedup']:.1f}x vs. from-scratch, "
-        f"models identical: {data['all_models_identical']}"
-    )
-    RESULTS_PATH.write_text(json.dumps(data, indent=2) + "\n")
-    print(f"wrote {RESULTS_PATH}")
-    return data
-
-
-if __name__ == "__main__":
-    cli_sizes = [int(arg) for arg in sys.argv[1:]] or None
-    report(cli_sizes)

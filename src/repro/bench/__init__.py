@@ -11,7 +11,7 @@ from .generators import (
     win_move_datalog_pm,
     win_move_game,
 )
-from .harness import ResultTable, fit_powerlaw_exponent, scaling_series, time_call
+from .harness import fit_powerlaw_exponent, time_call
 
 __all__ = [
     "combined_complexity_workload",
@@ -23,8 +23,6 @@ __all__ = [
     "university_ontology",
     "win_move_datalog_pm",
     "win_move_game",
-    "ResultTable",
     "fit_powerlaw_exponent",
-    "scaling_series",
     "time_call",
 ]

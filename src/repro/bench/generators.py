@@ -24,7 +24,6 @@ All generators are deterministic given their ``seed``.
 from __future__ import annotations
 
 import random
-from typing import Iterable, Optional, Sequence
 
 from ..lang.atoms import Atom
 from ..lang.program import Database, DatalogPMProgram, NormalProgram

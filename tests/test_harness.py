@@ -6,18 +6,13 @@ import math
 
 import pytest
 
-from repro.bench.harness import ResultTable, fit_powerlaw_exponent, scaling_series, time_call
+from repro.bench.harness import fit_powerlaw_exponent, time_call
 
 
 class TestTiming:
     def test_time_call_returns_a_positive_duration(self):
         elapsed = time_call(lambda: sum(range(1000)), repeats=3)
         assert elapsed >= 0
-
-    def test_scaling_series_runs_every_size(self):
-        series = scaling_series([1, 2, 4], build=lambda n: n, run=lambda n: sum(range(n)), repeats=1)
-        assert [size for size, _ in series] == [1, 2, 4]
-        assert all(elapsed >= 0 for _, elapsed in series)
 
 
 class TestPowerlawFit:
@@ -34,24 +29,3 @@ class TestPowerlawFit:
     def test_degenerate_series_gives_nan(self):
         assert math.isnan(fit_powerlaw_exponent([1], [0.1]))
         assert math.isnan(fit_powerlaw_exponent([1, 2], [0.0, 0.0]))
-
-
-class TestResultTable:
-    def test_rendering_aligns_columns(self):
-        table = ResultTable("demo", ["size", "seconds"])
-        table.add_row(10, 0.012345)
-        table.add_row(1000, 1.5)
-        text = table.render()
-        assert "demo" in text
-        assert "size" in text and "seconds" in text
-        assert "1000" in text
-
-    def test_row_arity_is_checked(self):
-        table = ResultTable("demo", ["a", "b"])
-        with pytest.raises(ValueError):
-            table.add_row(1)
-
-    def test_float_formatting(self):
-        table = ResultTable("demo", ["value"])
-        table.add_row(0.000123456)
-        assert "0.0001235" in table.render()
