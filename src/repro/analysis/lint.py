@@ -13,9 +13,10 @@ redundancy (duplicates/subsumption), vacuous bodies, and reachability.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Protocol, Sequence
+from typing import Collection, Iterable, Optional, Protocol, Sequence
 
 from ..lang.atoms import Atom
+from ..lang.program import atom_signature
 from ..lang.rules import NormalRule
 from ..lang.terms import FunctionTerm, Term, Variable
 from ..rewrite.magic import MAGIC_PREFIX
@@ -41,26 +42,30 @@ def lint_rules(
     rules: Sequence[NormalRule],
     *,
     database_atoms: Optional[Iterable[Atom]] = None,
+    database_signature: Optional[Collection[tuple[str, int]]] = None,
     queries: Sequence[_QueryLike] = (),
 ) -> list[Diagnostic]:
     """Run every structural lint rule and return the findings (unordered).
 
-    ``database_atoms`` (the EDB, when known) feeds the arity check and
-    enables the reachability checks — without a database the analyzer cannot
-    know which predicates are extensional, so ``I301``/``I302`` are skipped
-    rather than guessed.  ``queries`` mark predicates as consumed for the
-    unused-predicate check.
+    The EDB, when known, feeds the arity check and enables the reachability
+    checks — without a database the analyzer cannot know which predicates
+    are extensional, so ``I301``/``I302`` are skipped rather than guessed.
+    Both checks read only its ``(predicate, arity)`` pairs: pass them as
+    ``database_signature`` (what :meth:`Database.signature` caches), or the
+    atoms as ``database_atoms``.  ``queries`` mark predicates as consumed for
+    the unused-predicate check.
     """
     rules = list(rules)
-    database = list(database_atoms) if database_atoms is not None else None
+    if database_signature is None and database_atoms is not None:
+        database_signature = atom_signature(database_atoms)
     findings: list[Diagnostic] = []
-    findings += _check_arities(rules, database)
+    findings += _check_arities(rules, database_signature or ())
     findings += _check_magic_namespace(rules)
     findings += _check_case_collisions(rules)
     findings += _check_duplicates_and_subsumption(rules)
     findings += _check_unsatisfiable_bodies(rules)
-    if database is not None:
-        findings += _check_reachability(rules, database, queries)
+    if database_signature is not None:
+        findings += _check_reachability(rules, database_signature, queries)
     return findings
 
 
@@ -68,7 +73,7 @@ def lint_rules(
 
 
 def _check_arities(
-    rules: Sequence[NormalRule], database: Optional[Sequence[Atom]]
+    rules: Sequence[NormalRule], database: Collection[tuple[str, int]]
 ) -> list[Diagnostic]:
     """E101: one predicate, two arities — almost always a typo."""
     seen: dict[str, dict[int, str]] = {}
@@ -77,14 +82,17 @@ def _check_arities(
     for index, rule in enumerate(rules):
         for atom in rule.atoms():
             where = f"rule {index}"
-            _record_arity(atom, where, seen, reported, findings, rule_index=index)
-    for atom in database or ():
-        _record_arity(atom, "database", seen, reported, findings, rule_index=None)
+            _record_arity(
+                atom.predicate, atom.arity, where, seen, reported, findings, rule_index=index
+            )
+    for predicate, arity in sorted(database):
+        _record_arity(predicate, arity, "database", seen, reported, findings, rule_index=None)
     return findings
 
 
 def _record_arity(
-    atom: Atom,
+    predicate: str,
+    arity: int,
     where: str,
     seen: dict[str, dict[int, str]],
     reported: set[str],
@@ -92,20 +100,20 @@ def _record_arity(
     *,
     rule_index: Optional[int],
 ) -> None:
-    arities = seen.setdefault(atom.predicate, {})
-    arities.setdefault(atom.arity, where)
-    if len(arities) > 1 and atom.predicate not in reported:
-        reported.add(atom.predicate)
+    arities = seen.setdefault(predicate, {})
+    arities.setdefault(arity, where)
+    if len(arities) > 1 and predicate not in reported:
+        reported.add(predicate)
         described = ", ".join(
-            f"arity {arity} ({first})" for arity, first in sorted(arities.items())
+            f"arity {used} ({first})" for used, first in sorted(arities.items())
         )
         findings.append(
             Diagnostic(
                 "E101",
-                f"predicate {atom.predicate} is used with inconsistent arities: "
+                f"predicate {predicate} is used with inconsistent arities: "
                 f"{described}",
                 rule_index=rule_index,
-                predicate=atom.predicate,
+                predicate=predicate,
             )
         )
 
@@ -251,7 +259,7 @@ def _check_unsatisfiable_bodies(rules: Sequence[NormalRule]) -> list[Diagnostic]
 
 def _check_reachability(
     rules: Sequence[NormalRule],
-    database: Sequence[Atom],
+    database: Collection[tuple[str, int]],
     queries: Sequence[_QueryLike],
 ) -> list[Diagnostic]:
     """I301 sourceless body predicates; I302 derived-but-never-consumed.
@@ -261,7 +269,7 @@ def _check_reachability(
     when no query is supplied.
     """
     heads = {rule.head.predicate for rule in rules}
-    edb = {atom.predicate for atom in database}
+    edb = {predicate for predicate, _ in database}
     consumed: set[str] = set()
     for query in queries:
         consumed.update(query.predicates())

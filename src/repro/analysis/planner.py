@@ -28,7 +28,7 @@ from typing import Any, Iterable, Optional, Sequence, Union, cast
 
 from ..exceptions import IllFormedRuleError, ParseError, ReproError
 from ..lang.atoms import Atom
-from ..lang.program import Database, DatalogPMProgram, NormalProgram
+from ..lang.program import Database, DatalogPMProgram, NormalProgram, atom_signature
 from ..lang.rules import NTGD, NormalRule
 from ..lang.skolem import skolemize_program
 from .diagnostics import AnalysisReport, Diagnostic, make_report
@@ -62,7 +62,10 @@ def analyze(
     """Statically analyze *program* and return the full report.
 
     ``database`` (when known) enables the reachability lints and feeds the
-    arity check; ``query``/``queries`` mark predicates as consumed.  Textual
+    arity check, both of which read only its ``(predicate, arity)``
+    signature — cached per version on a :class:`Database`, so analysing an
+    unchanged database again visits no fact; ``query``/``queries`` mark
+    predicates as consumed.  Textual
     input is parsed with the Datalog± grammar — facts in the text merge into
     the database — and a parse or safety error becomes an ``E102`` finding
     instead of an exception, so the analyzer can always be pointed at
@@ -77,14 +80,22 @@ def analyze(
         diagnostic = Diagnostic("E102", f"program is ill-formed: {exc}")
         return make_report([diagnostic], verdicts={}, summary={})
 
-    database_atoms: Optional[list[Atom]] = None
+    # The lints read the facts' (predicate, arity) signature only; a
+    # Database caches its own per version, so re-analysing it is free.
+    signature: Optional[frozenset[tuple[str, int]]] = None
+    facts: Optional[int] = None
     if database is not None or parsed_facts:
-        database_atoms = list(parsed_facts)
-        if database is not None:
-            database_atoms.extend(database)
+        signature, facts = atom_signature(parsed_facts), len(parsed_facts)
+        if isinstance(database, Database):
+            signature |= database.signature()
+            facts += len(database)
+        elif database is not None:
+            atoms = list(database)
+            signature |= atom_signature(atoms)
+            facts += len(atoms)
 
     diagnostics = lint_rules(
-        rules, database_atoms=database_atoms, queries=all_queries
+        rules, database_signature=signature, queries=all_queries
     )
     dependencies = analyze_dependencies(rules)
     verdict = termination_verdict(rules)
@@ -95,7 +106,7 @@ def analyze(
     summary = {
         "rules": len(rules),
         "predicates": len(dependencies.predicates),
-        "facts": len(database_atoms) if database_atoms is not None else None,
+        "facts": facts,
     }
     return make_report(diagnostics, verdicts=verdicts, summary=summary)
 

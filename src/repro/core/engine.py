@@ -50,7 +50,7 @@ import weakref
 from collections import OrderedDict
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, Iterable, Optional, Union
+from typing import Callable, Iterable, Optional, TypeVar, Union
 
 from ..exceptions import ConvergenceError
 from ..lang.atoms import Atom, Literal
@@ -215,6 +215,8 @@ class _RewriteOutcome:
     stats: dict
 
 
+_T = TypeVar("_T")
+
 #: Per-engine LRU bounds: each rewrite outcome pins a restricted WFS model and
 #: each pruned sub-engine a whole chase segment, so both caches stay small.
 _REWRITE_CACHE_SIZE = 128
@@ -310,7 +312,12 @@ class WellFoundedEngine:
         workloads — see ``docs/performance.md``).  Propagated to the
         relevance-pruned fallback sub-engines and reported in
         :attr:`last_query_stats`; ground programs, models and answers are
-        identical across backends.
+        identical across backends.  While the database is unchanged, the
+        columnar magic path grounds from the
+        :class:`~repro.lp.columnar.EDBSnapshot` the database caches per
+        version instead of seeding its facts, so fresh engines over one
+        database share its interned relations and hash indexes; the tuple
+        backend always seeds the facts one by one.
     """
 
     def __init__(
@@ -399,7 +406,9 @@ class WellFoundedEngine:
         )
 
         # The facts as they were at construction time: the chase, the magic
-        # path, the pruned fallback and the analysis all read this snapshot,
+        # path, the pruned fallback and the analysis all read this snapshot
+        # (the magic path and the analysis read the database itself while it
+        # is unchanged, see _read_facts()),
         # so one engine answers from one database whatever happens to it
         # later.  The chase is built on first use (see :attr:`_chase`): a
         # supported magic query never needs it.
@@ -468,8 +477,27 @@ class WellFoundedEngine:
         if self._analysis_report is None:
             from ..analysis.planner import analyze
 
-            self._analysis_report = analyze(self.program, self._facts)
+            self._analysis_report = self._read_facts(
+                lambda facts: analyze(self.program, facts)
+            )
         return self._analysis_report
+
+    def _read_facts(self, read: Callable[[Union[Database, tuple[Atom, ...]]], _T]) -> _T:
+        """``read`` applied to the construction-time facts.
+
+        It reads the database itself while it is unchanged (:meth:`is_stale`
+        is false), so the signature and columnar snapshot the database
+        caches per version serve every engine over it, and the facts copied
+        at construction once it has changed.  The staleness test is repeated
+        after the read: a mutation on another thread that lands during it
+        (the shared engines of :mod:`repro.core.answering` allow one) sends
+        the read to the copy as well.
+        """
+        if not self.is_stale():
+            result = read(self.database)
+            if not self.is_stale():
+                return result
+        return read(self._facts)
 
     def _analysis_summary(self) -> dict:
         """The stats-facing slice of :meth:`analysis` (cheap to copy)."""
@@ -647,8 +675,10 @@ class WellFoundedEngine:
         plan = rewrite_for_query(self.skolemized.rules(), literals, sips=self.sips)
         fallback_reason = plan.reason
         if plan.supported:
-            grounding = ground_magic(
-                plan, self._facts, max_atoms=self.max_nodes, backend=self.backend
+            grounding = self._read_facts(
+                lambda facts: ground_magic(
+                    plan, facts, max_atoms=self.max_nodes, backend=self.backend
+                )
             )
             if grounding.saturated:
                 model = well_founded_model(grounding.ground)

@@ -14,14 +14,21 @@
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Iterable, Iterator, Mapping, Optional, Sequence
+from typing import Callable, Iterable, Iterator, Mapping, Optional, TypeVar, cast
 
 from ..exceptions import IllFormedRuleError, NotGuardedError
 from .atoms import Atom
 from .rules import NTGD, NormalRule
-from .terms import Constant, FunctionTerm, Term, Variable
+from .terms import Constant, FunctionTerm, Term
 
-__all__ = ["Database", "Schema", "NormalProgram", "DatalogPMProgram"]
+__all__ = ["Database", "Schema", "NormalProgram", "DatalogPMProgram", "atom_signature"]
+
+_Snapshot = TypeVar("_Snapshot")
+
+
+def atom_signature(atoms: Iterable[Atom]) -> frozenset[tuple[str, int]]:
+    """The ``(predicate, arity)`` pairs occurring in *atoms*."""
+    return frozenset((atom.predicate, len(atom.args)) for atom in atoms)
 
 
 class Database:
@@ -31,6 +38,15 @@ class Database:
     with predicate-indexed access.  Atoms must be ground; by default they must
     also be null-free (databases range over ``Δ`` only), but the check can be
     relaxed for intermediate instances produced by the chase.
+
+    Two views derived from the atoms are cached on the instance and rebuilt
+    only after a mutation bumps :attr:`version`: the ``(predicate, arity)``
+    :meth:`signature` the analyzer's lints read, and the slot behind
+    :meth:`snapshot`, which holds the columnar snapshot
+    (:class:`repro.lp.columnar.EDBSnapshot`) every goal-directed engine over
+    this instance grounds from.  The snapshot builds its relations and their
+    hash indexes lazily and keeps them; it serialises its own builds, so
+    engines on several threads may share one instance.
     """
 
     def __init__(self, atoms: Iterable[Atom] = (), *, allow_nulls: bool = False):
@@ -41,6 +57,9 @@ class Database:
         #: so caches can fingerprint the instance (``len`` alone cannot — an
         #: add followed by a remove lands back on the same size)
         self._version = 0
+        #: ``(version, value)`` of the cached signature and snapshot
+        self._signature: Optional[tuple[int, frozenset[tuple[str, int]]]] = None
+        self._snapshot: Optional[tuple[int, object]] = None
         for atom in atoms:
             self.add(atom)
 
@@ -103,6 +122,34 @@ class Database:
     def version(self) -> int:
         """The mutation counter: distinct after every effective add/remove."""
         return self._version
+
+    def signature(self) -> frozenset[tuple[str, int]]:
+        """The ``(predicate, arity)`` pairs of the atoms, built once per version.
+
+        The atoms are copied in one step before they are read, so a
+        mutation on another thread cannot break the iteration; the version
+        is read first, so a signature that saw such a mutation is filed
+        under a version no later request matches.
+        """
+        version, cached = self._version, self._signature
+        if cached is None or cached[0] != version:
+            cached = (version, atom_signature(tuple(self._atoms)))
+            self._signature = cached
+        return cached[1]
+
+    def snapshot(self, build: Callable[["Database"], _Snapshot]) -> _Snapshot:
+        """The derived snapshot of the current version, made by *build* on first request.
+
+        The database only holds the slot: *build* (the columnar layer's
+        snapshot constructor) is called with this instance at most once per
+        :attr:`version`, and every later request of the same version returns
+        the same object.
+        """
+        version, cached = self._version, self._snapshot
+        if cached is None or cached[0] != version:
+            cached = (version, build(self))
+            self._snapshot = cached
+        return cast(_Snapshot, cached[1])
 
     # -- set-like access ---------------------------------------------------------
 

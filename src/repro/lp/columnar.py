@@ -39,15 +39,26 @@ the identical fixpoint.  Rules whose positive body contains a non-ground
 function term (a pattern like ``p(f(X))`` that must destructure a Skolem term)
 fall back to the tuple matcher for that rule only — columns are opaque ids, so
 structural matching stays in term space.
+
+Facts handed to the grounder are not seeded one by one.  They arrive as an
+:class:`EDBSnapshot` — a term-id table plus read-only int relations, built one
+``(predicate, arity)`` relation at a time on first request.  A
+:class:`~repro.lang.program.Database` keeps one snapshot per version
+(:func:`edb_snapshot`), so the many fresh grounders of a goal-directed
+workload over one unchanged database intern each relation, and build each of
+its hash indexes, once.  A grounder holds every base relation it never writes
+by reference and copies the rest; see :class:`ColumnarGrounder`.
 """
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional
+import threading
+import weakref
+from typing import Callable, Collection, Iterable, Iterator, Optional
 
 from ..exceptions import GroundingError
 from ..lang.atoms import Atom
-from ..lang.program import NormalProgram
+from ..lang.program import Database, NormalProgram
 from ..lang.rules import NormalRule
 from ..lang.terms import FunctionTerm, Term, Variable, is_ground_term
 from .grounding import (
@@ -61,6 +72,8 @@ from .grounding import (
 __all__ = [
     "BACKENDS",
     "ColumnarGrounder",
+    "EDBSnapshot",
+    "edb_snapshot",
     "make_grounder",
 ]
 
@@ -124,6 +137,113 @@ class _Relation:
                 index.setdefault(key, []).append(row)
             self.indexes[columns] = index
         return index
+
+
+#: A relation's key: predicate name and arity.
+_Key = tuple[str, int]
+
+
+class EDBSnapshot:
+    """Ground facts as interned int relations, each built on first request.
+
+    ``term_ids``/``terms`` is the term-id table; :meth:`relation` builds the
+    :class:`_Relation` of one ``(predicate, arity)`` key the first time it is
+    asked for — groundness checked, terms interned, duplicates dropped — and
+    keeps it, together with every hash index a grounder later builds on it.
+    ``builds`` counts the relations built.  A key nobody asks for is never
+    interned.  Readers never write the table or a relation's rows; builds
+    and :meth:`term_table` copies hold the snapshot's lock, so grounders on
+    several threads may share one snapshot (an index two of them build at
+    once is built twice, each copy complete).
+
+    Built over a :class:`~repro.lang.program.Database`, the snapshot reads
+    the facts of a key from the database when asked, so it describes the
+    database only while the database is unchanged: :func:`edb_snapshot`
+    replaces it after a mutation, and a reader that may race a mutation
+    (another thread) checks the version again after reading.  It references
+    the database weakly.  Built over plain atoms, it groups them by key up
+    front and is private to the one grounder that builds it.
+    """
+
+    __slots__ = ("term_ids", "terms", "builds", "_database", "_groups", "_relations", "_lock")
+
+    def __init__(self, facts: Database | Iterable[Atom]):
+        self.term_ids: dict[Term, int] = {}
+        self.terms: list[Term] = []
+        self.builds = 0
+        self._relations: dict[_Key, _Relation] = {}
+        self._lock = threading.Lock()
+        self._database: Optional[weakref.ref[Database]] = None
+        self._groups: dict[_Key, list[Atom]] = {}
+        if isinstance(facts, Database):
+            self._database = weakref.ref(facts)
+        else:
+            for atom in facts:
+                self._groups.setdefault((atom.predicate, len(atom.args)), []).append(atom)
+
+    def _source(self) -> Optional[Database]:
+        """The database the snapshot reads, ``None`` for a private one."""
+        if self._database is None:
+            return None
+        database = self._database()
+        if database is None:
+            raise ReferenceError("the database of this snapshot no longer exists")
+        return database
+
+    def keys(self) -> Collection[_Key]:
+        """The ``(predicate, arity)`` keys the facts occupy."""
+        database = self._source()
+        return self._groups.keys() if database is None else database.signature()
+
+    def relation(self, key: _Key) -> _Relation:
+        """The relation of *key*, built on first request (empty if no fact has it)."""
+        relation = self._relations.get(key)
+        if relation is None:
+            with self._lock:
+                relation = self._relations.get(key)
+                if relation is None:
+                    relation = self._relations[key] = self._build(key)
+        return relation
+
+    def term_table(self) -> tuple[dict[Term, int], list[Term]]:
+        """Copies of ``term_ids`` and ``terms``, taken together."""
+        with self._lock:
+            return self.term_ids.copy(), self.terms.copy()
+
+    def _build(self, key: _Key) -> _Relation:
+        """Intern the relation of *key*; must hold the lock."""
+        predicate, arity = key
+        database = self._source()
+        atoms: Iterable[Atom] = (
+            self._groups.get(key, ()) if database is None else database.with_predicate(predicate)
+        )
+        term_ids, terms = self.term_ids, self.terms
+
+        def intern(term: Term) -> int:
+            term_id = term_ids.get(term)
+            if term_id is None:
+                term_id = term_ids[term] = len(terms)
+                terms.append(term)
+            return term_id
+
+        relation = _Relation(arity)
+        for atom in atoms:
+            if len(atom.args) != arity:
+                continue
+            if not atom.is_ground():
+                raise GroundingError(
+                    f"columnar grounding only accepts ground candidate atoms, got {atom}"
+                )
+            row = tuple(intern(arg) for arg in atom.args)
+            if row not in relation.rows:
+                relation.add(row, atom)
+        self.builds += 1
+        return relation
+
+
+def edb_snapshot(database: Database) -> EDBSnapshot:
+    """The columnar snapshot of *database*'s current version (cached on it)."""
+    return database.snapshot(EDBSnapshot)
 
 
 class _Probe:
@@ -197,48 +317,92 @@ class ColumnarGrounder:
     same constructor shape, same ``ground`` / ``index`` / ``rounds`` /
     ``saturated`` / :meth:`delta_rules` / :meth:`run` surface, same budget
     semantics — only the inner loop differs.
+
+    ``extra_atoms`` are the *base* facts.  A
+    :class:`~repro.lang.program.Database` is read through its cached
+    :func:`edb_snapshot`; any other iterable gets a private
+    :class:`EDBSnapshot`.  ``predicates``, when given, keeps only the base
+    facts of those predicates (the magic path's relevance filter).  At
+    construction the grounder requests every base relation, then copies the
+    snapshot's term table — so its own ids never collide with ids the
+    snapshot hands out later — and only then compiles its rules, because
+    compiled probes hold relation objects.  A base relation whose key no rule
+    head has (and no fallback rule reads) is held by reference and never
+    written: its rows are not in :attr:`index`, and :attr:`candidates` counts
+    them.  The others are copied into the grounder's own relations and
+    :attr:`index` through :meth:`_seed`.  Either way, base rows are round-1
+    delta, exactly as seeded facts are.  :meth:`add_fact`, :meth:`reseed` and
+    :meth:`retract_fact` copy a held relation before they write it.
     """
 
     def __init__(
         self,
         program: NormalProgram | Iterable[NormalRule],
-        extra_atoms: Iterable[Atom] = (),
+        extra_atoms: Database | Iterable[Atom] = (),
+        *,
+        predicates: Optional[Collection[str]] = None,
     ):
         self.ground = GroundProgram()
         self.index = PredicateIndex()
         self.rounds = 0
         self._delta_start = 0
 
-        # -- interning ---------------------------------------------------------
-        self._term_ids: dict[Term, int] = {}
-        self._terms: list[Term] = []
-        self._relations: dict[tuple[str, int], _Relation] = {}
-
         # -- pending delta -----------------------------------------------------
         self._delta: list[Atom] = []
-        self._delta_rows: dict[tuple[str, int], list[tuple[int, ...]]] = {}
+        self._delta_rows: dict[_Key, list[tuple[int, ...]]] = {}
 
         self._compiled: list[_CompiledRule] = []
         self._has_fallback = False
 
-        for atom in extra_atoms:
-            self._seed(atom)
+        facts: list[NormalRule] = []
         once_rules: list[NormalRule] = []
+        written: set[_Key] = set()
         for rule in program:
-            if rule.is_fact() and rule.is_ground():
-                self.ground.add(rule)
-                self._seed(rule.head)
-            elif not rule.is_fact():
-                if rule.body_pos:
-                    compiled = _CompiledRule(rule)
-                    if compiled.fallback:
-                        self._has_fallback = True
-                    else:
-                        self._compile(compiled)
-                    self._compiled.append(compiled)
-                else:
-                    once_rules.append(rule)
+            written.add((rule.head.predicate, len(rule.head.args)))
+            if rule.is_fact():
+                if rule.is_ground():
+                    facts.append(rule)
+            elif rule.body_pos:
+                compiled = _CompiledRule(rule)
+                if compiled.fallback:
+                    # the tuple matcher reads its candidates from the index
+                    self._has_fallback = True
+                    written.update((a.predicate, len(a.args)) for a in rule.body_pos)
+                self._compiled.append(compiled)
+            else:
+                once_rules.append(rule)
 
+        # -- the base layer ----------------------------------------------------
+        if isinstance(extra_atoms, Database):
+            snapshot = edb_snapshot(extra_atoms)
+        else:
+            snapshot = EDBSnapshot(extra_atoms)
+        self._relations: dict[_Key, _Relation] = {}
+        #: base relations, by key: read by :meth:`base_matches`, never written
+        self._base: dict[_Key, _Relation] = {}
+        #: the base relations held by reference; their rows are round-1
+        #: delta while ``_base_pending`` is set
+        self._shared: dict[_Key, _Relation] = {}
+        for key in snapshot.keys():
+            if predicates is None or key[0] in predicates:
+                relation = self._base[key] = snapshot.relation(key)
+                if key not in written:
+                    self._relations[key] = self._shared[key] = relation
+        self._base_pending = bool(self._shared)
+
+        # -- interning ---------------------------------------------------------
+        self._term_ids, self._terms = snapshot.term_table()
+
+        for key, relation in self._base.items():
+            if key not in self._shared:
+                for atom in relation.atom_of.values():
+                    self._seed(atom)
+        for rule in facts:
+            self.ground.add(rule)
+            self._seed(rule.head)
+        for compiled in self._compiled:
+            if not compiled.fallback:
+                self._compile(compiled)
         for rule in once_rules:
             for instance in ground_rule_instances(rule, self.index):
                 self.ground.add(instance)
@@ -277,6 +441,63 @@ class ColumnarGrounder:
         self._delta.append(atom)
         self._delta_rows.setdefault(key, []).append(row)
 
+    def _own(self, atom: Atom) -> None:
+        """Copy the held base relation of *atom*'s key, if any, before a write.
+
+        Its rows move into :attr:`index` (and into the pending delta while
+        round 1 has not run), and every compiled plan is re-pointed at the
+        copy; the snapshot's relation stays as it was.
+        """
+        key = (atom.predicate, len(atom.args))
+        shared = self._shared.pop(key, None)
+        if shared is None:
+            return
+        own = _Relation(shared.arity)
+        for row, atom in shared.atom_of.items():
+            own.add(row, atom)
+            self.index.add(atom)
+        if self._base_pending:
+            self._delta.extend(shared.atom_of.values())
+            self._delta_rows[key] = list(shared.atom_of)
+        self._relations[key] = own
+        for compiled in self._compiled:
+            for plan in compiled.plans:
+                if plan.relation is shared:
+                    plan.relation = own
+                for probe in plan.probes:
+                    if probe.relation is shared:
+                        probe.relation = own
+            compiled.body_builders = [
+                (own if relation is shared else relation, sources)
+                for relation, sources in compiled.body_builders
+            ]
+
+    @property
+    def candidates(self) -> int:
+        """Candidate atoms: those in :attr:`index` plus the held base rows."""
+        count = len(self.index)
+        for relation in self._shared.values():
+            count += len(relation.rows)
+        return count
+
+    def base_matches(
+        self, key: _Key, columns: tuple[int, ...], guard: _Key
+    ) -> Iterator[Atom]:
+        """The base facts of *key* whose *columns* equal some row of *guard*.
+
+        A semi-join probe of the base relation's hash index over *columns*
+        (kept on the snapshot for later grounders) with every row of the
+        grounder's relation *guard*; derived rows of *key* never match.
+        """
+        base = self._base.get(key)
+        guard_relation = self._relations.get(guard)
+        if base is None or guard_relation is None:
+            return
+        index = base.ensure_index(columns)
+        for guard_row in guard_relation.atom_of:
+            for row in index.get(guard_row, ()):
+                yield base.atom_of[row]
+
     # -- fact-level deltas (materialized-view maintenance seam) ----------------
 
     def add_fact(self, atom: Atom) -> None:
@@ -287,6 +508,8 @@ class ColumnarGrounder:
         """
         if not atom.is_ground():
             raise GroundingError(f"facts must be ground, got {atom}")
+        if self._shared:
+            self._own(atom)
         self.ground.add(NormalRule(atom))
         self._seed(atom)
 
@@ -299,6 +522,8 @@ class ColumnarGrounder:
         caller must only retract atoms that are no longer derivable,
         re-entering them via :meth:`reseed` if rederived.
         """
+        if self._shared:
+            self._own(atom)
         if not self.index.discard(atom):
             return False
         if self._delta:
@@ -321,6 +546,8 @@ class ColumnarGrounder:
 
     def reseed(self, atom: Atom) -> None:
         """Re-enter a previously retracted atom into the candidate state."""
+        if self._shared:
+            self._own(atom)
         self._seed(atom)
 
     # -- rule compilation ------------------------------------------------------
@@ -445,7 +672,7 @@ class ColumnarGrounder:
     @property
     def saturated(self) -> bool:
         """``True`` iff the fixpoint was reached (no pending delta atoms)."""
-        return not self._delta
+        return not self._delta and not self._base_pending
 
     def delta_rules(self) -> tuple[NormalRule, ...]:
         """The ground rules produced by the most recent :meth:`run` call."""
@@ -468,7 +695,7 @@ class ColumnarGrounder:
         result is set-identical either way (see the module docstring).
         """
         self._delta_start = len(self.ground)
-        while self._delta:
+        while self._delta or self._base_pending:
             if max_rounds is not None and self.rounds + 1 > max_rounds:
                 if raise_on_budget:
                     raise GroundingError(
@@ -478,7 +705,11 @@ class ColumnarGrounder:
                 return False
             self.rounds += 1
             delta_atoms = self._delta
-            delta_rows = self._delta_rows
+            delta_rows: dict = self._delta_rows
+            if self._base_pending:
+                self._base_pending = False
+                for key, relation in self._shared.items():
+                    delta_rows[key] = relation.atom_of
             self._delta = []
             self._delta_rows = {}
             fallback_index = (
@@ -498,7 +729,7 @@ class ColumnarGrounder:
                             self._seed(instance.head)
                 else:
                     self._delta_step(compiled, delta_rows)
-            if max_atoms is not None and len(self.index) > max_atoms:
+            if max_atoms is not None and self.candidates > max_atoms:
                 if raise_on_budget:
                     raise GroundingError(
                         f"relevant grounding exceeded the atom budget of {max_atoms}"
@@ -509,7 +740,7 @@ class ColumnarGrounder:
     def _delta_step(
         self,
         compiled: _CompiledRule,
-        delta_rows: dict[tuple[str, int], list[tuple[int, ...]]],
+        delta_rows: dict[_Key, Collection[tuple[int, ...]]],
     ) -> None:
         """Run the rule's delta-position plans and emit new instances.
 
@@ -554,7 +785,7 @@ class ColumnarGrounder:
     def _run_plan_dict(
         self,
         plan: _Plan,
-        rows: list[tuple[int, ...]],
+        rows: Collection[tuple[int, ...]],
         nvars: int,
         results: list[tuple[int, ...]],
     ) -> None:

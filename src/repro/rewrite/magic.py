@@ -49,7 +49,7 @@ from ..lang.atoms import Atom, Literal
 from ..lang.program import NormalProgram
 from ..lang.rules import NormalRule
 from ..lang.terms import Term
-from ..lp.columnar import make_grounder
+from ..lp.columnar import ColumnarGrounder, make_grounder
 from ..lp.grounding import GroundProgram
 from .adornment import AdornedProgram, Adornment, adorn
 from .sips import SIPSStrategy, sips_strategy
@@ -362,7 +362,9 @@ def ground_magic(
     predicate the query cannot reach (outside ``plan.relevant_predicates()``)
     match no body of the gated program and can never be covered, so they are
     dropped before grounding, and ``candidates`` counts relevant atoms only.
-    Budgets behave like
+    Coverage is keyed by ``(predicate, arity)``: a fact whose arity differs
+    from every reachable adornment of its predicate is a candidate but is
+    never covered.  Budgets behave like
     :class:`~repro.lp.grounding.SemiNaiveGrounder`'s but never raise — a
     budget hit is reported as ``saturated=False`` and the caller is expected
     to fall back to unrewritten evaluation.
@@ -373,27 +375,37 @@ def ground_magic(
     acts as a semi-join filter over the gated relation: it keys the first
     probe of every other plan, and in a round where the guard's relation holds
     only new rows (round 1's seed, for one) it drives the rule's only plan,
-    so the rule scans no row of the relation it gates.
+    so the rule scans no row of the relation it gates.  Handed a
+    :class:`~repro.lang.program.Database`, the columnar backend grounds from
+    the database's cached :class:`~repro.lp.columnar.EDBSnapshot` instead of
+    seeding the facts, interning only the relations of relevant predicates,
+    and tests coverage by probing those relations' hash indexes with the
+    magic rows — so a later call over the unchanged database finds the
+    relations and indexes built.  The tuple backend filters and seeds the
+    facts one by one and projects each onto the magic rows, as the oracle.
     """
     if plan.program is None:
         raise ValueError(f"plan is not supported ({plan.reason}); cannot ground it")
     relevant = plan.relevant_predicates()
-    facts = [atom for atom in database if atom.predicate in relevant]
-    grounder = make_grounder(plan.program, facts, backend=backend)
+    columnar = backend == "columnar"
+    if columnar:
+        grounder = ColumnarGrounder(plan.program, database, predicates=relevant)
+    else:
+        facts = [atom for atom in database if atom.predicate in relevant]
+        grounder = make_grounder(plan.program, facts, backend=backend)
     saturated = grounder.run(
         max_rounds=max_rounds, max_atoms=max_atoms, raise_on_budget=False
     )
 
-    # The derived magic rows of every (predicate, representative adornment),
-    # read once from the magic predicate's bucket of the candidate index.
-    covers: dict[str, list[tuple[Adornment, set[tuple[Term, ...]]]]] = {}
+    # The magic predicate of every (predicate, arity, representative
+    # adornment), whose derived atoms sit in the candidate index.
+    guards: dict[tuple[str, int], list[tuple[Adornment, str]]] = {}
     magic_atoms = 0
     for predicate, adornments in plan.adornments_by_predicate().items():
         for adornment in adornments:
             name = magic_predicate_name(predicate, adornment)
-            rows = {atom.args for atom in grounder.index.get(name)}
-            magic_atoms += len(rows)
-            covers.setdefault(predicate, []).append((adornment, rows))
+            magic_atoms += len(grounder.index.get(name))
+            guards.setdefault((predicate, adornment.arity), []).append((adornment, name))
 
     stripped = GroundProgram()
     for instance in grounder.ground:
@@ -407,19 +419,34 @@ def ground_magic(
             )
         )
 
-    covered_facts = 0
-    for atom in facts:
-        for adornment, rows in covers.get(atom.predicate, ()):
-            if adornment.project(atom.args) in rows:
-                stripped.add(NormalRule(atom))
-                covered_facts += 1
-                break
+    covered: dict[Atom, None] = {}
+    if columnar:
+        for key, keyed in guards.items():
+            for adornment, name in keyed:
+                columns = adornment.bound_positions()
+                for atom in grounder.base_matches(key, columns, (name, len(columns))):
+                    covered[atom] = None
+        candidates = grounder.candidates
+    else:
+        rows = {
+            name: {atom.args for atom in grounder.index.get(name)}
+            for keyed in guards.values()
+            for _, name in keyed
+        }
+        for atom in facts:
+            for adornment, name in guards.get((atom.predicate, len(atom.args)), ()):
+                if adornment.project(atom.args) in rows[name]:
+                    covered[atom] = None
+                    break
+        candidates = len(grounder.index)
+    for atom in covered:
+        stripped.add(NormalRule(atom))
 
     return MagicGrounding(
         ground=stripped,
         saturated=saturated,
         rounds=grounder.rounds,
         magic_atoms=magic_atoms,
-        candidates=len(grounder.index),
-        covered_facts=covered_facts,
+        candidates=candidates,
+        covered_facts=len(covered),
     )

@@ -14,6 +14,7 @@ from hypothesis import strategies as st
 from repro.bench.generators import random_guarded_program
 from repro.lang.atoms import Atom
 from repro.lang.program import NormalProgram
+from repro.lang.queries import NormalBCQ
 from repro.lang.rules import NormalRule
 from repro.lang.terms import Constant, FunctionTerm, Variable
 from repro.lp.grounding import GroundProgram
@@ -29,6 +30,7 @@ __all__ = [
     "ground_programs",
     "safe_normal_workloads",
     "guarded_workloads",
+    "rewrite_workloads",
     "repeated_skolem_programs",
     "agenda_orderings",
     "scenario_bundles",
@@ -166,6 +168,48 @@ def guarded_workloads(draw):
         num_facts=8,
         seed=seed,
     )
+
+
+@st.composite
+def rewrite_workloads(draw):
+    """A random guarded Datalog± workload plus a query against it.
+
+    ``existential_prob > 0`` yields Skolemised rules whose query-relevant
+    fragments are frequently not weakly acyclic, which is exactly what drives
+    the conservative fallback path.
+    """
+    seed = draw(st.integers(min_value=0, max_value=10_000))
+    num_predicates = draw(st.integers(min_value=1, max_value=3))
+    num_rules = draw(st.integers(min_value=2, max_value=5))
+    negation_prob = draw(st.sampled_from([0.0, 0.4, 0.8]))
+    existential_prob = draw(st.sampled_from([0.0, 0.0, 0.4]))
+    program, database = random_guarded_program(
+        num_predicates,
+        2,
+        num_rules,
+        negation_prob=negation_prob,
+        existential_prob=existential_prob,
+        num_constants=3,
+        num_facts=8,
+        seed=seed,
+    )
+
+    predicates = sorted({f"q{i}" for i in range(num_predicates)})
+    predicate = draw(st.sampled_from(predicates))
+    shape = draw(st.sampled_from(["ground", "open", "negated", "join"]))
+    x = Variable("X")
+    constant = Constant(f"c{draw(st.integers(min_value=0, max_value=2))}")
+    if shape == "ground":
+        query = NormalBCQ((Atom(predicate, (constant,)),))
+    elif shape == "open":
+        query = NormalBCQ((Atom(predicate, (x,)),))
+    elif shape == "negated":
+        other = draw(st.sampled_from(predicates))
+        query = NormalBCQ((Atom(predicate, (x,)),), (Atom(other, (x,)),))
+    else:
+        other = draw(st.sampled_from(predicates))
+        query = NormalBCQ((Atom(predicate, (x,)), Atom(other, (x,))))
+    return program, database, query
 
 
 #: Predicates of :func:`repeated_skolem_programs`: mostly low arities, where

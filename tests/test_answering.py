@@ -217,6 +217,12 @@ class TestSharedEngineThreadSafety:
         return program, database
 
     def test_phased_mutations_are_never_served_stale(self):
+        self._phased_mutations(rewrite=None)
+
+    def test_phased_mutations_are_never_served_stale_on_the_magic_path(self):
+        self._phased_mutations(rewrite=True)
+
+    def _phased_mutations(self, rewrite):
         import threading
 
         clear_engine_cache()
@@ -231,7 +237,7 @@ class TestSharedEngineThreadSafety:
                 barrier.wait(timeout=20)  # mutation for this round is done
                 fact = f"seen(r{expected_round})"
                 try:
-                    if not holds_under_wfs(program, database, f"? {fact}"):
+                    if not holds_under_wfs(program, database, f"? {fact}", rewrite=rewrite):
                         failures.append(f"stale answer for {fact}")
                 except Exception as error:  # pragma: no cover - the regression
                     failures.append(f"{type(error).__name__}: {error}")
@@ -249,6 +255,12 @@ class TestSharedEngineThreadSafety:
         assert not failures, failures
 
     def test_unphased_hammer_is_crash_free_and_ends_fresh(self):
+        self._unphased_hammer(rewrite=None)
+
+    def test_unphased_hammer_is_crash_free_and_ends_fresh_on_the_magic_path(self):
+        self._unphased_hammer(rewrite=True)
+
+    def _unphased_hammer(self, rewrite):
         import threading
 
         clear_engine_cache()
@@ -260,7 +272,7 @@ class TestSharedEngineThreadSafety:
             while not stop.is_set():
                 try:
                     # any boolean is fine mid-mutation; crashes are not
-                    holds_under_wfs(program, database, "? seen(s0)")
+                    holds_under_wfs(program, database, "? seen(s0)", rewrite=rewrite)
                 except Exception as error:  # pragma: no cover - the regression
                     errors.append(f"{type(error).__name__}: {error}")
                     return
@@ -279,5 +291,5 @@ class TestSharedEngineThreadSafety:
         # after the dust settles the served model reflects the final state:
         # odd-indexed signals survive, even-indexed ones were discarded by
         # the following odd iteration
-        assert holds_under_wfs(program, database, "? seen(h59)")
-        assert not holds_under_wfs(program, database, "? seen(h58)")
+        assert holds_under_wfs(program, database, "? seen(h59)", rewrite=rewrite)
+        assert not holds_under_wfs(program, database, "? seen(h58)", rewrite=rewrite)

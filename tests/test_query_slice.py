@@ -8,7 +8,8 @@ Three properties of the magic-sets query path of
   and a forest request build exactly one over the construction-time facts —
   which every path, and the analysis, reads;
 * :func:`~repro.rewrite.magic.ground_magic` only hands the grounder facts of
-  query-relevant predicates, so unrelated facts change nothing it reports;
+  query-relevant predicates, so unrelated facts change nothing it reports
+  and are never interned;
 * the magic path's ``seconds`` statistic includes the restricted WFS solve.
 """
 
@@ -27,7 +28,7 @@ from repro.lang.parser import parse_program
 from repro.lang.rules import NormalRule
 from repro.lang.skolem import skolemize_program
 from repro.lang.terms import Constant, Variable
-from repro.lp.columnar import BACKENDS
+from repro.lp.columnar import BACKENDS, edb_snapshot
 from repro.rewrite.magic import ground_magic, rewrite_for_query
 
 
@@ -246,15 +247,20 @@ def test_unrelated_facts_leave_the_magic_grounding_unchanged(backend):
     assert base.saturated
 
     noisy = database.copy()
-    noisy.update(
-        Atom("noise", (Constant(f"n{i}"), Constant(f"n{i + 1}"))) for i in range(10_000)
-    )
+    noise = [Constant(f"n{i}") for i in range(10_001)]
+    noisy.update(Atom("noise", (noise[i], noise[i + 1])) for i in range(10_000))
     grown = ground_magic(plan, noisy, backend=backend)
     assert grown.saturated
     assert set(grown.ground) == set(base.ground)
     assert grown.covered_facts == base.covered_facts
     assert grown.magic_atoms == base.magic_atoms
     assert grown.candidates == base.candidates
+
+    # the noise facts are never interned: the columnar path builds the
+    # relations of the relevant source/1 and edge/2 only
+    snapshot = edb_snapshot(noisy)
+    assert snapshot.builds == (2 if backend == "columnar" else 0)
+    assert not snapshot.term_ids.keys() & set(noise)
 
 
 @pytest.mark.parametrize("backend", BACKENDS)

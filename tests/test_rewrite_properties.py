@@ -13,67 +13,19 @@ from __future__ import annotations
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.bench.generators import (
-    paper_example_program,
-    random_guarded_program,
-    win_move_game,
-)
+from repro.bench.generators import paper_example_program, win_move_game
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
-from repro.lang.atoms import Atom, neg, pos
-from repro.lang.queries import NormalBCQ
-from repro.lang.terms import Constant, Variable
+from repro.lang.atoms import pos
 from repro.lp.grounding import relevant_grounding
 from repro.lp.wfs import well_founded_model
 from repro.rewrite import ground_magic, rewrite_for_query
-
-X = Variable("X")
+from strategies import rewrite_workloads
 
 COMMON_SETTINGS = dict(
     deadline=None,
     suppress_health_check=[HealthCheck.too_slow, HealthCheck.data_too_large],
 )
-
-
-@st.composite
-def guarded_workloads(draw):
-    """A random guarded Datalog± workload plus a query against it.
-
-    ``existential_prob > 0`` yields Skolemised rules whose query-relevant
-    fragments are frequently not weakly acyclic, which is exactly what drives
-    the conservative fallback path.
-    """
-    seed = draw(st.integers(min_value=0, max_value=10_000))
-    num_predicates = draw(st.integers(min_value=1, max_value=3))
-    num_rules = draw(st.integers(min_value=2, max_value=5))
-    negation_prob = draw(st.sampled_from([0.0, 0.4, 0.8]))
-    existential_prob = draw(st.sampled_from([0.0, 0.0, 0.4]))
-    program, database = random_guarded_program(
-        num_predicates,
-        2,
-        num_rules,
-        negation_prob=negation_prob,
-        existential_prob=existential_prob,
-        num_constants=3,
-        num_facts=8,
-        seed=seed,
-    )
-
-    predicates = sorted({f"q{i}" for i in range(num_predicates)})
-    predicate = draw(st.sampled_from(predicates))
-    shape = draw(st.sampled_from(["ground", "open", "negated", "join"]))
-    constant = Constant(f"c{draw(st.integers(min_value=0, max_value=2))}")
-    if shape == "ground":
-        query = NormalBCQ((Atom(predicate, (constant,)),))
-    elif shape == "open":
-        query = NormalBCQ((Atom(predicate, (X,)),))
-    elif shape == "negated":
-        other = draw(st.sampled_from(predicates))
-        query = NormalBCQ((Atom(predicate, (X,)),), (Atom(other, (X,)),))
-    else:
-        other = draw(st.sampled_from(predicates))
-        query = NormalBCQ((Atom(predicate, (X,)), Atom(other, (X,))))
-    return program, database, query
 
 
 def _converges(engine) -> bool:
@@ -89,7 +41,7 @@ def _converges(engine) -> bool:
         return False
 
 
-@given(workload=guarded_workloads())
+@given(workload=rewrite_workloads())
 @settings(max_examples=40, **COMMON_SETTINGS)
 def test_holds_is_invariant_under_rewriting(workload):
     """``holds`` agrees with and without rewriting, fallback cases included."""
@@ -104,7 +56,7 @@ def test_holds_is_invariant_under_rewriting(workload):
     )
 
 
-@given(workload=guarded_workloads())
+@given(workload=rewrite_workloads())
 @settings(max_examples=25, **COMMON_SETTINGS)
 def test_answer_is_invariant_under_rewriting(workload):
     """``answer`` returns identical certain-answer sets with and without rewriting."""
