@@ -13,7 +13,7 @@ amount of convenience API for building atoms.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Iterator
+from typing import Any, Iterable
 
 from .terms import (
     Constant,
@@ -209,10 +209,3 @@ def variables_of_atoms(atoms: Iterable[Atom]) -> set[Variable]:
     for atom in atoms:
         result.update(atom.variables())
     return result
-
-
-def atoms_with_predicate(atoms: Iterable[Atom], predicate: str) -> Iterator[Atom]:
-    """Yield the atoms of *atoms* whose predicate is *predicate*."""
-    for atom in atoms:
-        if atom.predicate == predicate:
-            yield atom

@@ -243,12 +243,18 @@ class _SetAdapter:
 
 
 def _adapt(interpretation: InterpretationLike) -> ThreeValuedLike:
-    """Wrap plain atom collections; pass through three-valued objects."""
-    if isinstance(interpretation, ThreeValuedLike) and not isinstance(
-        interpretation, (set, frozenset, list, tuple)
+    """Wrap plain atom collections; pass through three-valued objects.
+
+    The ``hasattr`` tests are what ``isinstance(x, ThreeValuedLike)`` checks,
+    without the runtime-checkable Protocol's cost on every query.
+    """
+    if isinstance(interpretation, (set, frozenset, list, tuple)) or not (
+        hasattr(interpretation, "is_true")
+        and hasattr(interpretation, "is_false")
+        and hasattr(interpretation, "true_atoms")
     ):
-        return interpretation
-    return _SetAdapter(interpretation)  # type: ignore[arg-type]
+        return _SetAdapter(interpretation)  # type: ignore[arg-type]
+    return interpretation  # type: ignore[return-value]
 
 
 def _true_atom_index(interpretation: ThreeValuedLike) -> dict[str, list[Atom]]:

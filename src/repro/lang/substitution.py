@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 from typing import Iterable, Iterator, ItemsView, Mapping, Optional, Sequence
 
 from .atoms import Atom, Literal
-from .terms import Constant, FunctionTerm, Term, Variable, is_ground_term
+from .terms import Constant, FunctionTerm, Term, Variable
 
 __all__ = ["Substitution", "match", "match_atoms", "unify", "extend_matches"]
 
@@ -130,16 +130,6 @@ class Substitution:
     def apply_literal(self, literal: Literal) -> Literal:
         """Apply the substitution to the atom of a literal, preserving polarity."""
         return Literal(self.apply_atom(literal.atom), literal.positive)
-
-    def apply_atoms(self, atoms: Iterable[Atom]) -> list[Atom]:
-        """Apply the substitution to each atom of an iterable, keeping order."""
-        return [self.apply_atom(a) for a in atoms]
-
-    # -- inspection ---------------------------------------------------------------
-
-    def is_ground_on(self, variables: Iterable[Variable]) -> bool:
-        """Return ``True`` iff every variable of *variables* maps to a ground term."""
-        return all(v in self.mapping and is_ground_term(self.mapping[v]) for v in variables)
 
     def __str__(self) -> str:
         inner = ", ".join(f"{k} -> {v}" for k, v in sorted(self.mapping.items(), key=lambda kv: str(kv[0])))

@@ -238,11 +238,6 @@ def fresh_null_factory(prefix: str = "null") -> "callable":
     return make
 
 
-def all_terms_ground(terms: Iterable[Term]) -> bool:
-    """Return ``True`` iff every term of the iterable is ground."""
-    return all(is_ground_term(t) for t in terms)
-
-
 def uniquify(terms: Sequence[Term]) -> list[Term]:
     """Return the terms of *terms* with duplicates removed, preserving order."""
     seen: set[Term] = set()

@@ -22,9 +22,9 @@ with relational execution.  This module is that engine:
   otherwise its bound columns key the first probe, so the join degenerates
   into a semi-join filter exactly where the rewriting wants one;
 * complete bindings are deduplicated in int space (batched diff against the
-  already-emitted instances) before any ``Atom``/``NormalRule`` object is
-  built, and only genuinely new instances reach the shared
-  :class:`~repro.lp.grounding.GroundProgram`.
+  already-emitted instances) and each new one reaches the shared
+  :class:`~repro.lp.grounding.GroundProgram` as an id triple, no
+  :class:`~repro.lang.rules.NormalRule` object built.
 
 The resulting ground program and candidate index are *equal as sets* to the
 tuple backend's (insertion order may differ); the differential and property
@@ -504,13 +504,14 @@ class ColumnarGrounder:
         """Add a ground EDB fact: store its fact rule and stage it as delta.
 
         Mirrors :meth:`SemiNaiveGrounder.add_fact` — the next :meth:`run`
-        executes only the join plans the new row can drive.
+        executes only the join plans the new row can drive.  Interning
+        rejects a non-ground atom before anything changes.
         """
-        if not atom.is_ground():
-            raise GroundingError(f"facts must be ground, got {atom}")
+        index = self.ground.index()
+        head_id = index.intern(atom)
         if self._shared:
             self._own(atom)
-        self.ground.add(NormalRule(atom))
+        index.add_ids(head_id, (), ())
         self._seed(atom)
 
     def retract_fact(self, atom: Atom) -> bool:
@@ -724,8 +725,7 @@ class ColumnarGrounder:
                             compiled.rule, self.index, fallback_index
                         )
                     ):
-                        if instance not in self.ground:
-                            self.ground.add(instance)
+                        if self.ground.add(instance):
                             self._seed(instance.head)
                 else:
                     self._delta_step(compiled, delta_rows)
@@ -828,9 +828,15 @@ class ColumnarGrounder:
             extend(0, binding)
 
     def _emit(self, compiled: _CompiledRule, bindings: list[tuple[int, ...]]) -> None:
-        """Batched diff against already-emitted instances, then materialise."""
+        """Batched diff against already-emitted instances, then store id triples.
+
+        Body atom ids come from the selected rows; head and negative atoms are
+        built and interned.  The index drops an instance it already holds.
+        """
         emitted = compiled.emitted
-        ground = self.ground
+        index = self.ground.index()
+        intern = index.intern
+        add_ids = index.add_ids
         head_builder = compiled.head_builder
         neg_builders = compiled.neg_builders
         body_builders = compiled.body_builders
@@ -838,20 +844,14 @@ class ColumnarGrounder:
             if binding in emitted:
                 continue
             emitted.add(binding)
-            body: list[Atom] = []
-            for relation, sources in body_builders:
-                row = tuple(
-                    value if is_const else binding[value] for is_const, value in sources
-                )
-                body.append(relation.atom_of[row])
-            instance = NormalRule(
-                head_builder(binding),
-                tuple(body),
-                tuple(build(binding) for build in neg_builders),
+            head = head_builder(binding)
+            head_id = intern(head)
+            pos = tuple(
+                intern(relation.atom_of[tuple(v if c else binding[v] for c, v in sources)])
+                for relation, sources in body_builders
             )
-            if instance not in ground:
-                ground.add(instance)
-                self._seed(instance.head)
+            if add_ids(head_id, pos, tuple(intern(build(binding)) for build in neg_builders)):
+                self._seed(head)
 
 
 def make_grounder(

@@ -43,10 +43,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Hashable, Iterable, Mapping, Optional, Sequence, TYPE_CHECKING
 
+from ..exceptions import GroundingError
 from ..lang.atoms import Atom
+from ..lang.rules import NormalRule
 
-if TYPE_CHECKING:  # pragma: no cover - import cycle guard (grounding imports us)
-    from ..lang.rules import NormalRule
+if TYPE_CHECKING:  # pragma: no cover - import cycle guard
     from .interpretation import Interpretation
 
 __all__ = [
@@ -58,27 +59,33 @@ __all__ = [
 
 #: Shared empty exclusion set for closures that exclude nothing.
 _EMPTY_IDS: frozenset[int] = frozenset()
+#: A stored rule's key: head id, positive and negative body ids in order.
+_RuleKey = tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 class RuleIndex:
     """Ground rules indexed for worklist propagation (Dowling–Gallier 1984).
 
-    Rules are stored once, in insertion order, under dense integer ids, and
-    every atom occurring anywhere is interned to a dense integer *atom id*.
-    For every rule the index keeps its head and the *deduplicated* positive
-    and negative body atom ids; for every atom the ids of the rules watching
-    it positively, negatively and as a head.  The index is append-only —
-    :class:`~repro.lp.grounding.GroundProgram` grows it incrementally as the
-    Datalog± engine deepens its chase segment.
+    Every atom occurring anywhere is interned to a dense integer *atom id*,
+    and every rule is stored once, in insertion order, under a dense id as
+    its *key*: the head id and the positive and negative body ids in their
+    original order (a key stored already is not added again).  Propagation
+    reads each rule's *deduplicated* body ids and, per atom, the rules
+    watching it positively, negatively and as a head.  A
+    :class:`~repro.lang.rules.NormalRule` is built only when :meth:`rule`
+    asks for one, and is then cached.  The index is append-only;
+    :class:`~repro.lp.grounding.GroundProgram` is a view over one.
 
     The public methods speak :class:`~repro.lang.atoms.Atom`; the ``*_ids``
-    methods expose the id-space layer for callers that run whole fixpoint
-    loops (the WFS and Kripke–Kleene evaluators) and want to translate only
-    once at the end.
+    methods and :meth:`add_ids` expose the id-space layer for callers that
+    run whole fixpoint loops (the WFS and Kripke–Kleene evaluators) or
+    ground in id space (the columnar grounder).
     """
 
     __slots__ = (
         "_rules",
+        "_keys",
+        "_rule_ids",
         "_atom_ids",
         "_atom_list",
         "_heads",
@@ -90,8 +97,11 @@ class RuleIndex:
         "_disabled",
     )
 
-    def __init__(self, rules: Iterable["NormalRule"] = ()):
-        self._rules: list["NormalRule"] = []
+    def __init__(self, rules: Iterable[NormalRule] = ()):
+        #: rule id -> the rule object, ``None`` until :meth:`rule` builds it
+        self._rules: list[Optional[NormalRule]] = []
+        self._keys: list[_RuleKey] = []
+        self._rule_ids: dict[_RuleKey, int] = {}
         self._atom_ids: dict[Atom, int] = {}
         self._atom_list: list[Atom] = []
         self._heads: list[int] = []
@@ -108,29 +118,46 @@ class RuleIndex:
 
     # -- construction -----------------------------------------------------------
 
-    def _intern(self, atom: Atom) -> int:
-        """The dense id of *atom*, assigning a fresh one on first sight."""
+    def intern(self, atom: Atom) -> int:
+        """The dense id of *atom*; a new atom must be ground and gets the next id."""
         atom_id = self._atom_ids.get(atom)
         if atom_id is None:
-            atom_id = len(self._atom_list)
-            self._atom_ids[atom] = atom_id
+            if not atom.is_ground():
+                raise GroundingError(f"ground programs only hold ground atoms, got {atom}")
+            atom_id = self._atom_ids[atom] = len(self._atom_list)
             self._atom_list.append(atom)
             self._watch_pos.append([])
             self._watch_neg.append([])
             self._rules_by_head.append([])
         return atom_id
 
-    def add_rule(self, rule: "NormalRule") -> int:
-        """Append a ground rule and return its dense id.
+    def add_rule(self, rule: NormalRule) -> bool:
+        """Append a ground rule unless it is stored already; return whether it was new."""
+        intern = self.intern
+        head_id = intern(rule.head)
+        pos, neg = tuple(map(intern, rule.body_pos)), tuple(map(intern, rule.body_neg))
+        if not self.add_ids(head_id, pos, neg):
+            return False
+        self._rules[-1] = rule
+        return True
 
-        Body atoms are deduplicated so the per-rule counters used by the
-        propagators count *distinct* unsatisfied atoms.
+    def add_ids(self, head_id: int, pos: tuple[int, ...], neg: tuple[int, ...]) -> bool:
+        """Append the rule ``head_id <- pos, not neg`` unless its key is stored.
+
+        Returns whether the rule was new.  The propagators' per-rule counters
+        count *distinct* unsatisfied atoms, so they read deduplicated bodies.
         """
-        rule_id = len(self._rules)
-        head_id = self._intern(rule.head)
-        pos = tuple(dict.fromkeys(self._intern(a) for a in rule.body_pos))
-        neg = tuple(dict.fromkeys(self._intern(a) for a in rule.body_neg))
-        self._rules.append(rule)
+        key = (head_id, pos, neg)
+        rule_ids = self._rule_ids
+        if key in rule_ids:
+            return False
+        rule_id = rule_ids[key] = len(self._keys)
+        self._keys.append(key)
+        self._rules.append(None)
+        if len(pos) > 1 and len(set(pos)) < len(pos):
+            pos = tuple(dict.fromkeys(pos))
+        if len(neg) > 1 and len(set(neg)) < len(neg):
+            neg = tuple(dict.fromkeys(neg))
         self._heads.append(head_id)
         self._pos.append(pos)
         self._neg.append(neg)
@@ -139,7 +166,7 @@ class RuleIndex:
         for atom_id in neg:
             self._watch_neg[atom_id].append(rule_id)
         self._rules_by_head[head_id].append(rule_id)
-        return rule_id
+        return True
 
     # -- atom interning ----------------------------------------------------------
 
@@ -167,11 +194,27 @@ class RuleIndex:
     # -- rule access -------------------------------------------------------------
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return len(self._keys)
 
-    def rule(self, rule_id: int) -> "NormalRule":
-        """The rule stored under *rule_id*."""
-        return self._rules[rule_id]
+    def rule(self, rule_id: int) -> NormalRule:
+        """The rule stored under *rule_id*, built on first request."""
+        rule = self._rules[rule_id]
+        if rule is None:
+            head_id, pos, neg = self._keys[rule_id]
+            atoms = self._atom_list
+            pos_atoms, neg_atoms = tuple(atoms[a] for a in pos), tuple(atoms[a] for a in neg)
+            rule = self._rules[rule_id] = NormalRule(atoms[head_id], pos_atoms, neg_atoms)
+        return rule
+
+    def rule_id(self, rule: NormalRule) -> Optional[int]:
+        """The id of the stored rule equal to *rule*, or ``None``."""
+        get = self._atom_ids.get
+        pos, neg = tuple(map(get, rule.body_pos)), tuple(map(get, rule.body_neg))
+        return self._rule_ids.get((get(rule.head), pos, neg))
+
+    def key(self, rule_id: int) -> _RuleKey:
+        """The rule's head id and body id tuples, in their original order."""
+        return self._keys[rule_id]
 
     def head(self, rule_id: int) -> Atom:
         """The head atom of the rule."""
@@ -264,7 +307,7 @@ class RuleIndex:
         *blocked*.  Each rule–atom incidence is touched at most once.
         """
         derived = set(seed)
-        counts: list[int] = [0] * len(self._rules)
+        counts: list[int] = [0] * len(self._keys)
         heads = self._heads
         watch_pos = self._watch_pos
         disabled = self._disabled
@@ -537,7 +580,7 @@ class RuleIndex:
         return strongly_connected_components(graph)
 
     def __repr__(self) -> str:
-        return f"RuleIndex({len(self._rules)} rules, {len(self._atom_list)} atoms)"
+        return f"RuleIndex({len(self._keys)} rules, {len(self._atom_list)} atoms)"
 
 
 def strongly_connected_components(

@@ -45,33 +45,29 @@ __all__ = [
 
 
 class GroundProgram:
-    """A finite ground normal program with the indexes the WFS computation needs.
+    """A finite ground normal program: a view over its :class:`RuleIndex`.
 
-    The program is stored as a list of ground :class:`NormalRule`; rules are
-    indexed by their head atom, and the set of all atoms occurring anywhere in
-    the program (the *relevant universe*) is maintained incrementally.  Atoms
-    outside the relevant universe have no rule and are false under the WFS,
-    so the fixpoint computations never need to look beyond it.
-
-    :meth:`index` exposes the program's :class:`~repro.lp.fixpoint.RuleIndex`
-    — built lazily, cached, and grown incrementally as rules are added, so the
-    Datalog± engine's iterative deepening never rebuilds it from scratch.
+    The :class:`~repro.lp.fixpoint.RuleIndex` of :meth:`index` stores every
+    rule once, as atom ids, and builds a :class:`NormalRule` only when one is
+    asked for.  Its atom table is the *relevant universe*: atoms outside it
+    have no rule and are false under the WFS, so the fixpoint computations
+    never look beyond it.  :meth:`add` is the validated entry point for rule
+    objects; the columnar grounder and the magic-sets strip append id
+    triples through :meth:`RuleIndex.intern` and :meth:`RuleIndex.add_ids`.
     """
 
+    __slots__ = ("_index", "_atoms_frozen")
+
     def __init__(self, rules: Iterable[NormalRule] = ()):
-        self._rules: list[NormalRule] = []
-        self._seen: set[NormalRule] = set()
-        self._by_head: dict[Atom, list[NormalRule]] = {}
-        self._atoms: set[Atom] = set()
-        self._atoms_frozen: Optional[frozenset[Atom]] = None
-        self._index: Optional[RuleIndex] = None
+        self._index = RuleIndex()
+        self._atoms_frozen: frozenset[Atom] = frozenset()
         for rule in rules:
             self.add(rule)
 
     # -- construction -----------------------------------------------------------
 
-    def add(self, rule: NormalRule) -> None:
-        """Add a ground rule (duplicates ignored).
+    def add(self, rule: NormalRule) -> bool:
+        """Add a ground rule; return ``False`` for a duplicate, which is ignored.
 
         Raises
         ------
@@ -80,20 +76,7 @@ class GroundProgram:
         """
         if not rule.is_ground():
             raise GroundingError(f"GroundProgram only accepts ground rules, got {rule}")
-        if rule in self._seen:
-            return
-        self._seen.add(rule)
-        self._rules.append(rule)
-        self._by_head.setdefault(rule.head, []).append(rule)
-        atoms = self._atoms
-        before = len(atoms)
-        atoms.add(rule.head)
-        atoms.update(rule.body_pos)
-        atoms.update(rule.body_neg)
-        if len(atoms) != before:
-            self._atoms_frozen = None
-        if self._index is not None:
-            self._index.add_rule(rule)
+        return self._index.add_rule(rule)
 
     def update(self, rules: Iterable[NormalRule]) -> None:
         """Add every rule of *rules*."""
@@ -103,76 +86,69 @@ class GroundProgram:
     # -- access -------------------------------------------------------------------
 
     def __iter__(self) -> Iterator[NormalRule]:
-        return iter(self._rules)
+        return map(self._index.rule, range(len(self._index)))
 
     def __len__(self) -> int:
-        return len(self._rules)
+        return len(self._index)
 
     def __contains__(self, rule: NormalRule) -> bool:
-        return rule in self._seen
+        return self._index.rule_id(rule) is not None
 
     def rules(self) -> tuple[NormalRule, ...]:
         """All ground rules, in insertion order."""
-        return tuple(self._rules)
+        return tuple(self)
 
     def rules_since(self, start: int) -> tuple[NormalRule, ...]:
         """The rules appended at insertion positions ``>= start``.
 
         The program is append-only, so ``rules_since(len(previous_view))`` is
-        exactly the delta between two observations — what the incremental
-        condensation/WFS machinery re-solves against, and what callers that
+        exactly the delta between two observations — what callers that
         mirror the program elsewhere (benchmarks, differential tests) feed
         forward per step.
         """
-        return tuple(self._rules[start:])
+        return tuple(map(self._index.rule, range(start, len(self._index))))
 
     def rules_with_head(self, atom: Atom) -> Sequence[NormalRule]:
         """All rules whose head is exactly *atom*."""
-        return self._by_head.get(atom, ())
+        return [self._index.rule(i) for i in self._index.rule_ids_for_head(atom)]
 
     def head_atoms(self) -> set[Atom]:
         """Atoms that occur as the head of at least one rule."""
-        return set(self._by_head)
+        index = self._index
+        return index.atoms_of(map(index.head_id, range(len(index))))
 
     def atoms(self) -> frozenset[Atom]:
         """The relevant universe: every atom occurring in some rule.
 
-        Cached between :meth:`add` calls that introduce new atoms, so the
-        per-depth model snapshots of iterative deepening share one frozenset
-        instead of rebuilding an O(atoms) copy each time.
+        Cached until the index interns a new atom, so the per-depth model
+        snapshots of iterative deepening share one frozenset instead of
+        rebuilding an O(atoms) copy each time.
         """
-        if self._atoms_frozen is None:
-            self._atoms_frozen = frozenset(self._atoms)
+        if len(self._atoms_frozen) != self._index.atom_count():
+            self._atoms_frozen = self._index.atoms()
         return self._atoms_frozen
 
     def index(self) -> RuleIndex:
-        """The program's worklist :class:`~repro.lp.fixpoint.RuleIndex`.
-
-        Built on first use and kept in sync incrementally by :meth:`add`, so
-        repeated fixpoint computations (and iterative deepening over a growing
-        program) share one index.
-        """
-        if self._index is None:
-            self._index = RuleIndex(self._rules)
+        """The :class:`~repro.lp.fixpoint.RuleIndex` the program is a view of."""
         return self._index
 
     def facts(self) -> list[Atom]:
         """Heads of rules with empty bodies."""
-        return [r.head for r in self._rules if r.is_fact()]
+        return [rule.head for rule in self if rule.is_fact()]
 
     def is_positive(self) -> bool:
         """``True`` iff no rule has a negative body."""
-        return all(r.is_positive() for r in self._rules)
+        return not any(map(self._index.neg_ids, range(len(self._index))))
 
     def positive_part(self) -> "GroundProgram":
         """The ground program with all negative body literals removed."""
-        return GroundProgram(r.positive_part() for r in self._rules)
+        return GroundProgram(r.positive_part() for r in self)
 
     def __str__(self) -> str:
-        return "\n".join(str(r) for r in self._rules)
+        return "\n".join(str(r) for r in self)
 
     def __repr__(self) -> str:
-        return f"GroundProgram({len(self._rules)} rules, {len(self._atoms)} atoms)"
+        return f"GroundProgram({len(self._index)} rules, {self._index.atom_count()} atoms)"
 
 
 class PredicateIndex:
@@ -230,10 +206,7 @@ class PredicateIndex:
 
 
 def ground_rule_instances(
-    rule: NormalRule,
-    atom_index: Mapping[str, Sequence[Atom]],
-    *,
-    require_ground: bool = True,
+    rule: NormalRule, atom_index: Mapping[str, Sequence[Atom]]
 ) -> Iterator[NormalRule]:
     """Enumerate ground instances of *rule* over the given candidate atoms.
 
@@ -247,20 +220,17 @@ def ground_rule_instances(
         return
     substitutions = _match_body(list(rule.body_pos), atom_index, Substitution.empty())
     for subst in substitutions:
-        yield from _instantiate(rule, subst, require_ground)
+        yield from _instantiate(rule, subst)
 
 
-def _instantiate(
-    rule: NormalRule, subst: Substitution, require_ground: bool
-) -> Iterator[NormalRule]:
-    """Apply *subst* to every atom of *rule*, yielding the instance if usable."""
+def _instantiate(rule: NormalRule, subst: Substitution) -> Iterator[NormalRule]:
+    """Apply *subst* to every atom of *rule*, yielding the instance if ground."""
     head = subst.apply_atom(rule.head)
     body_pos = tuple(subst.apply_atom(a) for a in rule.body_pos)
     body_neg = tuple(subst.apply_atom(a) for a in rule.body_neg)
     instance = NormalRule(head, body_pos, body_neg)
-    if require_ground and not instance.is_ground():
-        return
-    yield instance
+    if instance.is_ground():
+        yield instance
 
 
 def _delta_rule_instances(
@@ -285,7 +255,7 @@ def _delta_rule_instances(
                 continue
             rest = patterns[:position] + patterns[position + 1 :]
             for subst in _match_body(rest, full_index, seeded):
-                yield from _instantiate(rule, subst, True)
+                yield from _instantiate(rule, subst)
 
 
 def _match_body(
@@ -472,8 +442,7 @@ class SemiNaiveGrounder:
                 for instance in list(
                     _delta_rule_instances(rule, self.index, delta_index)
                 ):
-                    if instance not in self.ground:
-                        self.ground.add(instance)
+                    if self.ground.add(instance):
                         self._seed(instance.head)
             if max_atoms is not None and len(self.index) > max_atoms:
                 if raise_on_budget:
@@ -566,11 +535,9 @@ def _relevant_grounding_naive(
         index = _index_atoms(candidates)
         for rule in proper_rules:
             for instance in ground_rule_instances(rule, index):
-                if instance not in ground:
-                    ground.add(instance)
-                    if instance.head not in candidates:
-                        candidates.add(instance.head)
-                        changed = True
+                if ground.add(instance) and instance.head not in candidates:
+                    candidates.add(instance.head)
+                    changed = True
         if max_atoms is not None and len(candidates) > max_atoms:
             raise GroundingError(
                 f"relevant grounding exceeded the atom budget of {max_atoms}"

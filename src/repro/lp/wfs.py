@@ -696,11 +696,6 @@ def gelfond_lifschitz_reduct(program: GroundProgram, assumed_true: set[Atom]) ->
     return reduct
 
 
-def _gamma(program: GroundProgram, assumed_true: set[Atom]) -> set[Atom]:
-    """``Γ(J)``: least model of the reduct ``P^J``, via the rule index."""
-    return _index_of(program).gamma(assumed_true)
-
-
 def well_founded_model_alternating(program: GroundProgram) -> WellFoundedModel:
     """The WFS via Van Gelder's alternating fixpoint.
 

@@ -47,16 +47,6 @@ class Adornment:
 
     bound: tuple[bool, ...]
 
-    @classmethod
-    def all_free(cls, arity: int) -> "Adornment":
-        """The adornment binding no position (``f…f``)."""
-        return cls((False,) * arity)
-
-    @classmethod
-    def all_bound(cls, arity: int) -> "Adornment":
-        """The adornment binding every position (``b…b``)."""
-        return cls((True,) * arity)
-
     @property
     def arity(self) -> int:
         """Number of argument positions."""

@@ -347,6 +347,32 @@ class MagicGrounding:
         }
 
 
+def _strip_magic(ground: GroundProgram) -> GroundProgram:
+    """The rules of *ground* without magic rules and guards, moved in id space.
+
+    Rules with a magic head go, and so do the magic atoms of positive bodies.
+    ``moved`` maps each atom id, once, to its id in the stripped program (in
+    order of first use there), or to -1 for a magic atom.
+    """
+    source, stripped = ground.index(), GroundProgram()
+    target = stripped.index()
+    moved: dict[int, int] = {}
+
+    def move(atom_id: int) -> int:
+        if atom_id not in moved:
+            atom = source.atom_of(atom_id)
+            moved[atom_id] = -1 if is_magic_predicate(atom.predicate) else target.intern(atom)
+        return moved[atom_id]
+
+    for rule_id in range(len(source)):
+        head_id, pos, neg = source.key(rule_id)
+        if move(head_id) >= 0:
+            pos = tuple(atom_id for atom_id in map(move, pos) if atom_id >= 0)
+            neg = tuple(target.intern(source.atom_of(atom_id)) for atom_id in neg)
+            target.add_ids(moved[head_id], pos, neg)
+    return stripped
+
+
 def ground_magic(
     plan: MagicPlan,
     database: Iterable[Atom] = (),
@@ -407,18 +433,7 @@ def ground_magic(
             magic_atoms += len(grounder.index.get(name))
             guards.setdefault((predicate, adornment.arity), []).append((adornment, name))
 
-    stripped = GroundProgram()
-    for instance in grounder.ground:
-        if is_magic_predicate(instance.head.predicate):
-            continue
-        stripped.add(
-            NormalRule(
-                instance.head,
-                tuple(a for a in instance.body_pos if not is_magic_predicate(a.predicate)),
-                instance.body_neg,
-            )
-        )
-
+    stripped = _strip_magic(grounder.ground)
     covered: dict[Atom, None] = {}
     if columnar:
         for key, keyed in guards.items():

@@ -252,7 +252,6 @@ class MaterializedEngine:
 
         self._grounder = make_grounder(self._rules, (), backend=backend)
         self._ground = self._grounder.ground
-        #: built eagerly so every later ``ground.add`` keeps it in sync
         self._index = self._ground.index()
         self._wfs = IncrementalWFS(self._ground)
 
@@ -438,8 +437,7 @@ class MaterializedEngine:
         unpopped = self._unpopped
         edb = self._edb
         for rule_id in range(self._processed_rules, len(index)):
-            rule = index.rule(rule_id)
-            is_fact = rule.is_fact()
+            is_fact = not index.pos_ids(rule_id) and not index.neg_ids(rule_id)
             self._is_fact_rule.append(is_fact)
             self._enabled.append(False)
             index.disable_rule(rule_id)

@@ -3,12 +3,15 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from repro.exceptions import GroundingError
 from repro.lang.atoms import Atom
 from repro.lang.parser import parse_normal_program, parse_normal_rule
 from repro.lang.rules import NormalRule
 from repro.lang.terms import Constant, Variable
+from repro.lp.columnar import make_grounder
 from repro.lp.grounding import (
     GroundProgram,
     ground_over_atoms,
@@ -45,6 +48,93 @@ class TestGroundProgram:
         program = GroundProgram([rule])
         assert not program.is_positive()
         assert program.positive_part().is_positive()
+
+
+#: Six ground atoms: random bodies drawn from them repeat atoms often.
+_ATOMS = st.sampled_from([Atom(p, (c,)) for p in ("p", "q", "r") for c in (a, b)])
+_RULES = st.builds(
+    NormalRule,
+    _ATOMS,
+    st.lists(_ATOMS, max_size=4).map(tuple),
+    st.lists(_ATOMS, max_size=2).map(tuple),
+)
+
+
+@st.composite
+def ground_rule_lists(draw):
+    """Ground rules, some inserted again with their positive body permuted.
+
+    A permutation may be the identity (a repeated rule) or not (a distinct
+    rule with the same atoms); bodies repeat atoms by themselves.
+    """
+    rules = draw(st.lists(_RULES, max_size=10))
+    for rule in draw(st.lists(st.sampled_from(rules), max_size=5)) if rules else ():
+        body = tuple(draw(st.permutations(rule.body_pos)))
+        position = draw(st.integers(min_value=0, max_value=len(rules)))
+        rules.insert(position, NormalRule(rule.head, body, rule.body_neg))
+    return rules
+
+
+@given(rules=ground_rule_lists())
+@settings(max_examples=200, deadline=None)
+def test_ground_program_round_trips_rules_through_its_index(rules):
+    """Rules stored as id triples come back exactly, first occurrences in order."""
+    expected = list(dict.fromkeys(rules))
+    program = GroundProgram(rules)
+    # the same rules appended as id triples, so every rule object is rebuilt
+    rebuilt = GroundProgram()
+    index = rebuilt.index()
+    for rule in rules:
+        pos, neg = tuple(map(index.intern, rule.body_pos)), tuple(map(index.intern, rule.body_neg))
+        index.add_ids(index.intern(rule.head), pos, neg)
+    for built in (program, rebuilt):
+        assert list(built) == expected
+        assert len(built) == len(expected)
+        for start in range(len(expected) + 1):
+            assert list(built.rules_since(start)) == expected[start:]
+        for head in {rule.head for rule in rules}:
+            assert list(built.rules_with_head(head)) == [r for r in expected if r.head == head]
+        for rule in expected:
+            assert rule in built
+            flipped = NormalRule(rule.head, rule.body_pos[::-1], rule.body_neg)
+            assert (flipped in built) == (flipped in expected)
+        assert built.atoms() == {atom for rule in rules for atom in rule.atoms()}
+        index = built.index()
+        for rule_id, rule in enumerate(expected):
+            body_ids = tuple(map(index.atom_id, rule.body_pos))
+            assert index.pos_ids(rule_id) == tuple(dict.fromkeys(body_ids))
+            assert index.neg_body(rule_id) == tuple(dict.fromkeys(rule.body_neg))
+
+
+class TestNonGroundInputIsRejected:
+    """The entry points that store rules, and the columnar fact seams, reject variables."""
+
+    @pytest.mark.parametrize(
+        "text",
+        ["q(X) -> p(X).", "q(X) -> p(a).", "q(X), not r(X) -> p(a).", "q(a), q(X) -> p(a)."],
+    )
+    def test_ground_program_add(self, text):
+        program = GroundProgram([NormalRule(Atom("q", (a,)))])
+        with pytest.raises(GroundingError):
+            program.add(parse_normal_rule(text))
+        assert list(program) == [NormalRule(Atom("q", (a,)))]
+        assert program.atoms() == {Atom("q", (a,))}
+
+    def test_rule_index_intern(self):
+        index = GroundProgram().index()
+        with pytest.raises(GroundingError):
+            index.intern(Atom("p", (X,)))
+        assert index.atom_count() == 0
+
+    def test_columnar_add_fact_and_reseed(self):
+        program = parse_normal_program("edge(X, Y) -> path(X, Y).")
+        grounder = make_grounder(program, backend="columnar")
+        grounder.run()
+        with pytest.raises(GroundingError):
+            grounder.add_fact(Atom("edge", (X, b)))
+        assert len(grounder.ground) == 0
+        with pytest.raises(GroundingError):
+            grounder.reseed(Atom("edge", (X, b)))
 
 
 class TestGroundRuleInstances:

@@ -6,7 +6,15 @@ import pytest
 
 from repro.exceptions import IllFormedRuleError
 from repro.lang.atoms import Atom, neg, pos
-from repro.lang.queries import ConjunctiveQuery, NormalBCQ, evaluate_query, query_holds
+from repro.lang.queries import (
+    ConjunctiveQuery,
+    NormalBCQ,
+    ThreeValuedLike,
+    _adapt,
+    _SetAdapter,
+    evaluate_query,
+    query_holds,
+)
 from repro.lang.terms import Constant, FunctionTerm, Variable
 from repro.lp.interpretation import Interpretation
 
@@ -105,3 +113,38 @@ class TestNormalBCQ:
     def test_str_forms(self):
         query = NormalBCQ((Atom("p", (X,)),), (Atom("q", (X,)),))
         assert str(query) == "? p(X), not q(X)"
+
+
+class TestAdapt:
+    """Plain atom collections are wrapped; three-valued objects pass through."""
+
+    @pytest.mark.parametrize(
+        "make", [set, frozenset, list, tuple, lambda atoms: (atom for atom in atoms)]
+    )
+    def test_plain_collections_are_wrapped(self, make):
+        adapted = _adapt(make(sorted(FACTS, key=Atom.sort_key)))
+        assert isinstance(adapted, _SetAdapter)
+        assert set(adapted.true_atoms()) == FACTS
+        assert adapted.is_false(Atom("edge", (c, a)))
+        assert query_holds(NormalBCQ((Atom("edge", (X, Y)),)), make(FACTS))
+
+    def test_three_valued_objects_pass_through(self):
+        interpretation = Interpretation(true_atoms=FACTS, false_atoms=set())
+        assert isinstance(interpretation, ThreeValuedLike)
+        assert _adapt(interpretation) is interpretation
+
+        class Structural:
+            """Any object with the three protocol methods, by duck typing."""
+
+            def is_true(self, atom):
+                return atom in FACTS
+
+            def is_false(self, atom):
+                return atom not in FACTS
+
+            def true_atoms(self):
+                return FACTS
+
+        structural = Structural()
+        assert _adapt(structural) is structural
+        assert query_holds(NormalBCQ((Atom("edge", (X, Y)),)), structural)

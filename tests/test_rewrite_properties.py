@@ -10,6 +10,7 @@ agree.
 
 from __future__ import annotations
 
+import pytest
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
@@ -17,9 +18,15 @@ from repro.bench.generators import paper_example_program, win_move_game
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lang.atoms import pos
-from repro.lp.grounding import relevant_grounding
+from repro.lang.parser import parse_program, parse_query
+from repro.lang.queries import query_literals
+from repro.lang.rules import NormalRule
+from repro.lang.skolem import skolemize_program
+from repro.lp.columnar import ColumnarGrounder, make_grounder
+from repro.lp.grounding import GroundProgram, relevant_grounding
 from repro.lp.wfs import well_founded_model
 from repro.rewrite import ground_magic, rewrite_for_query
+from repro.rewrite.magic import _strip_magic, is_magic_predicate
 from strategies import rewrite_workloads
 
 COMMON_SETTINGS = dict(
@@ -113,3 +120,75 @@ def test_fallback_on_existential_recursion_agrees(chains, query):
     assert engine.last_query_stats["mode"] in ("pruned-chase", "full-chase")
     assert engine.last_query_stats["fallback_reason"]
     assert rewritten == classic
+
+
+# ---------------------------------------------------------------------------
+# The id-space strip of ground_magic against the object-space reference
+# ---------------------------------------------------------------------------
+
+
+def _object_strip(ground: GroundProgram) -> GroundProgram:
+    """The strip as ``ground_magic`` once did it, rule object by rule object."""
+    stripped = GroundProgram()
+    for instance in ground:
+        if is_magic_predicate(instance.head.predicate):
+            continue
+        body = tuple(a for a in instance.body_pos if not is_magic_predicate(a.predicate))
+        stripped.add(NormalRule(instance.head, body, instance.body_neg))
+    return stripped
+
+
+def _plan(program, query):
+    return rewrite_for_query(skolemize_program(program).rules(), query_literals(query))
+
+
+def check_strip_matches_object_strip(plan, database) -> None:
+    """Same rules in the same order, same atom ids, on both backends' grounders.
+
+    The grounders are built as :func:`ground_magic` builds them, and its
+    result is the strip followed by covered database facts.
+    """
+    relevant = plan.relevant_predicates()
+    grounders = {
+        "tuple": make_grounder(plan.program, [a for a in database if a.predicate in relevant]),
+        "columnar": ColumnarGrounder(plan.program, database, predicates=relevant),
+    }
+    for backend, grounder in grounders.items():
+        grounder.run(max_atoms=30_000, raise_on_budget=False)
+        by_ids, by_objects = _strip_magic(grounder.ground), _object_strip(grounder.ground)
+        assert list(by_ids) == list(by_objects), backend
+        ids, objects = by_ids.index(), by_objects.index()
+        assert list(map(ids.atom_of, range(ids.atom_count()))) == list(
+            map(objects.atom_of, range(objects.atom_count()))
+        ), backend
+        result = list(ground_magic(plan, database, max_atoms=30_000, backend=backend).ground)
+        assert result[: len(by_ids)] == list(by_ids), backend
+        assert all(rule.is_fact() for rule in result[len(by_ids) :]), backend
+
+
+def test_id_strip_keeps_repeated_body_atoms():
+    """``e(a, a), e(a, a) -> s(a)`` keeps both body atoms, as the reference does."""
+    program, database = parse_program("e(X, Y), e(Y, X), not b(X) -> s(X). e(a, a). e(a, b).")
+    plan = _plan(program, parse_query("? s(X)"))
+    assert plan.supported
+    check_strip_matches_object_strip(plan, database)
+
+
+@given(workload=rewrite_workloads())
+@settings(max_examples=60, **COMMON_SETTINGS)
+def test_id_strip_matches_object_strip(workload):
+    program, database, query = workload
+    plan = _plan(program, query)
+    assume(plan.supported)
+    check_strip_matches_object_strip(plan, database)
+
+
+@pytest.mark.stress
+@given(workload=rewrite_workloads())
+@settings(max_examples=5_000, **COMMON_SETTINGS)
+def test_id_strip_matches_object_strip_deep_sweep(workload):
+    """The same comparison at sweep size (``-m stress``)."""
+    program, database, query = workload
+    plan = _plan(program, query)
+    assume(plan.supported)
+    check_strip_matches_object_strip(plan, database)
