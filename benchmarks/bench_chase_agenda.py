@@ -66,9 +66,7 @@ def forest_signature(forest) -> frozenset:
 
 def _first_run(skolemized, database, depth: int, saturation: str):
     """One fresh chase engine, expanded straight to *depth* (cache off)."""
-    engine = GuardedChaseEngine(
-        skolemized, database, saturation=saturation, segment_cache=False
-    )
+    engine = GuardedChaseEngine(skolemized, database, saturation=saturation)
     started = time.perf_counter()
     engine.expand(depth)
     return time.perf_counter() - started, engine.forest
@@ -76,9 +74,7 @@ def _first_run(skolemized, database, depth: int, saturation: str):
 
 def _deepening(skolemized, database, depth: int, saturation: str):
     """One engine stepped through the deepening schedule up to *depth*."""
-    engine = GuardedChaseEngine(
-        skolemized, database, saturation=saturation, segment_cache=False
-    )
+    engine = GuardedChaseEngine(skolemized, database, saturation=saturation)
     schedule = [step for step in DEEPENING_STEPS if step < depth] + [depth]
     started = time.perf_counter()
     for step in schedule:

@@ -20,10 +20,10 @@ rule set is *wide*:
 
 For every size the benchmark runs the *same repeated workload* twice — a
 sequence of freshly constructed engines over the same program/database, each
-computing its model and answering a query, the pattern produced by the
-:mod:`repro.core.answering` engine LRU on recurring (program, database) pairs
-— once with the segment cache off and once with it on (stores cleared first,
-so the first cached engine pays for recording).  A secondary scenario runs a
+computing its model and answering a query, the pattern of a service that
+rebuilds its engine for a recurring (program, database) pair — once with no
+segment store and once with one fresh :class:`SegmentStore` handed to every
+engine of the series (so the first engine pays for recording).  A secondary scenario runs a
 single engine through full iterative deepening from depth 3.  Answers are
 checked to be identical between modes in both scenarios.  At depths 8 and 12,
 with four gated rules, it also checks cached ≡ uncached answers and that an
@@ -36,7 +36,7 @@ from __future__ import annotations
 
 import time
 
-from repro.chase.segments import clear_segment_stores, segment_store_info
+from repro.chase.segments import SegmentStore
 from repro.core.engine import WellFoundedEngine
 from repro.lang.atoms import Atom
 from repro.lang.program import Database, DatalogPMProgram
@@ -110,8 +110,9 @@ def _model_signature(engine: WellFoundedEngine):
 
 
 def _run_repeated(program, database, depth: int, *, segment_cache: bool, repeats: int):
-    """Build *repeats* fresh single-shot engines; return (seconds, signature)."""
-    clear_segment_stores()
+    """Build *repeats* fresh single-shot engines, all handed one store when
+    *segment_cache* is set; return (seconds, signature, store)."""
+    store = SegmentStore()
     signature = None
     started = time.perf_counter()
     for _ in range(repeats):
@@ -120,15 +121,14 @@ def _run_repeated(program, database, depth: int, *, segment_cache: bool, repeats
             database,
             initial_depth=depth,
             max_depth=depth,
-            segment_cache=segment_cache,
+            segment_cache=store if segment_cache else False,
         )
         signature = _model_signature(engine)
-    return time.perf_counter() - started, signature
+    return time.perf_counter() - started, signature, store
 
 
 def _run_deepening(program, database, depth: int, *, segment_cache: bool):
     """One engine, full iterative deepening from 3; return (seconds, signature)."""
-    clear_segment_stores()
     started = time.perf_counter()
     engine = WellFoundedEngine(
         program,
@@ -145,18 +145,18 @@ def _run_deepening(program, database, depth: int, *, segment_cache: bool):
 def cached_matches_uncached(depth: int) -> bool:
     """Cached and uncached engines produce bit-identical models/answers."""
     program, database = deep_type_workload(depth, gated=4)
-    _, cached = _run_repeated(program, database, depth, segment_cache=True, repeats=2)
-    _, uncached = _run_repeated(program, database, depth, segment_cache=False, repeats=1)
+    _, cached, _ = _run_repeated(program, database, depth, segment_cache=True, repeats=2)
+    _, uncached, _ = _run_repeated(program, database, depth, segment_cache=False, repeats=1)
     return cached == uncached
 
 
 def warm_engine_splices(depth: int) -> bool:
     """A fresh engine over a warm store splices and records no segment itself."""
     program, database = deep_type_workload(depth, gated=4)
-    clear_segment_stores()
+    store = SegmentStore()
     for _ in range(2):  # the first engine records, the second finds a warm store
         engine = WellFoundedEngine(
-            program, database, initial_depth=depth, max_depth=depth, segment_cache=True
+            program, database, initial_depth=depth, max_depth=depth, segment_cache=store
         )
         engine.model()
     stats = engine.segment_cache_stats()
@@ -174,13 +174,13 @@ def measure(sizes) -> dict:
     for depth in sizes:
         program, database = deep_type_workload(depth)
 
-        off_seconds, off_signature = _run_repeated(
+        off_seconds, off_signature, _ = _run_repeated(
             program, database, depth, segment_cache=False, repeats=REPEATS
         )
-        on_seconds, on_signature = _run_repeated(
+        on_seconds, on_signature, store = _run_repeated(
             program, database, depth, segment_cache=True, repeats=REPEATS
         )
-        store = segment_store_info()
+        store_stats = store.stats()
 
         deep_off_seconds, deep_off_signature = _run_deepening(
             program, database, depth, segment_cache=False
@@ -204,8 +204,8 @@ def measure(sizes) -> dict:
                 "speedup_deepening": deep_off_seconds / deep_on_seconds
                 if deep_on_seconds > 0
                 else float("inf"),
-                "segments": store["segments"],
-                "store_hits": store["hits"],
+                "segments": store_stats["segments"],
+                "store_hits": store_stats["hits"],
                 "answers_equal": off_signature == on_signature
                 and deep_off_signature == deep_on_signature,
             }

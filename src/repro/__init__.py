@@ -141,12 +141,8 @@ __all__ = [
     "WellFoundedEngine",
     "answer_query",
     "holds_under_wfs",
-    "shared_engine",
     "StratifiedDatalogPM",
     "SegmentStore",
-    "shared_segment_store",
-    "clear_segment_stores",
-    "segment_store_info",
     "Ontology",
     "OntologyReasoner",
     "translate_ontology",
@@ -168,7 +164,6 @@ def __getattr__(name: str):
         "WellFoundedEngine",
         "answer_query",
         "holds_under_wfs",
-        "shared_engine",
         "StratifiedDatalogPM",
     ):
         from . import core
@@ -178,15 +173,10 @@ def __getattr__(name: str):
         from . import views
 
         return views.MaterializedEngine
-    if name in (
-        "SegmentStore",
-        "shared_segment_store",
-        "clear_segment_stores",
-        "segment_store_info",
-    ):
+    if name == "SegmentStore":
         from .chase import segments
 
-        return getattr(segments, name)
+        return segments.SegmentStore
     if name in ("Ontology", "OntologyReasoner", "translate_ontology"):
         from . import dl
 

@@ -7,14 +7,7 @@ locality results are built on.
 
 from .engine import GuardedChaseEngine, chase_forest
 from .forest import ChaseForest, ChaseNode
-from .segments import (
-    CachedSegment,
-    SegmentStore,
-    clear_segment_stores,
-    program_fingerprint,
-    segment_store_info,
-    shared_segment_store,
-)
+from .segments import CachedSegment, SegmentStore, program_fingerprint
 from .types import (
     AtomType,
     are_x_isomorphic,
@@ -31,10 +24,7 @@ __all__ = [
     "ChaseNode",
     "CachedSegment",
     "SegmentStore",
-    "clear_segment_stores",
     "program_fingerprint",
-    "segment_store_info",
-    "shared_segment_store",
     "AtomType",
     "are_x_isomorphic",
     "canonical_type_key",

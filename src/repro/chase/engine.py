@@ -39,7 +39,8 @@ too small) before doing anything else.
 With a :class:`~repro.chase.segments.SegmentStore` attached (``segment_cache``),
 expansion additionally *splices* memoized subtrees under nodes whose segment
 key and label equal those of a node expanded before — by this engine at a
-smaller depth, or by any previous engine over the same rule set — replaying
+smaller depth, or by another engine over the same rules handed the same
+store — replaying
 the recorded ground firings instead of re-deriving them through rule
 matching, and records newly saturated subtrees back into the store.  Only the
 spliced nodes the certificate does not cover (the splice's frontier, or all
@@ -51,7 +52,7 @@ the resulting forest is bit-identical to the one built without the cache (see
 
 from __future__ import annotations
 
-from typing import Callable, Iterable, Optional, Sequence, Union
+from typing import Callable, Iterable, Optional, Sequence
 
 from ..exceptions import GroundingError, NotGuardedError
 from ..lang.atoms import Atom
@@ -60,13 +61,7 @@ from ..lang.rules import NormalRule
 from ..lang.substitution import Substitution, match
 from ..lang.terms import Constant
 from .forest import ChaseForest, ChaseNode
-from .segments import (
-    CachedSegment,
-    Derivation,
-    SegmentStore,
-    program_fingerprint,
-    shared_segment_store,
-)
+from .segments import CachedSegment, Derivation, SegmentStore, program_fingerprint
 from .types import context_part_key, shape_key
 
 __all__ = ["GuardedChaseEngine", "chase_forest"]
@@ -134,11 +129,10 @@ class GuardedChaseEngine:
         Safety budget: expansion raises :class:`GroundingError` if the forest
         would exceed this many nodes (default one million).
     segment_cache:
-        ``True`` to memoize saturated subtrees by canonical atom shape in the
-        persistent per-fingerprint store
-        (:func:`repro.chase.segments.shared_segment_store`), or an explicit
-        :class:`~repro.chase.segments.SegmentStore` to use instead.  The
-        store is consulted and fed by :meth:`expand`.
+        A :class:`~repro.chase.segments.SegmentStore` to memoize saturated
+        subtrees in by canonical atom shape, consulted and fed by
+        :meth:`expand`; engines handed the same store splice each other's
+        segments.  ``None`` (default) records nothing.
     saturation:
         ``"agenda"`` (default) drains the incremental worklist described in
         the module docstring; ``"scan"`` runs the historical breadth-first
@@ -159,11 +153,13 @@ class GuardedChaseEngine:
         database: Database | Iterable[Atom],
         *,
         max_nodes: int = 1_000_000,
-        segment_cache: Union[SegmentStore, bool, None] = None,
+        segment_cache: Optional[SegmentStore] = None,
         saturation: str = "agenda",
         agenda_order: Optional[Callable[[int], int]] = None,
     ):
         check_saturation(saturation)
+        if segment_cache is not None and not isinstance(segment_cache, SegmentStore):
+            raise TypeError(f"segment_cache must be a SegmentStore or None, got {segment_cache!r}")
         self.forest = ChaseForest()
         self.max_nodes = max_nodes
         self.saturation = saturation
@@ -287,16 +283,13 @@ class GuardedChaseEngine:
         self._missed_keys: set[tuple] = set()
         # The rule-set fingerprint heads every segment key, so a segment is
         # only ever spliced by an engine over the rules that recorded it —
-        # even from an explicit store shared between rule sets.
+        # even from a store shared between rule sets.
         self._fingerprint = ""
-        # Note: an explicit store must not go through truthiness — an empty
+        # Note: a store must not go through truthiness — an empty
         # SegmentStore has len() == 0 and would read as "disabled".
-        if isinstance(segment_cache, SegmentStore):
+        if segment_cache is not None:
             self._segment_store = segment_cache
             self._fingerprint = program_fingerprint(p.rule for p in self._rules)
-        elif segment_cache is not None and segment_cache is not False:
-            self._segment_store = shared_segment_store(p.rule for p in self._rules)
-            self._fingerprint = self._segment_store.fingerprint
         self.cache_stats["enabled"] = self._segment_store is not None
 
     @property
@@ -890,14 +883,14 @@ def chase_forest(
     max_depth: int,
     *,
     max_nodes: int = 1_000_000,
-    segment_cache: Union[SegmentStore, bool, None] = None,
+    segment_cache: Optional[SegmentStore] = None,
     saturation: str = "agenda",
 ) -> ChaseForest:
     """Convenience wrapper: build and expand a guarded chase forest in one call.
 
-    Pass ``True`` (or an explicit :class:`~repro.chase.segments.SegmentStore`)
-    to splice memoized subtrees recorded by earlier forests over the same
-    rules; the result is identical either way.  ``saturation`` selects the
+    Pass a :class:`~repro.chase.segments.SegmentStore` to splice memoized
+    subtrees recorded by earlier forests over the same rules into the same
+    store; the result is identical either way.  ``saturation`` selects the
     agenda-driven loop (default) or the retained breadth-first scan — the
     forests are bit-identical too.
     """

@@ -26,13 +26,12 @@ for :class:`repro.chase.engine.GuardedChaseEngine`:
   (a lookup under any other label is a miss), so placing it takes set
   lookups and node insertions only.  A stored segment is replaced only by a
   deeper one.
-* **Persistence** — stores live in a module-level registry keyed by a
-  *program fingerprint* (:func:`program_fingerprint`), so segments recorded by
-  one engine instance are spliced by every later engine over the same rule set
-  — including fresh engines built after an eviction from the
-  :mod:`repro.core.answering` engine LRU, and the relevance-pruned sub-engines
-  of the magic-sets fallback path (their pruned rule sets fingerprint
-  separately, so reuse composes with the PR 2 rewrite machinery).
+* **Sharing** — an engine records into a store only when its caller hands
+  it one (``segment_cache``); a default engine has none.  Engines that
+  should reuse each other's segments — repeated engines over one rule set,
+  or the relevance-pruned sub-engines of the magic-sets fallback path — are
+  given the same :class:`SegmentStore`.  Nothing is shared behind the
+  caller's back: there is no process-wide store.
 
 Why the splice is exact
 -----------------------
@@ -56,20 +55,18 @@ fast* the fixpoint is reached, never *which* fixpoint.
 
 The certificate that lets a splice skip its interior nodes assumes the
 recording engine had the same rules.  The engine heads every segment key with
-its rule-set fingerprint, so a lookup from an engine over other rules misses
-— in the fingerprint-keyed registry and in an explicit store shared between
-rule sets alike.
+its rule-set fingerprint (:func:`program_fingerprint`), so a lookup from an
+engine over other rules misses, and one store can serve several rule sets.
 
-The stores are safe to share between threads (all mutating operations take an
-internal lock) and bounded: at most :data:`REGISTRY_SIZE` fingerprints are
-kept, each store holds at most ``max_segments`` segments of at most
-``max_segment_nodes`` derivations, all evicted LRU-first.
+A store is bounded — at most ``max_segments`` segments of at most
+``max_segment_nodes`` derivations, evicted LRU-first — and, like the engines
+that use it, not thread-safe: share one between threads only under the
+caller's own lock.
 """
 
 from __future__ import annotations
 
 import hashlib
-import threading
 from collections import OrderedDict
 from dataclasses import dataclass
 from typing import Iterable, Optional
@@ -81,10 +78,6 @@ __all__ = [
     "CachedSegment",
     "SegmentStore",
     "program_fingerprint",
-    "shared_segment_store",
-    "clear_segment_stores",
-    "segment_store_info",
-    "REGISTRY_SIZE",
 ]
 
 
@@ -112,9 +105,9 @@ def program_fingerprint(rules: Iterable[NormalRule]) -> str:
     The fingerprint is the SHA-256 of the sorted textual forms of the non-fact
     rules; it identifies the rule set up to rule order and duplicate rules,
     and is independent of the database — engines over different databases
-    share a store because a segment is replayed only under its own root label
-    and every replayed firing is re-checked against the target forest (see
-    the module docstring).
+    can share a store because a segment is replayed only under its own root
+    label and every replayed firing is re-checked against the target forest
+    (see the module docstring).
     """
     digest = hashlib.sha256()
     for rule in canonical_rule_order(rules):
@@ -160,23 +153,20 @@ class CachedSegment:
 
 class SegmentStore:
     """An LRU store of :class:`CachedSegment` keyed by canonical segment key
-    (atom shape + side-atom context; the store treats keys as opaque tuples).
+    (rule-set fingerprint + atom shape + side-atom context; the store treats
+    keys as opaque tuples).
 
-    One store corresponds to one program fingerprint; engines sharing a
-    fingerprint share the store (and hence each other's recorded segments).
-    A key holds one segment, replaced only by a deeper recording.  All
-    operations are thread-safe.
+    Engines given the same store splice each other's recorded segments.  A
+    key holds one segment, replaced only by a deeper recording.
     """
 
     def __init__(
         self,
-        fingerprint: str = "",
         *,
         max_segments: int = 4096,
         max_segment_nodes: int = 100_000,
         max_total_nodes: int = 1_000_000,
     ):
-        self.fingerprint = fingerprint
         self.max_segments = max_segments
         self.max_segment_nodes = max_segment_nodes
         #: budget on the *sum* of derivations across all segments, so a store
@@ -185,7 +175,6 @@ class SegmentStore:
         self.max_total_nodes = max_total_nodes
         self._segments: "OrderedDict[tuple, CachedSegment]" = OrderedDict()
         self._total_nodes = 0
-        self._lock = threading.RLock()
         self._hits = 0
         self._misses = 0
         self._recordings = 0
@@ -198,19 +187,17 @@ class SegmentStore:
 
         A segment stored under another root label counts as a miss.
         """
-        with self._lock:
-            segment = self._segments.get(key)
-            if segment is None or segment.root_label != root_label:
-                self._misses += 1
-                return None
-            self._segments.move_to_end(key)
-            self._hits += 1
-            return segment
+        segment = self._segments.get(key)
+        if segment is None or segment.root_label != root_label:
+            self._misses += 1
+            return None
+        self._segments.move_to_end(key)
+        self._hits += 1
+        return segment
 
     def peek(self, key: tuple) -> Optional[CachedSegment]:
         """The segment for a key without LRU or counter effects."""
-        with self._lock:
-            return self._segments.get(key)
+        return self._segments.get(key)
 
     def record(
         self,
@@ -232,104 +219,54 @@ class SegmentStore:
             or len(derivations) > self.max_segment_nodes
         ):
             return False
-        with self._lock:
-            existing = self._segments.get(key)
-            if existing is not None:
-                if existing.relative_depth >= relative_depth:
-                    return False
-                self._total_nodes -= len(existing)
-            self._segments[key] = CachedSegment(relative_depth, root_label, derivations)
-            self._segments.move_to_end(key)
-            self._total_nodes += len(derivations)
-            self._recordings += 1
-            while self._segments and (
-                len(self._segments) > self.max_segments
-                or self._total_nodes > self.max_total_nodes
-            ):
-                _, evicted = self._segments.popitem(last=False)
-                self._total_nodes -= len(evicted)
-                self._evictions += 1
-            return key in self._segments
+        existing = self._segments.get(key)
+        if existing is not None:
+            if existing.relative_depth >= relative_depth:
+                return False
+            self._total_nodes -= len(existing)
+        self._segments[key] = CachedSegment(relative_depth, root_label, derivations)
+        self._segments.move_to_end(key)
+        self._total_nodes += len(derivations)
+        self._recordings += 1
+        while self._segments and (
+            len(self._segments) > self.max_segments
+            or self._total_nodes > self.max_total_nodes
+        ):
+            _, evicted = self._segments.popitem(last=False)
+            self._total_nodes -= len(evicted)
+            self._evictions += 1
+        return key in self._segments
 
     # -- maintenance / introspection --------------------------------------------
 
     def clear(self) -> None:
         """Drop every segment and reset the counters."""
-        with self._lock:
-            self._segments.clear()
-            self._total_nodes = 0
-            self._hits = self._misses = self._recordings = self._evictions = 0
+        self._segments.clear()
+        self._total_nodes = 0
+        self._hits = self._misses = self._recordings = self._evictions = 0
 
     def __len__(self) -> int:
-        with self._lock:
-            return len(self._segments)
+        return len(self._segments)
 
     def stats(self) -> dict:
-        """Counters of the store (shared by every engine on this fingerprint)."""
-        with self._lock:
-            return {
-                "segments": len(self._segments),
-                "cached_nodes": self._total_nodes,
-                "hits": self._hits,
-                "misses": self._misses,
-                "recordings": self._recordings,
-                "evictions": self._evictions,
-            }
+        """Counters of the store (summed over every engine that uses it)."""
+        return {
+            "segments": len(self._segments),
+            "cached_nodes": self._total_nodes,
+            "hits": self._hits,
+            "misses": self._misses,
+            "recordings": self._recordings,
+            "evictions": self._evictions,
+        }
 
     def __repr__(self) -> str:
-        return (
-            f"SegmentStore({len(self)} segments, fingerprint="
-            f"{self.fingerprint[:12] or '-'}...)"
-        )
-
-
-# ---------------------------------------------------------------------------
-# The module-level registry: fingerprint → store, persistent across engines
-# ---------------------------------------------------------------------------
-
-#: Maximum number of program fingerprints whose stores are kept alive.
-REGISTRY_SIZE = 32
-
-_registry_lock = threading.Lock()
-_stores: "OrderedDict[str, SegmentStore]" = OrderedDict()
-
-
-def shared_segment_store(rules: Iterable[NormalRule]) -> SegmentStore:
-    """The persistent :class:`SegmentStore` for a rule set (created on miss).
-
-    Keyed by :func:`program_fingerprint`, so every engine over the same
-    (Skolemised) rules — across databases, deepening schedules and engine-LRU
-    evictions — shares one store.  The registry is LRU-bounded by
-    :data:`REGISTRY_SIZE`.
-    """
-    fingerprint = program_fingerprint(rules)
-    with _registry_lock:
-        store = _stores.get(fingerprint)
-        if store is None:
-            store = SegmentStore(fingerprint)
-            _stores[fingerprint] = store
-        _stores.move_to_end(fingerprint)
-        while len(_stores) > REGISTRY_SIZE:
-            _stores.popitem(last=False)
-        return store
+        return f"SegmentStore({len(self)} segments)"
 
 
 def clear_segment_stores() -> None:
-    """Drop every store in the registry (tests, benchmarks, long services)."""
-    with _registry_lock:
-        _stores.clear()
+    """Do nothing: no store outlives the engines it was handed to.
 
-
-def segment_store_info() -> dict:
-    """Aggregate statistics of the registry, plus per-store counters."""
-    with _registry_lock:
-        stores = list(_stores.items())
-    per_store = {fp[:12]: store.stats() for fp, store in stores}
-    return {
-        "stores": len(stores),
-        "maxsize": REGISTRY_SIZE,
-        "segments": sum(s["segments"] for s in per_store.values()),
-        "hits": sum(s["hits"] for s in per_store.values()),
-        "misses": sum(s["misses"] for s in per_store.values()),
-        "per_store": per_store,
-    }
+    Kept only because the end-to-end benchmark's cold-answer workload still
+    calls it before every operation; it goes once that call does.  A store
+    shared between engines is emptied with :meth:`SegmentStore.clear`.
+    """

@@ -108,11 +108,11 @@ def build_argument_parser() -> argparse.ArgumentParser:
     parser.add_argument(
         "--segment-cache",
         action=argparse.BooleanOptionalAction,
-        default=True,
+        default=False,
         help=(
-            "memoize chase subtrees by canonical atom type and splice them "
-            "instead of re-deriving (--no-segment-cache disables; answers are "
-            "identical either way)"
+            "memoize chase subtrees by canonical atom type in a store of the "
+            "engine's own and splice them instead of re-deriving (off by "
+            "default; answers are identical either way)"
         ),
     )
     parser.add_argument(

@@ -12,14 +12,7 @@
 * :mod:`repro.core.stratified` — the stratified Datalog± baseline of [1].
 """
 
-from .answering import (
-    answer_query,
-    certain_answers,
-    clear_engine_cache,
-    engine_cache_info,
-    holds_under_wfs,
-    shared_engine,
-)
+from .answering import answer_query, certain_answers, holds_under_wfs
 from .constraints import (
     EGD,
     ConstraintViolation,
@@ -42,10 +35,7 @@ from .wcheck import path_witness, wcheck_atom, wcheck_literal
 __all__ = [
     "answer_query",
     "certain_answers",
-    "clear_engine_cache",
-    "engine_cache_info",
     "holds_under_wfs",
-    "shared_engine",
     "EGD",
     "ConstraintViolation",
     "NegativeConstraint",

@@ -1,32 +1,17 @@
 """Convenience entry points for NBCQ answering under WFS(D, Σ) (Theorem 14).
 
 These module-level functions wrap :class:`~repro.core.engine.WellFoundedEngine`
-for one-shot use.  Because real workloads ask *several* one-shot questions
-against the same (D, Σ), the helpers share a small module-level LRU of engines
-keyed by the identity of the program/database pair (plus the engine options):
-repeated ``holds_under_wfs`` calls against the same objects reuse the cached
-engine — and with it the chase segment, the ground program, its rule index and
-any per-query rewriting results — instead of rebuilding everything from
-scratch.  Applications that want full control can still construct a
-:class:`WellFoundedEngine` themselves (or call :func:`shared_engine`).
-
-The LRU composes with the chase-segment cache (:mod:`repro.chase.segments`):
-engine options — including ``segment_cache`` — are part of the cache key, and
-even when an engine is evicted and later rebuilt for the same program, the
-rebuilt engine re-enters the persistent per-fingerprint segment store and
-splices its chase segment instead of re-deriving it, so eviction costs far
-less than the original construction did.
-
-Cache keys use *identity* (``id``) for program/database objects — holding a
-strong reference to the keyed objects so identities cannot be recycled — and
-*value* for textual programs/databases.  Anything else (e.g. a one-off
-generator of atoms) bypasses the cache.
+for one-shot use: each call builds a fresh engine over the program and the
+database as they are at the call, answers one query and drops the engine.
+Nothing is cached between calls, so a mutated database is never answered
+from a stale engine.  A caller with several questions against one (D, Σ)
+should build a :class:`WellFoundedEngine` and ask it each one: the engine
+keeps its model (finite grounding or chase segment), rule index and rewrite
+plans between queries.
 """
 
 from __future__ import annotations
 
-import threading
-from collections import OrderedDict
 from typing import Iterable, Optional, Union
 
 from ..lang.atoms import Atom, Literal
@@ -39,230 +24,15 @@ __all__ = [
     "holds_under_wfs",
     "answer_query",
     "certain_answers",
-    "shared_engine",
-    "clear_engine_cache",
-    "invalidate_engine",
-    "engine_cache_info",
 ]
-
-#: Maximum number of (program, database, options) engines kept alive.
-ENGINE_CACHE_SIZE = 16
-
-_cache_lock = threading.Lock()
-#: key → (program ref, database ref, engine, per-engine lock); the refs pin
-#: the ids used in the key, the lock serialises helper calls on the shared
-#: engine (the engine's lazy chase/model/rewrite paths are not thread-safe)
-_engine_cache: "OrderedDict[tuple, tuple[object, object, WellFoundedEngine, threading.RLock]]" = (
-    OrderedDict()
-)
-_cache_hits = 0
-_cache_misses = 0
-
-
-def _cache_key(program, database, engine_options: dict) -> Optional[tuple]:
-    """A hashable cache key, or ``None`` when the inputs cannot be keyed safely.
-
-    Program objects are keyed by identity *plus size* (programs are
-    append-only, so any effective mutation changes ``len``).  Database objects
-    are keyed by identity plus their *mutation version*: databases support
-    removal (:meth:`~repro.lang.program.Database.discard`), so ``len`` is not
-    a fingerprint — an add followed by a remove returns to the old size but
-    must not return to the old engine.  The version counter is re-read on
-    every lookup, so a mutated database always misses and lands on a fresh
-    engine; :func:`invalidate_engine` additionally drops the dead entries
-    eagerly.
-    """
-    try:
-        options = tuple(sorted(engine_options.items()))
-        hash(options)
-    except TypeError:
-        return None
-    if isinstance(program, str):
-        program_key: object = ("text", program)
-    elif isinstance(program, DatalogPMProgram):
-        program_key = ("id", id(program), len(program))
-    else:
-        return None
-    if database is None or isinstance(database, str):
-        database_key: object = ("value", database)
-    elif isinstance(database, Database):
-        database_key = ("id", id(database), database.version)
-    else:
-        return None  # arbitrary iterables may be one-shot; never cache them
-    return (program_key, database_key, options)
-
-
-def _shared_entry(
-    program, database, engine_options: dict
-) -> tuple[WellFoundedEngine, Optional[threading.RLock]]:
-    """The cached engine plus its serialisation lock (``None`` when uncached)."""
-    global _cache_hits, _cache_misses
-    with _cache_lock:
-        # The key embeds Database.version; reading it under the cache lock
-        # makes the version, the is_stale() recheck and the eviction one
-        # atomic step — a concurrent mutation can no longer interleave
-        # between the version read and the hit decision.
-        key = _cache_key(program, database, engine_options)
-        if key is not None:
-            entry = _engine_cache.get(key)
-            if entry is not None:
-                if entry[2].is_stale():
-                    # Defence in depth: the versioned key should already have
-                    # missed, but a caller that mutated the engine's *own*
-                    # database copy (text programs hold one) can still land
-                    # here — never serve answers from a stale engine.
-                    del _engine_cache[key]
-                else:
-                    _engine_cache.move_to_end(key)
-                    _cache_hits += 1
-                    return entry[2], entry[3]
-    if key is None:
-        return WellFoundedEngine(program, database, **engine_options), None
-    engine = WellFoundedEngine(program, database, **engine_options)
-    lock = threading.RLock()
-    with _cache_lock:
-        # Another thread may have raced us here; keep whichever engine landed
-        # first so every caller agrees on one engine per key.
-        entry = _engine_cache.get(key)
-        if entry is not None:
-            _cache_hits += 1
-            return entry[2], entry[3]
-        _cache_misses += 1
-        # Purge entries this one supersedes: same identity-keyed objects at an
-        # older size/version.  Both fingerprints only grow, so those keys can
-        # never be hit again; without the purge a mutate-and-query loop fills
-        # the LRU with dead engines and evicts live ones.
-        for stale in [
-            k
-            for k in _engine_cache
-            if k[2] == key[2]
-            and _supersedes(key[0], k[0])
-            and _supersedes(key[1], k[1])
-            and k != key
-        ]:
-            del _engine_cache[stale]
-        _engine_cache[key] = (program, database, engine, lock)
-        while len(_engine_cache) > ENGINE_CACHE_SIZE:
-            _engine_cache.popitem(last=False)
-    return engine, lock
-
-
-def _drop_cached_engine(engine: WellFoundedEngine) -> None:
-    """Remove the cache entry holding *engine* (identity match), if any."""
-    with _cache_lock:
-        for key, entry in list(_engine_cache.items()):
-            if entry[2] is engine:
-                del _engine_cache[key]
-                break
-
-
-def _call_with_shared_engine(program, database, engine_options: dict, invoke):
-    """Run *invoke(engine)* against the shared engine, never on a stale one.
-
-    :func:`_shared_entry` decides hit-or-miss under the cache lock, but the
-    engine call itself happens later under the *per-engine* lock — a
-    concurrent ``Database`` mutation can land in between, and an engine that
-    was fresh at lookup time would then serve a model of the old database.
-    So the staleness test is repeated under the engine lock: once it passes
-    there, no answer from a knowably stale engine can escape (a mutation
-    arriving mid-call is indistinguishable from one arriving just after the
-    call — the answer is correct for the serialisation point).  On a failed
-    recheck the dead entry is dropped and the lookup retried against the
-    database's current version, which builds or finds a fresh engine.
-    """
-    while True:
-        engine, lock = _shared_entry(program, database, engine_options)
-        if lock is None:
-            return invoke(engine)
-        with lock:
-            if not engine.is_stale():
-                return invoke(engine)
-        _drop_cached_engine(engine)
-
-
-def _supersedes(new_component, old_component) -> bool:
-    """Does the new key component make the old one permanently unreachable?"""
-    if new_component == old_component:
-        return True
-    return (
-        isinstance(new_component, tuple)
-        and isinstance(old_component, tuple)
-        and len(new_component) == 3
-        and len(old_component) == 3
-        and new_component[0] == "id"
-        and old_component[0] == "id"
-        and new_component[1] == old_component[1]
-    )
-
-
-def shared_engine(
-    program: Union[DatalogPMProgram, str],
-    database: Union[Database, Iterable[Atom], str, None] = None,
-    **engine_options,
-) -> WellFoundedEngine:
-    """A :class:`WellFoundedEngine` from the module-level LRU (built on miss).
-
-    The returned engine is shared across callers of the same
-    program/database/options triple and is **not** internally thread-safe;
-    concurrent users should either go through :func:`holds_under_wfs` /
-    :func:`answer_query` (which serialise per engine) or synchronise
-    themselves.
-    """
-    engine, _ = _shared_entry(program, database, engine_options)
-    return engine
-
-
-def invalidate_engine(
-    program: object = None, database: object = None
-) -> int:
-    """Eagerly drop cached engines built against *program* and/or *database*.
-
-    The version-fingerprinted keys already guarantee a mutated database never
-    *serves* a stale engine (the lookup key moves on); this hook additionally
-    releases the dead entries (and the object references pinning them) the
-    moment a caller knows a mutation happened, instead of waiting for LRU
-    pressure.  Matching is by object identity on whichever arguments are
-    given; returns the number of entries dropped.
-    """
-    targets = [id(obj) for obj in (program, database) if obj is not None]
-    if not targets:
-        return 0
-    dropped = 0
-    with _cache_lock:
-        for key in [
-            k
-            for k in _engine_cache
-            if any(
-                isinstance(component, tuple)
-                and len(component) == 3
-                and component[0] == "id"
-                and component[1] in targets
-                for component in k[:2]
-            )
-        ]:
-            del _engine_cache[key]
-            dropped += 1
-    return dropped
 
 
 def clear_engine_cache() -> None:
-    """Drop every cached engine (used by tests and long-running services)."""
-    global _cache_hits, _cache_misses
-    with _cache_lock:
-        _engine_cache.clear()
-        _cache_hits = 0
-        _cache_misses = 0
+    """Do nothing: the one-shot helpers keep no engines between calls.
 
-
-def engine_cache_info() -> dict:
-    """Hit/miss/size counters of the shared engine cache."""
-    with _cache_lock:
-        return {
-            "size": len(_engine_cache),
-            "maxsize": ENGINE_CACHE_SIZE,
-            "hits": _cache_hits,
-            "misses": _cache_misses,
-        }
+    Kept only because the end-to-end benchmark's cold-answer workload still
+    calls it before every operation; it goes once that call does.
+    """
 
 
 def holds_under_wfs(
@@ -277,16 +47,10 @@ def holds_under_wfs(
 
     ``engine_options`` are forwarded to :class:`WellFoundedEngine` (depth
     schedule, strictness, ...); ``rewrite`` selects the goal-directed
-    magic-sets query path (see :meth:`WellFoundedEngine.holds`).  The engine
-    itself is served from the shared LRU, so repeated calls against the same
-    program/database do not rebuild the chase segment.
+    magic-sets query path (see :meth:`WellFoundedEngine.holds`).
     """
-    return _call_with_shared_engine(
-        program,
-        database,
-        engine_options,
-        lambda engine: engine.holds(query, rewrite=rewrite),
-    )
+    engine = WellFoundedEngine(program, database, **engine_options)
+    return engine.holds(query, rewrite=rewrite)
 
 
 def answer_query(
@@ -299,14 +63,8 @@ def answer_query(
     **engine_options,
 ) -> set[tuple[Term, ...]]:
     """All answers to a (non-Boolean) conjunctive query over WFS(D, Σ)."""
-    return _call_with_shared_engine(
-        program,
-        database,
-        engine_options,
-        lambda engine: engine.answer(
-            query, constants_only=constants_only, rewrite=rewrite
-        ),
-    )
+    engine = WellFoundedEngine(program, database, **engine_options)
+    return engine.answer(query, constants_only=constants_only, rewrite=rewrite)
 
 
 def certain_answers(

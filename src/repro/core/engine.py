@@ -70,6 +70,7 @@ from ..lang.parser import parse_database, parse_program, parse_query
 from ..lang.terms import Constant, Term
 from ..chase.engine import GuardedChaseEngine, check_saturation
 from ..chase.forest import ChaseForest
+from ..chase.segments import SegmentStore
 from ..chase.types import AtomType
 from ..lp.columnar import BACKENDS, make_grounder
 from ..lp.grounding import GroundProgram
@@ -239,6 +240,10 @@ class WellFoundedEngine:
     chase plan, which a finite-plan model also runs the first time its
     :meth:`~DatalogWellFoundedModel.forest` is requested.
 
+    An engine is not thread-safe: its chase, model and rewrite caches are
+    built on first use.  Give each thread its own engine, or serialise the
+    calls under a lock of your own.
+
     Parameters
     ----------
     program:
@@ -271,14 +276,16 @@ class WellFoundedEngine:
         SIPS strategy used by the rewriting (``"left-to-right"`` or
         ``"bound-first"``, or a :class:`~repro.rewrite.sips.SIPSStrategy`).
     segment_cache:
-        Memoize saturated chase subtrees by canonical atom type
-        (:mod:`repro.chase.segments`) and replay them under later nodes of
-        the same type and label instead of re-deriving them.  The store
-        persists across engine instances (keyed by a program fingerprint) so
-        repeated workloads — including rebuilt engines after an
-        :mod:`repro.core.answering` LRU eviction and the relevance-pruned
-        sub-engines of the rewrite fallback — skip straight to splicing.
-        Answers are bit-identical with or without the cache (default on).
+        A :class:`~repro.chase.segments.SegmentStore` to memoize saturated
+        chase subtrees in by canonical atom type (:mod:`repro.chase.segments`)
+        and replay them under later nodes of the same type and label instead
+        of re-deriving them.  Engines handed the same store — say, repeated
+        engines over one program — splice each other's segments; the engine
+        hands its store on to the relevance-pruned sub-engines of the
+        rewrite fallback.  ``True`` gives the engine a private store of its
+        own.  The default, ``False``, records nothing: an engine nobody
+        shares a store with would only pay for the recording.  Answers are
+        bit-identical either way.
     saturation:
         Chase saturation discipline: ``"agenda"`` (default) drains the
         incremental worklist of :class:`~repro.chase.engine.GuardedChaseEngine`;
@@ -332,7 +339,7 @@ class WellFoundedEngine:
         strict: bool = False,
         rewrite: bool = False,
         sips: str = "left-to-right",
-        segment_cache: bool = True,
+        segment_cache: Union[SegmentStore, bool] = False,
         saturation: str = "agenda",
         agenda_order=None,
         incremental: bool = True,
@@ -383,7 +390,13 @@ class WellFoundedEngine:
         self.strict = strict
         self.rewrite = rewrite
         self.sips = sips
-        self.segment_cache = segment_cache
+        if segment_cache is True:
+            segment_cache = SegmentStore()
+        #: the store the chase records into and splices from, shared with
+        #: the relevance-pruned sub-engines; ``None`` records nothing
+        self.segment_store: Optional[SegmentStore] = (
+            segment_cache if isinstance(segment_cache, SegmentStore) else None
+        )
         self.saturation = saturation
         self.agenda_order = agenda_order
         self.incremental = incremental
@@ -445,7 +458,7 @@ class WellFoundedEngine:
             self.skolemized,
             self._facts,
             max_nodes=self.max_nodes,
-            segment_cache=self.segment_cache,
+            segment_cache=self.segment_store,
             saturation=self.saturation,
             agenda_order=self.agenda_order,
         )
@@ -457,11 +470,9 @@ class WellFoundedEngine:
 
         The engine's chase forest, ground program and cached model are all
         derived from the database as it was at construction time; a caller
-        that mutates the database afterwards must rebuild (the shared-engine
-        LRU in :mod:`repro.core.answering` re-checks this fingerprint on
-        every hit) or use :class:`repro.views.MaterializedEngine`, which
-        maintains its state under fact insertion/retraction instead of
-        recomputing.
+        that mutates the database afterwards must build a new engine or use
+        :class:`repro.views.MaterializedEngine`, which maintains its state
+        under fact insertion/retraction instead of recomputing.
         """
         return self.database.version != self._database_version
 
@@ -490,7 +501,7 @@ class WellFoundedEngine:
         caches per version serve every engine over it, and the facts copied
         at construction once it has changed.  The staleness test is repeated
         after the read: a mutation on another thread that lands during it
-        (the shared engines of :mod:`repro.core.answering` allow one) sends
+        (an engine is not thread-safe, but its database may be shared) sends
         the read to the copy as well.
         """
         if not self.is_stale():
@@ -758,7 +769,7 @@ class WellFoundedEngine:
             max_depth=self.max_depth,
             max_nodes=self.max_nodes,
             strict=self.strict,
-            segment_cache=self.segment_cache,
+            segment_cache=self.segment_store,
             saturation=self.saturation,
             agenda_order=self.agenda_order,
             incremental=self.incremental,
@@ -773,9 +784,9 @@ class WellFoundedEngine:
         """Counters of the chase-segment cache (see :mod:`repro.chase.segments`).
 
         ``hits``/``misses``/``splices``/``nodes_spliced``/``segments_recorded``
-        are this engine's own traffic; ``store`` aggregates the persistent
-        store shared by every engine over the same program fingerprint
-        (absent when caching is disabled).  An engine whose chase is not
+        are this engine's own traffic; ``store`` holds the counters of the
+        engine's store, summed over every engine that shares it (absent when
+        the engine has no store).  An engine whose chase is not
         built yet (only magic queries so far) reports zero traffic and no
         ``store`` without building it.  The counters of the relevance-pruned
         sub-engines of the rewrite fallback are summed in under
@@ -784,13 +795,11 @@ class WellFoundedEngine:
         counters = ("hits", "misses", "splices", "nodes_spliced", "segments_recorded")
         if "_chase" in self.__dict__:
             stats: dict = dict(self._chase.cache_stats)
-            store = self._chase.segment_store
-            if store is not None:
-                stats["store"] = store.stats()
-                stats["fingerprint"] = store.fingerprint[:12]
+            if self.segment_store is not None:
+                stats["store"] = self.segment_store.stats()
         else:
             stats = {
-                "enabled": self.segment_cache not in (None, False),
+                "enabled": self.segment_store is not None,
                 **dict.fromkeys(counters, 0),
             }
         if self._pruned_engines:

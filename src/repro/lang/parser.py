@@ -261,7 +261,11 @@ class _Parser:
             existentials, head = self.parse_head()
             self.expect("DOT")
             return (literals, existentials, head)
-        # fact
+        if token is not None and token.kind == "DOT" and len(literals) == 1 and literals[0].positive:
+            # a fact: its one positive literal is the atom
+            self.advance()
+            return literals[0].atom
+        # not a well-formed fact: parse it again as one for the error message
         self.index = start_index
         atom = self.parse_atom()
         self.expect("DOT")

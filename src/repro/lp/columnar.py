@@ -432,6 +432,7 @@ class ColumnarGrounder:
         if not self.index.add(atom):
             return
         if not atom.is_ground():
+            self.index.discard(atom)
             raise GroundingError(
                 f"columnar grounding only accepts ground candidate atoms, got {atom}"
             )

@@ -300,6 +300,17 @@ def ground_over_atoms(
     return ground
 
 
+def _ground_candidate(atom: Atom) -> Atom:
+    """*atom*, which enters a grounder's candidates from outside its rules.
+
+    Raises :class:`GroundingError` unless it is ground, as the columnar
+    backend does, before the caller changes any state.
+    """
+    if not atom.is_ground():
+        raise GroundingError(f"candidate atoms must be ground, got {atom}")
+    return atom
+
+
 class SemiNaiveGrounder:
     """Stateful semi-naive relevant grounding with resumable budgets.
 
@@ -327,7 +338,7 @@ class SemiNaiveGrounder:
         self._proper_rules: list[NormalRule] = []
 
         for atom in extra_atoms:
-            self._seed(atom)
+            self._seed(_ground_candidate(atom))
         once_rules: list[NormalRule] = []
         for rule in program:
             if rule.is_fact() and rule.is_ground():
@@ -391,7 +402,7 @@ class SemiNaiveGrounder:
         so) and only the matching state must catch up — the next :meth:`run`
         produces the joins the atom missed while it was out of the index.
         """
-        self._seed(atom)
+        self._seed(_ground_candidate(atom))
 
     @property
     def saturated(self) -> bool:

@@ -11,8 +11,6 @@ import pytest
 
 from repro import WellFoundedEngine, parse_normal_program, parse_program, relevant_grounding
 from repro.bench.generators import paper_example_program
-from repro.chase.segments import clear_segment_stores
-from repro.core.answering import clear_engine_cache
 
 #: The text of Example 4 of the paper (facts included).
 PAPER_EXAMPLE_TEXT = """
@@ -52,21 +50,6 @@ def pytest_collection_modifyitems(config, items):
     for item in items:
         if "stress" in item.keywords:
             item.add_marker(skip_stress)
-
-
-@pytest.fixture(autouse=True)
-def _fresh_process_caches():
-    """Start and end every test with empty process-wide caches.
-
-    The chase-segment registry and the shared engine LRU outlive engines, so
-    without this a test's outcome (and its running time) could depend on
-    which tests ran before it in the same process.
-    """
-    clear_segment_stores()
-    clear_engine_cache()
-    yield
-    clear_segment_stores()
-    clear_engine_cache()
 
 
 @pytest.fixture(scope="session")

@@ -17,7 +17,6 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generators import random_guarded_program
-from repro.chase.segments import clear_segment_stores
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lang.atoms import Atom
@@ -119,7 +118,6 @@ def _answer(engine, query):
 def test_agenda_model_equals_scan_model(workload, ordering, segment_cache):
     """model() observables are ordering- and cache-independent."""
     program, database, _ = workload
-    clear_segment_stores()
     options = dict(max_depth=13, max_nodes=2_000)
     scan = WellFoundedEngine(
         program, database, saturation="scan", segment_cache=False, **options
@@ -142,7 +140,6 @@ def test_agenda_model_equals_scan_model(workload, ordering, segment_cache):
 def test_agenda_holds_and_answer_equal_scan(workload, ordering, segment_cache):
     """holds()/answer() agree across saturation modes, incl. the rewrite path."""
     program, database, query = workload
-    clear_segment_stores()
     options = dict(max_depth=13, max_nodes=2_000)
     scan = WellFoundedEngine(
         program, database, saturation="scan", segment_cache=False, **options
@@ -179,7 +176,6 @@ def test_agenda_is_schedule_independent(
 ):
     """Any deepening schedule × ordering × cache agrees with the scan twin."""
     program, database, _ = workload
-    clear_segment_stores()
     options = dict(
         initial_depth=initial_depth,
         depth_step=depth_step,
@@ -212,7 +208,6 @@ def test_budget_failure_retry_never_fakes_convergence(workload, ordering):
     is the strongest exactness statement possible — and in the common case
     of a first-step failure it coincides with a fully fresh engine.)"""
     program, database, _ = workload
-    clear_segment_stores()
     tight = WellFoundedEngine(
         program,
         database,

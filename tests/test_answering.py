@@ -2,21 +2,12 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.lang.atoms import Atom
-from repro.lang.parser import parse_atom, parse_program, parse_query
+from repro.lang.parser import parse_atom, parse_program
+from repro.lang.program import Database
 from repro.lang.queries import ConjunctiveQuery
 from repro.lang.terms import Constant, Variable
-from repro.core.answering import (
-    answer_query,
-    certain_answers,
-    clear_engine_cache,
-    engine_cache_info,
-    holds_under_wfs,
-    invalidate_engine,
-    shared_engine,
-)
+from repro.core.answering import answer_query, certain_answers, holds_under_wfs
 from repro.core.engine import WellFoundedEngine
 
 LITERATURE = """
@@ -72,118 +63,43 @@ class TestAnswerQuery:
 
 
 class TestEngineCache:
-    """The module-level LRU that keeps repeated one-shot calls cheap."""
-
-    def setup_method(self):
-        clear_engine_cache()
-
-    def teardown_method(self):
-        clear_engine_cache()
-
-    def test_repeated_calls_share_one_engine(self):
-        assert holds_under_wfs(LITERATURE, None, "? article(pods13)")
-        assert holds_under_wfs(LITERATURE, None, "? isAuthorOf(john, Y)")
-        info = engine_cache_info()
-        assert info["size"] == 1
-        assert info["hits"] == 1 and info["misses"] == 1
-
-    def test_shared_engine_is_identical_object_for_same_inputs(self):
-        first = shared_engine(LITERATURE, None)
-        second = shared_engine(LITERATURE, None)
-        assert first is second
-
-    def test_program_objects_are_keyed_by_identity(self):
-        program, database = parse_program(LITERATURE)
-        first = shared_engine(program, database)
-        assert shared_engine(program, database) is first
-        # a structurally equal but distinct program gets its own engine
-        other_program, other_database = parse_program(LITERATURE)
-        assert shared_engine(other_program, other_database) is not first
-
-    def test_different_engine_options_get_different_engines(self):
-        first = shared_engine(LITERATURE, None, max_depth=9)
-        second = shared_engine(LITERATURE, None, max_depth=11)
-        assert first is not second
-        assert engine_cache_info()["size"] == 2
-
-    def test_unkeyable_inputs_bypass_the_cache(self):
-        program, _ = parse_program("conferencePaper(X) -> article(X).")
-        atoms = [parse_atom("conferencePaper(pods13)")]
-        engine = shared_engine(program, atoms)  # plain list: not cacheable
-        assert engine_cache_info()["size"] == 0
-        assert engine.holds("? article(pods13)")
-
-    def test_eviction_beyond_capacity(self):
-        from repro.core import answering
-
-        programs = [parse_program(LITERATURE)[0] for _ in range(answering.ENGINE_CACHE_SIZE + 2)]
-        engines = [shared_engine(p, None) for p in programs]
-        assert engine_cache_info()["size"] == answering.ENGINE_CACHE_SIZE
-        # the oldest entries were evicted, the newest survive
-        assert shared_engine(programs[-1], None) is engines[-1]
+    """The one-shot helpers build a fresh engine per call, over the database
+    as it is at the call, so a mutation is never answered from a stale
+    engine, and they forward engine options.  (The class name predates the
+    removal of the helpers' engine cache.)"""
 
     def test_mutated_database_is_not_served_stale(self):
         program, _ = parse_program("conferencePaper(X) -> article(X).")
-        from repro.lang.program import Database
-
         database = Database([parse_atom("conferencePaper(pods13)")])
         assert holds_under_wfs(program, database, "? article(pods13)")
         database.add(parse_atom("conferencePaper(icdt19)"))
-        # the append changed len(database), so a fresh engine must be built
         assert holds_under_wfs(program, database, "? article(icdt19)")
-        # ... and the superseded engine must have been purged, not left to
-        # occupy an LRU slot its key can never hit again
-        assert engine_cache_info()["size"] == 1
 
     def test_add_remove_round_trip_is_not_served_stale(self):
-        """Removal returns the database to its old `len` — the version-keyed
-        cache must still miss, never resurrecting the pre-mutation engine."""
-        from repro.lang.program import Database
-
+        """Removal returns the database to its old `len`; the answer must
+        still follow the current facts."""
         program, _ = parse_program("conferencePaper(X) -> article(X).")
         database = Database([parse_atom("conferencePaper(pods13)")])
         assert holds_under_wfs(program, database, "? article(pods13)")
         database.add(parse_atom("conferencePaper(icdt19)"))
+        assert holds_under_wfs(program, database, "? article(icdt19)")
         database.remove(parse_atom("conferencePaper(icdt19)"))
-        assert len(database) == 1  # same size as when the engine was cached
+        assert len(database) == 1
         assert not holds_under_wfs(program, database, "? article(icdt19)")
-        assert engine_cache_info()["size"] == 1
 
-    def test_invalidate_engine_drops_matching_entries(self):
-        from repro.lang.program import Database
+    def test_rewrite_option_is_forwarded(self, monkeypatch):
+        seen = []
+        holds = WellFoundedEngine.holds
 
-        program, _ = parse_program("conferencePaper(X) -> article(X).")
-        database = Database([parse_atom("conferencePaper(pods13)")])
-        other_program, _ = parse_program("scientist(X) -> person(X).")
-        shared_engine(program, database)
-        shared_engine(other_program, None)
-        assert engine_cache_info()["size"] == 2
-        assert invalidate_engine(database=database) == 1
-        assert engine_cache_info()["size"] == 1
-        assert invalidate_engine(program=other_program) == 1
-        assert engine_cache_info()["size"] == 0
-        assert invalidate_engine() == 0
+        def spy(engine, query, rewrite=None):
+            answer = holds(engine, query, rewrite=rewrite)
+            seen.append(engine.last_query_stats["mode"])
+            return answer
 
-    def test_stale_engines_are_detected_and_rebuilt_on_hit(self):
-        """Mutating the engine's own database copy trips the is_stale guard.
-
-        Text programs hold a private database copy, so the versioned cache
-        key cannot observe the mutation — only the hit-path recheck can.
-        """
-        engine = shared_engine(LITERATURE, None)
-        assert not engine.is_stale()
-        engine.database.add(parse_atom("conferencePaper(vldb21)"))
-        assert engine.is_stale()
-        rebuilt = shared_engine(LITERATURE, None)
-        assert rebuilt is not engine
-        assert not rebuilt.is_stale()
-        assert engine_cache_info()["size"] == 1
-
-    def test_rewrite_option_is_forwarded(self):
+        monkeypatch.setattr(WellFoundedEngine, "holds", spy)
         program, database = parse_program(LITERATURE)
         assert holds_under_wfs(program, database, "? article(pods13)", rewrite=True)
-        engine = shared_engine(program, database)
-        assert engine.last_query_stats["mode"] == "magic"
+        assert seen == ["magic"]
 
 
 class TestCertainAnswers:
@@ -201,17 +117,16 @@ class TestCertainAnswers:
 
 
 class TestSharedEngineThreadSafety:
-    """The satellite bugfix: version read, staleness recheck and eviction are
-    atomic under the cache lock, and a served engine re-verifies freshness
-    under its own lock (drop-and-retry on staleness).  Threads hammering
-    ``holds_under_wfs`` against concurrent ``Database`` mutations must never
-    crash, never observe a torn cache entry, and — once mutations quiesce
-    between phases — always serve the *current* database state.
+    """Threads calling ``holds_under_wfs`` over one shared ``Database`` while
+    another thread mutates it.  Each call builds its own engine (an engine
+    is not thread-safe, and the class name predates the removal of the
+    shared engines), but the database and the columnar snapshot it caches
+    per version are shared.  No call may crash, and — once mutations
+    quiesce between phases — every answer must follow the *current*
+    database state.
     """
 
     def _workload(self):
-        from repro.lang.program import Database
-
         program, _ = parse_program("signal(X) -> seen(X).")
         database = Database([parse_atom("signal(s0)")])
         return program, database
@@ -225,7 +140,6 @@ class TestSharedEngineThreadSafety:
     def _phased_mutations(self, rewrite):
         import threading
 
-        clear_engine_cache()
         program, database = self._workload()
         rounds = 12
         num_threads = 4
@@ -263,7 +177,6 @@ class TestSharedEngineThreadSafety:
     def _unphased_hammer(self, rewrite):
         import threading
 
-        clear_engine_cache()
         program, database = self._workload()
         stop = threading.Event()
         errors: list[str] = []

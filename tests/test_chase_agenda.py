@@ -27,7 +27,7 @@ from repro.bench.generators import (
 )
 from repro.chase.engine import GuardedChaseEngine
 from repro.chase.forest import ChaseForest
-from repro.chase.segments import clear_segment_stores
+from repro.chase.segments import SegmentStore
 from repro.exceptions import GroundingError
 from repro.lang.parser import parse_program
 from repro.lang.skolem import skolemize_program
@@ -63,7 +63,7 @@ def forest_signature(forest: ChaseForest) -> frozenset:
     return signature
 
 
-def build(program_text_or_pieces, depth, *, saturation, segment_cache=False,
+def build(program_text_or_pieces, depth, *, saturation, segment_cache=None,
           agenda_order=None, schedule=None):
     """Expand a forest for a workload in the given saturation mode."""
     if isinstance(program_text_or_pieces, str):
@@ -164,14 +164,14 @@ def test_agenda_order_does_not_change_the_forest(name, seed):
 
 @pytest.mark.parametrize("name", sorted(WORKLOADS))
 def test_spliced_forest_is_bit_identical_to_scan(name):
-    """Cold and warm segment-cache engines agree with the scan reference."""
+    """Cold and warm engines over one segment store agree with the scan reference."""
     workload, depth = WORKLOADS[name]
     reference = forest_signature(build(workload, depth, saturation="scan").forest)
-    clear_segment_stores()
-    cold = build(workload, depth, saturation="agenda", segment_cache=True)
-    warm = build(workload, depth, saturation="agenda", segment_cache=True)
+    store = SegmentStore()
+    cold = build(workload, depth, saturation="agenda", segment_cache=store)
+    warm = build(workload, depth, saturation="agenda", segment_cache=store)
     deepened = build(
-        workload, depth, saturation="agenda", segment_cache=True, schedule=[2, 3]
+        workload, depth, saturation="agenda", segment_cache=store, schedule=[2, 3]
     )
     assert forest_signature(cold.forest) == reference
     assert forest_signature(warm.forest) == reference
@@ -233,14 +233,12 @@ def test_head_constant_side_atoms_survive_certified_splicing():
         q(Y), probe(Y) -> hit(Y).
         """
     )
-    from repro.chase.segments import SegmentStore
-
     skolemized = skolemize_program(program)
     for first, second in (
         (["e(a)"], ["e(a)", "probe(c)"]),
         (["e(a)", "probe(c)"], ["e(a)"]),
     ):
-        store = SegmentStore("regression")
+        store = SegmentStore()
         from repro.lang.parser import parse_atom
 
         GuardedChaseEngine(

@@ -147,6 +147,26 @@ def test_backends_agree_on_empty_program():
         assert len(grounder.ground) == 0
 
 
+@pytest.mark.parametrize("backend", BACKENDS)
+def test_non_ground_candidates_are_rejected_without_a_trace(backend):
+    edge = Atom("edge", (Constant("a"), Constant("b")))
+    loose = Atom("edge", (X, Constant("b")))
+    program = NormalProgram(
+        [NormalRule(edge), NormalRule(Atom("p", (X,)), (Atom("edge", (X, Y)),), ())]
+    )
+    with pytest.raises(GroundingError):
+        make_grounder(program, [loose], backend=backend)
+    grounder = make_grounder(program, backend=backend)
+    atoms = set(grounder.index.atoms())
+    with pytest.raises(GroundingError):
+        grounder.reseed(loose)
+    assert set(grounder.index.atoms()) == atoms and len(grounder.index) == 1
+    if backend == "columnar":
+        assert grounder.candidates == 1
+    grounder.run()
+    assert grounder.ground.atoms() == {edge, Atom("p", (Constant("a"),))}
+
+
 # ---------------------------------------------------------------------------
 # Single-driver rounds: a relation holding only delta rows drives the rule
 # ---------------------------------------------------------------------------

@@ -20,7 +20,6 @@ from __future__ import annotations
 from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
-from repro.chase.segments import clear_segment_stores
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lp.columnar import BACKENDS, make_grounder
@@ -129,10 +128,8 @@ def test_engine_backends_answer_identically(
         max_nodes=1_500,
         strict=False,
     )
-    clear_segment_stores()
     oracle = WellFoundedEngine(program, database, **options)
     expected = _answers(oracle, queries, rewrite)
-    clear_segment_stores()
     engine = WellFoundedEngine(program, database, backend=backend, **options)
     assert _answers(engine, queries, rewrite) == expected
     stats = engine.last_query_stats

@@ -25,7 +25,6 @@ from hypothesis import HealthCheck, assume, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generators import paper_example_program
-from repro.chase.segments import clear_segment_stores
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lang.atoms import Atom
@@ -77,7 +76,6 @@ def forest_signature(forest):
 
 
 def check_finite_equals_chase(program, database, queries, cq):
-    clear_segment_stores()
     engine = WellFoundedEngine(program, database, **OPTIONS)
     assume(engine.analysis().verdicts["chase_terminates"])
     reference = WellFoundedEngine(
@@ -176,7 +174,7 @@ scientist(mary).
 
 
 def test_finite_model_contract():
-    engine = WellFoundedEngine(AUTHORS)
+    engine = WellFoundedEngine(AUTHORS, segment_cache=True)
     assert engine.holds("? cited(john)")
     stats = engine.last_query_stats
     assert set(stats) == {

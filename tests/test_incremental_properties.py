@@ -15,7 +15,6 @@ from __future__ import annotations
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from repro.chase.segments import clear_segment_stores
 from repro.chase.types import AtomType
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
@@ -151,10 +150,8 @@ def test_incremental_engine_equals_scratch_engine(
         max_nodes=2_000,
         segment_cache=segment_cache,
     )
-    clear_segment_stores()
     scratch = WellFoundedEngine(program, database, incremental=False, **options)
     expected = observable_state(scratch)
-    clear_segment_stores()
     incremental = WellFoundedEngine(program, database, incremental=True, **options)
     assert observable_state(incremental) == expected
 
@@ -170,10 +167,8 @@ def test_incremental_engine_budget_resume_equals_scratch(workload):
     """
     program, database = workload
     options = dict(max_depth=13, max_nodes=30, segment_cache=False)
-    clear_segment_stores()
     scratch = WellFoundedEngine(program, database, incremental=False, **options)
     first_scratch = observable_state(scratch)
-    clear_segment_stores()
     incremental = WellFoundedEngine(program, database, incremental=True, **options)
     assert observable_state(incremental) == first_scratch
     if first_scratch != "node-budget-exceeded":
@@ -195,7 +190,6 @@ def test_frontier_type_keys_follow_the_paper_definition(workload, incremental):
     engine's per-term literal index.
     """
     program, database = workload
-    clear_segment_stores()
     engine = WellFoundedEngine(
         program, database, incremental=incremental, max_depth=13, max_nodes=2_000
     )

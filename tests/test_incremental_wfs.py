@@ -30,7 +30,6 @@ from repro.bench.generators import (
     win_move_datalog_pm,
     win_move_game,
 )
-from repro.chase.segments import clear_segment_stores
 from repro.cli import main
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
@@ -493,9 +492,7 @@ class TestEngineIncremental:
         )
 
     def paired_engines(self, program, database, **options):
-        clear_segment_stores()
         fast = WellFoundedEngine(program, database, incremental=True, **options)
-        clear_segment_stores()
         slow = WellFoundedEngine(program, database, incremental=False, **options)
         return fast, slow
 
@@ -512,7 +509,6 @@ class TestEngineIncremental:
 
     def test_incremental_engine_reuses_components_across_depths(self):
         program, database = paper_example_program(4)
-        clear_segment_stores()
         engine = WellFoundedEngine(program, database, incremental=True)
         model = engine.model()
         assert model.iterations > 1  # the schedule actually deepened
@@ -534,11 +530,9 @@ class TestEngineIncremental:
 
     def test_query_stats_report_the_mode(self):
         program, database = paper_example_program()
-        clear_segment_stores()
         engine = WellFoundedEngine(program, database)
         engine.holds("? article(pods13)")
         assert engine.last_query_stats["incremental"] is True
-        clear_segment_stores()
         engine = WellFoundedEngine(program, database, incremental=False)
         engine.holds("? article(pods13)")
         assert engine.last_query_stats["incremental"] is False

@@ -18,6 +18,7 @@ from repro.lang.parser import (
     parse_term,
 )
 from repro.lang.terms import Constant, FunctionTerm, Variable
+from repro.scenarios import build_scenario, scenario_names
 
 
 class TestTermsAndAtoms:
@@ -126,6 +127,35 @@ class TestProgramsAndQueries:
     def test_parse_database_rejects_rules(self):
         with pytest.raises(ParseError):
             parse_database("p(a). q(X) -> r(X).")
+
+    @pytest.mark.parametrize("parse", [parse_program, parse_database, parse_normal_program])
+    @pytest.mark.parametrize(
+        "text, message",
+        [
+            ("not p(a).", "expected DOT but found 'p' at offset 4"),
+            ("p(a), q(b).", "expected DOT but found ',' at offset 4"),
+            ("p(a)", "expected DOT but found 'end of input' at offset 4"),
+            ("p(a) q(b).", "expected DOT but found 'q' at offset 5"),
+            ("p(X), not q(X).", "expected DOT but found ',' at offset 4"),
+        ],
+    )
+    def test_statements_that_are_neither_rule_nor_fact(self, parse, text, message):
+        with pytest.raises(ParseError) as raised:
+            parse(text)
+        assert str(raised.value) == message
+        assert raised.value.position == int(message.rsplit(" ", 1)[1])
+
+    @pytest.mark.parametrize("name", scenario_names())
+    def test_scenario_texts_parse_back_to_their_bundles(self, name):
+        bundle = build_scenario(name, seed=3)
+        text = str(bundle.program) + "\n" + "".join(f"{atom}." for atom in bundle.database)
+        program, database = parse_program(text)
+
+        def shapes(rules):  # a rule's text carries no label
+            return [(rule.body_pos, rule.body_neg, rule.head) for rule in rules]
+
+        assert shapes(program) == shapes(bundle.program)
+        assert database == bundle.database
 
     def test_parse_query_positive_and_negative(self):
         query = parse_query("? isAuthorOf(john, Y), not retracted(Y)")

@@ -21,7 +21,6 @@ import pytest
 
 import repro.core.engine as engine_module
 from repro.bench.generators import chain_reachability_workload, paper_example_program
-from repro.chase.segments import clear_segment_stores, segment_store_info
 from repro.core.engine import WellFoundedEngine
 from repro.lang.atoms import Atom, Literal
 from repro.lang.parser import parse_program
@@ -65,13 +64,12 @@ def test_supported_magic_query_builds_no_chase(chase_builds):
 
 def test_cache_stats_after_magic_queries_build_no_chase():
     program, database = chain_reachability_workload(2, 6)
-    engine = WellFoundedEngine(program, database, rewrite=True)
+    engine = WellFoundedEngine(program, database, rewrite=True, segment_cache=True)
     assert engine.holds("? reach(c0_6)")
     assert engine.last_query_stats["mode"] == "magic"
 
     stats = engine.segment_cache_stats()
     assert "_chase" not in engine.__dict__
-    assert segment_store_info()["stores"] == 0
     assert stats == {
         "enabled": True,
         "hits": 0,
@@ -115,17 +113,16 @@ def test_fallback_path_builds_one_chase(chase_builds):
 
 def test_chase_built_after_magic_queries_matches_a_fresh_engine(chase_builds):
     program, database = chain_reachability_workload(2, 6)
-    engine = WellFoundedEngine(program, database, rewrite=True)
+    # each engine records into a store of its own, so their stats compare
+    engine = WellFoundedEngine(program, database, rewrite=True, segment_cache=True)
     assert engine.holds("? reach(c0_6)")
     assert chase_builds["built"] == 0
 
-    clear_segment_stores()
     model = engine.model()
     forest = engine.chase_forest()
     chase = engine._chase_model()
     stats = engine.segment_cache_stats()
-    clear_segment_stores()
-    fresh = WellFoundedEngine(program, database)
+    fresh = WellFoundedEngine(program, database, segment_cache=True)
     fresh_model = fresh.model()
     fresh_forest = fresh.chase_forest()
     fresh_chase = fresh._chase_model()
@@ -137,6 +134,7 @@ def test_chase_built_after_magic_queries_matches_a_fresh_engine(chase_builds):
     assert (chase.depth, chase.converged) == (fresh_chase.depth, fresh_chase.converged)
     assert forest.labels() == fresh_forest.labels()
     assert forest.edge_rules() == fresh_forest.edge_rules()
+    assert stats["misses"] > 0  # the comparison counts real traffic
     assert stats == fresh.segment_cache_stats()
 
 

@@ -20,7 +20,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from repro.bench.generators import random_guarded_program
-from repro.chase.segments import clear_segment_stores
+from repro.chase.segments import SegmentStore
 from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lang.atoms import Atom
@@ -102,15 +102,15 @@ def chase_signature(engine: WellFoundedEngine):
 @given(workload=guarded_workloads())
 @settings(max_examples=40, **COMMON_SETTINGS)
 def test_cached_chase_equals_uncached_chase(workload):
-    """Cold and warm cached engines reproduce the uncached chase exactly."""
+    """Cold and warm engines over one store reproduce the uncached chase exactly."""
     program, database, _ = workload
-    clear_segment_stores()
     options = dict(max_depth=13, max_nodes=2_000)
     uncached = WellFoundedEngine(program, database, segment_cache=False, **options)
     expected = chase_signature(uncached)
-    cold = WellFoundedEngine(program, database, segment_cache=True, **options)
+    store = SegmentStore()
+    cold = WellFoundedEngine(program, database, segment_cache=store, **options)
     assert chase_signature(cold) == expected
-    warm = WellFoundedEngine(program, database, segment_cache=True, **options)
+    warm = WellFoundedEngine(program, database, segment_cache=store, **options)
     assert chase_signature(warm) == expected
 
 
@@ -127,10 +127,10 @@ def _holds(engine: WellFoundedEngine, query, *, rewrite: bool):
 def test_cached_answers_equal_uncached_answers_under_rewrite(workload):
     """The cache composes with the magic-sets path and its chase fallback."""
     program, database, query = workload
-    clear_segment_stores()
     options = dict(max_depth=13, max_nodes=2_000)
+    store = SegmentStore()
     uncached = WellFoundedEngine(program, database, segment_cache=False, **options)
-    cached = WellFoundedEngine(program, database, segment_cache=True, **options)
+    cached = WellFoundedEngine(program, database, segment_cache=store, **options)
     for rewrite in (False, True):
         assert _holds(cached, query, rewrite=rewrite) == _holds(
             uncached, query, rewrite=rewrite
@@ -139,7 +139,7 @@ def test_cached_answers_equal_uncached_answers_under_rewrite(workload):
     # *same call sequence* (rewrite=True only): an engine whose earlier call
     # already raised the node budget retries model() on its partial forest —
     # pre-existing engine semantics that depend on call history, not caching.
-    warm = WellFoundedEngine(program, database, segment_cache=True, **options)
+    warm = WellFoundedEngine(program, database, segment_cache=store, **options)
     fresh_uncached = WellFoundedEngine(program, database, segment_cache=False, **options)
     assert _holds(warm, query, rewrite=True) == _holds(
         fresh_uncached, query, rewrite=True
@@ -155,7 +155,6 @@ def test_cached_answers_equal_uncached_answers_under_rewrite(workload):
 def test_cache_is_schedule_independent(workload, initial_depth, depth_step):
     """Any deepening schedule agrees with its uncached twin, node for node."""
     program, database, _ = workload
-    clear_segment_stores()
     options = dict(
         initial_depth=initial_depth,
         depth_step=depth_step,
@@ -190,10 +189,10 @@ def test_store_warmed_on_one_database_replays_on_a_neighbour(workload, data):
             label="args",
         )
         neighbour = facts + [Atom(predicate, tuple(args))]
-    clear_segment_stores()
     options = dict(max_depth=13, max_nodes=2_000)
-    chase_signature(WellFoundedEngine(program, facts, segment_cache=True, **options))
-    cached = WellFoundedEngine(program, neighbour, segment_cache=True, **options)
+    store = SegmentStore()
+    chase_signature(WellFoundedEngine(program, facts, segment_cache=store, **options))
+    cached = WellFoundedEngine(program, neighbour, segment_cache=store, **options)
     uncached = WellFoundedEngine(program, neighbour, segment_cache=False, **options)
     assert chase_signature(cached) == chase_signature(uncached)
 
@@ -269,7 +268,6 @@ def test_recorded_edge_rule_rederives_every_edge(
 ):
     """Cold and warm stores, both saturation modes, any deepening schedule."""
     program, database, _ = workload
-    clear_segment_stores()
     options = dict(
         saturation=saturation,
         initial_depth=initial_depth,
@@ -277,8 +275,9 @@ def test_recorded_edge_rule_rederives_every_edge(
         max_depth=initial_depth + 3 * depth_step,
         max_nodes=2_000,
     )
+    store = SegmentStore()
     for _store in ("cold", "warm"):
-        engine = WellFoundedEngine(program, database, segment_cache=True, **options)
+        engine = WellFoundedEngine(program, database, segment_cache=store, **options)
         try:
             engine.model()
         except GroundingError:

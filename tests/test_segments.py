@@ -6,13 +6,7 @@ import pytest
 
 from repro.bench.generators import paper_example_program
 from repro.chase.engine import GuardedChaseEngine, chase_forest
-from repro.chase.segments import (
-    SegmentStore,
-    clear_segment_stores,
-    program_fingerprint,
-    segment_store_info,
-    shared_segment_store,
-)
+from repro.chase.segments import SegmentStore, program_fingerprint
 from repro.chase.types import shape_key
 from repro.cli import main
 from repro.core.engine import WellFoundedEngine
@@ -22,14 +16,6 @@ from repro.lang.parser import parse_atom, parse_program
 from repro.lang.program import Database
 from repro.lang.skolem import skolemize_program
 from repro.lang.terms import Constant, FunctionTerm
-
-
-@pytest.fixture(autouse=True)
-def _fresh_stores():
-    """Each test starts and ends with an empty segment-store registry."""
-    clear_segment_stores()
-    yield
-    clear_segment_stores()
 
 
 def n(name: str) -> FunctionTerm:
@@ -72,12 +58,6 @@ class TestProgramFingerprint:
         b = self._rules("p(X) -> r(X).")
         assert program_fingerprint(a) != program_fingerprint(b)
 
-    def test_shared_store_is_per_fingerprint(self):
-        rules = self._rules("p(X) -> q(X).")
-        assert shared_segment_store(rules) is shared_segment_store(list(rules))
-        other = self._rules("p(X) -> r(X).")
-        assert shared_segment_store(rules) is not shared_segment_store(other)
-
 
 #: Stand-ins for recorded derivations: the store never looks inside them.
 ONE = (("d0",),)
@@ -86,7 +66,7 @@ TWO = (("d0",), ("d1",))
 
 class TestSegmentStore:
     def test_record_lookup_roundtrip(self):
-        store = SegmentStore("fp")
+        store = SegmentStore()
         root = Atom("p", (n("f"),))
         shape = shape_key(root)
         assert store.lookup(shape, root) is None
@@ -100,7 +80,7 @@ class TestSegmentStore:
         assert store.stats()["hits"] == 1 and store.stats()["misses"] == 2
 
     def test_only_deeper_recordings_replace(self):
-        store = SegmentStore("fp")
+        store = SegmentStore()
         root = Atom("p", ())
         shape = shape_key(root)
         assert store.record(shape, 3, root, ONE)
@@ -111,7 +91,7 @@ class TestSegmentStore:
         assert store.lookup(shape, root).relative_depth == 4
 
     def test_zero_depth_empty_and_oversized_segments_rejected(self):
-        store = SegmentStore("fp", max_segment_nodes=1)
+        store = SegmentStore(max_segment_nodes=1)
         root = Atom("p", ())
         shape = shape_key(root)
         assert not store.record(shape, 0, root, ONE)
@@ -120,7 +100,7 @@ class TestSegmentStore:
         assert len(store) == 0
 
     def test_lru_eviction(self):
-        store = SegmentStore("fp", max_segments=2)
+        store = SegmentStore(max_segments=2)
         roots = [Atom(f"p{i}", ()) for i in range(3)]
         for root in roots:
             store.record(shape_key(root), 1, root, ONE)
@@ -157,18 +137,20 @@ class TestCachedChaseEquality:
     def test_paper_example_identical_with_and_without_cache(self):
         program, database = paper_example_program(2)
         uncached = WellFoundedEngine(program, database, segment_cache=False)
-        cold = WellFoundedEngine(program, database, segment_cache=True)
-        warm = WellFoundedEngine(program, database, segment_cache=True)
+        store = SegmentStore()
+        cold = WellFoundedEngine(program, database, segment_cache=store)
+        warm = WellFoundedEngine(program, database, segment_cache=store)
         expected = _forest_signature(uncached)
         assert _forest_signature(cold) == expected
         assert _forest_signature(warm) == expected
 
     def test_store_persists_across_engine_instances(self):
         program, database = paper_example_program(1)
-        first = WellFoundedEngine(program, database, segment_cache=True)
+        store = SegmentStore()
+        first = WellFoundedEngine(program, database, segment_cache=store)
         first.model()
         assert first.segment_cache_stats()["segments_recorded"] > 0
-        second = WellFoundedEngine(program, database, segment_cache=True)
+        second = WellFoundedEngine(program, database, segment_cache=store)
         second.model()
         stats = second.segment_cache_stats()
         assert stats["nodes_spliced"] > 0, "warm engine should splice, not re-derive"
@@ -178,9 +160,10 @@ class TestCachedChaseEquality:
     def test_store_is_database_independent(self):
         """Same rules, different database: deep (all-null) types still splice."""
         program, database = paper_example_program(0)
-        WellFoundedEngine(program, database, segment_cache=True).model()
+        store = SegmentStore()
+        WellFoundedEngine(program, database, segment_cache=store).model()
         _, other_database = paper_example_program(3)
-        engine = WellFoundedEngine(program, other_database, segment_cache=True)
+        engine = WellFoundedEngine(program, other_database, segment_cache=store)
         expected = _forest_signature(
             WellFoundedEngine(program, other_database, segment_cache=False)
         )
@@ -198,9 +181,10 @@ class TestCachedChaseEquality:
         # the program is function-free, so model() takes the finite plan; the
         # forest requests run the chase plan this test is about.  p(a) alone
         # fires nothing; the rich database derives r(a), which must be recorded
-        WellFoundedEngine(program, poor, segment_cache=True).chase_forest()
-        WellFoundedEngine(program, rich, segment_cache=True).chase_forest()
-        third = WellFoundedEngine(program, rich, segment_cache=True)
+        store = SegmentStore()
+        WellFoundedEngine(program, poor, segment_cache=store).chase_forest()
+        WellFoundedEngine(program, rich, segment_cache=store).chase_forest()
+        third = WellFoundedEngine(program, rich, segment_cache=store)
         third.chase_forest()
         assert third.holds("? r(a)")
         assert third.segment_cache_stats()["nodes_spliced"] > 0, (
@@ -214,7 +198,30 @@ class TestCachedChaseEquality:
         engine.model()
         stats = engine.segment_cache_stats()
         assert stats["enabled"] is False and "store" not in stats
-        assert segment_store_info()["stores"] == 0
+
+    def test_default_engine_records_nothing(self):
+        engine = WellFoundedEngine(*paper_example_program(0))
+        assert engine.holds("? t(X), not s(X)")
+        assert engine.model().depth is not None  # the chase plan answered
+        stats = engine.segment_cache_stats()
+        assert stats["enabled"] is False and "store" not in stats
+        assert stats["segments_recorded"] == 0
+
+    def test_engines_share_segments_only_through_a_passed_store(self):
+        program, database = paper_example_program(1)
+        expected = _forest_signature(WellFoundedEngine(program, database))
+        store = SegmentStore()
+        WellFoundedEngine(program, database, segment_cache=store).model()
+        second = WellFoundedEngine(program, database, segment_cache=store)
+        assert _forest_signature(second) == expected
+        assert second.segment_cache_stats()["hits"] > 0
+        # segment_cache=True is a store of the engine's own: a second such
+        # engine starts as cold as the first
+        first = WellFoundedEngine(program, database, segment_cache=True)
+        first.model()
+        alone = WellFoundedEngine(program, database, segment_cache=True)
+        assert _forest_signature(alone) == expected
+        assert alone.segment_cache_stats() == first.segment_cache_stats()
 
 
 class TestSharedNullCollisions:
@@ -234,8 +241,9 @@ class TestSharedNullCollisions:
         coincide across the two chains, yet each splice must reuse *its own*
         chain's null, never the other chain's."""
         uncached = WellFoundedEngine(self.PROGRAM, segment_cache=False)
-        cold = WellFoundedEngine(self.PROGRAM, segment_cache=True)
-        warm = WellFoundedEngine(self.PROGRAM, segment_cache=True)
+        store = SegmentStore()
+        cold = WellFoundedEngine(self.PROGRAM, segment_cache=store)
+        warm = WellFoundedEngine(self.PROGRAM, segment_cache=store)
         expected = _forest_signature(uncached)
         assert _forest_signature(cold) == expected
         assert _forest_signature(warm) == expected
@@ -261,7 +269,7 @@ class TestChaseEngineCache:
 
     def test_chase_forest_accepts_store(self):
         rules, database = self._skolemized("e(X) -> exists Y n(X, Y). n(X,Y) -> e(Y). e(c).")
-        store = shared_segment_store(rules)
+        store = SegmentStore()
         first = chase_forest(rules, database, 6, segment_cache=store)
         second = chase_forest(rules, database, 6, segment_cache=store)
         plain = chase_forest(rules, database, 6)
@@ -271,7 +279,7 @@ class TestChaseEngineCache:
 
     def test_splice_respects_depth_bound(self):
         rules, database = self._skolemized("e(X) -> exists Y n(X, Y). n(X,Y) -> e(Y). e(c).")
-        store = shared_segment_store(rules)
+        store = SegmentStore()
         chase_forest(rules, database, 10, segment_cache=store)
         shallow = chase_forest(rules, database, 4, segment_cache=store)
         assert shallow.max_depth() <= 4
@@ -279,15 +287,21 @@ class TestChaseEngineCache:
 
     def test_splice_respects_node_budget(self):
         rules, database = self._skolemized("e(X) -> exists Y n(X, Y). n(X,Y) -> e(Y). e(c).")
-        store = shared_segment_store(rules)
+        store = SegmentStore()
         chase_forest(rules, database, 12, segment_cache=store)
         engine = GuardedChaseEngine(rules, database, max_nodes=5, segment_cache=store)
         with pytest.raises(GroundingError):
             engine.expand(12)
 
+    @pytest.mark.parametrize("segment_cache", [True, False])
+    def test_only_a_store_or_none_is_accepted(self, segment_cache):
+        rules, database = self._skolemized("e(X) -> exists Y n(X, Y). e(c).")
+        with pytest.raises(TypeError):
+            GuardedChaseEngine(rules, database, segment_cache=segment_cache)
+
     def test_deepening_engine_equals_one_shot_forest(self):
         rules, database = self._skolemized("e(X) -> exists Y n(X, Y). n(X,Y) -> e(Y). e(c).")
-        store = shared_segment_store(rules)
+        store = SegmentStore()
         engine = GuardedChaseEngine(rules, database, segment_cache=store)
         engine.expand(4)
         engine.expand(8)
@@ -309,33 +323,31 @@ class TestCLISegmentCacheFlags:
         path.write_text(self.PROGRAM)
         return str(path)
 
-    def test_flag_defaults_to_enabled(self):
+    def test_flag_defaults_to_disabled(self):
         from repro.cli import build_argument_parser
 
         args = build_argument_parser().parse_args(["prog.dlp"])
-        assert args.segment_cache is True
-        args = build_argument_parser().parse_args(["prog.dlp", "--no-segment-cache"])
         assert args.segment_cache is False
+        args = build_argument_parser().parse_args(["prog.dlp", "--segment-cache"])
+        assert args.segment_cache is True
 
     def test_answers_identical_either_way(self, program_file, capsys):
-        assert main([program_file, "--query", "? isAuthorOf(john, Y)"]) == 0
+        assert main([program_file, "--segment-cache", "--query", "? isAuthorOf(john, Y)"]) == 0
         with_cache = capsys.readouterr().out
-        assert (
-            main([program_file, "--no-segment-cache", "--query", "? isAuthorOf(john, Y)"])
-            == 0
-        )
+        assert main([program_file, "--query", "? isAuthorOf(john, Y)"]) == 0
         without_cache = capsys.readouterr().out
         assert with_cache == without_cache
         assert "? isAuthorOf(john, Y) : yes" in with_cache
 
     def test_verbose_prints_cache_stats(self, program_file, capsys):
         # the finite plan builds no chase: zero traffic and no store line
-        assert main([program_file, "--verbose", "--query", "? scientist(john)"]) == 0
+        assert main([program_file, "--verbose", "--segment-cache",
+                     "--query", "? scientist(john)"]) == 0
         out = capsys.readouterr().out
         assert "# segment-cache:" in out
         assert "# segment-store:" not in out
         # the chase plan fills the store
-        assert main([program_file, "--verbose", "--saturation", "scan",
+        assert main([program_file, "--verbose", "--segment-cache", "--saturation", "scan",
                      "--query", "? scientist(john)"]) == 0
         out = capsys.readouterr().out
         assert "# segment-cache:" in out
@@ -378,7 +390,7 @@ class TestUnifiedSplicePlacement:
     def _engines(self, depth=6):
         program, database = parse_program(self.PROGRAM)
         skolemized = skolemize_program(program)
-        store = SegmentStore("unified-splice-test")
+        store = SegmentStore()
         recorder = GuardedChaseEngine(skolemized, database, segment_cache=store)
         recorder.expand(depth)
         return program, database, skolemized, store, recorder, depth
@@ -393,7 +405,7 @@ class TestUnifiedSplicePlacement:
         assert warm.cache_stats["nodes_spliced"] > 0
 
         # reference: no cache at all
-        underived = GuardedChaseEngine(skolemized, database, segment_cache=False)
+        underived = GuardedChaseEngine(skolemized, database)
         underived.expand(depth)
 
         assert _chase_signature(warm.forest) == expected
@@ -421,7 +433,7 @@ class TestUnifiedSplicePlacement:
         for the root ``p(a)`` would place ``q(a, sk_r0_Y(a))``, which the
         second program cannot derive.  Segment keys carry the rule-set
         fingerprint, so the second engine's lookup misses instead."""
-        store = SegmentStore("explicit")
+        store = SegmentStore()
         first, database = parse_program("p(X) -> exists Y q(X, Y). p(a).")
         GuardedChaseEngine(skolemize_program(first), database, segment_cache=store).expand(3)
         second, database = parse_program("p(X) -> exists Y r(X, Y). p(a).")
@@ -437,7 +449,7 @@ class TestUnifiedSplicePlacement:
         its segment under ``p(a)`` never derives ``s(sk_r0_Y(a))``.  A splice
         into the second program would skip the spliced ``q`` node's own
         firings; keyed by fingerprint, the second engine derives them."""
-        store = SegmentStore("explicit")
+        store = SegmentStore()
         first, database = parse_program("p(X) -> exists Y q(X, Y). p(a).")
         GuardedChaseEngine(skolemize_program(first), database, segment_cache=store).expand(3)
         second, database = parse_program(
@@ -471,7 +483,7 @@ class TestColdContextSensitiveKeys:
     def test_second_engine_equals_first_and_uncached(self):
         program, database = parse_program(self.PROGRAM)
         skolemized = skolemize_program(program)
-        store = SegmentStore("cold-key-test")
+        store = SegmentStore()
 
         first = GuardedChaseEngine(skolemized, database, segment_cache=store)
         first.expand(4)
@@ -480,27 +492,26 @@ class TestColdContextSensitiveKeys:
         second.expand(4)
         assert _chase_signature(second.forest) == _chase_signature(first.forest)
 
-        uncached = GuardedChaseEngine(skolemized, database, segment_cache=False)
+        uncached = GuardedChaseEngine(skolemized, database)
         uncached.expand(4)
         assert _chase_signature(second.forest) == _chase_signature(uncached.forest)
 
     def test_wellfounded_engine_end_to_end_warm(self):
-        engine_a = WellFoundedEngine(*parse_program(self.PROGRAM))
+        store = SegmentStore()
+        engine_a = WellFoundedEngine(*parse_program(self.PROGRAM), segment_cache=store)
         assert engine_a.holds("? good(Y)")
-        engine_b = WellFoundedEngine(*parse_program(self.PROGRAM))
+        engine_b = WellFoundedEngine(*parse_program(self.PROGRAM), segment_cache=store)
         assert engine_b.holds("? good(Y)")
 
 
 class TestSharedRegistryConcurrency:
-    """Every registry mutation — record, eviction — runs under the store
-    lock, and a segment carries its own recorded firings, so no separate
-    write can attach them to another segment.  Two engines hammering one
-    persistent registry concurrently must build forests bit-identical to
-    their uncached references.
+    """``SegmentStore.record`` reports whether it kept a segment, so an engine
+    pins exactly what the store holds.  (The class name predates the removal
+    of the store registry and its lock; a store is not thread-safe.)
     """
 
     def test_record_returns_the_stored_segment_for_pinning(self):
-        store = SegmentStore("pin-fp")
+        store = SegmentStore()
         root = Atom("p", ())
         shape = shape_key(root)
         assert store.record(shape, 2, root, ONE) is True
@@ -509,59 +520,6 @@ class TestSharedRegistryConcurrency:
         assert store.record(shape, 1, root, TWO) is False
         assert store.lookup(shape, root).derivations == ONE
 
-    def test_two_engines_share_one_registry_concurrently(self):
-        import threading
-
-        program, _ = parse_program(
-            "alarm(X) -> page(X).\npage(X) -> escalate(X).\nescalate(X) -> archive(X).\n"
-        )
-        skolemized = list(skolemize_program(program))
-
-        def facts(tag: str, count: int) -> list[Atom]:
-            return [Atom("alarm", (Constant(f"{tag}{i}"),)) for i in range(count)]
-
-        def signature(forest):
-            return sorted(
-                (node.depth, node.level, str(node.label), str(node.edge_rule))
-                for node in forest.nodes()
-            )
-
-        reference = {}
-        for tag in ("a", "b"):
-            engine = GuardedChaseEngine(skolemized, facts(tag, 6), segment_cache=None)
-            engine.expand(4)
-            reference[tag] = signature(engine.forest)
-
-        store = SegmentStore("stress-fp")
-        errors: list[str] = []
-        start = threading.Barrier(2, timeout=20)
-
-        def hammer(tag: str) -> None:
-            try:
-                start.wait(timeout=20)
-                for _ in range(8):
-                    engine = GuardedChaseEngine(
-                        skolemized, facts(tag, 6), segment_cache=store
-                    )
-                    engine.expand(4)
-                    observed = signature(engine.forest)
-                    if observed != reference[tag]:
-                        errors.append(f"{tag}: cached forest diverged")
-                        return
-            except Exception as error:  # pragma: no cover - the regression
-                errors.append(f"{tag}: {type(error).__name__}: {error}")
-
-        threads = [threading.Thread(target=hammer, args=(tag,)) for tag in ("a", "b")]
-        for thread in threads:
-            thread.start()
-        for thread in threads:
-            thread.join(timeout=60)
-        assert not errors, errors
-        # the registry stayed internally consistent and was genuinely shared
-        stats = store.stats()
-        assert stats["hits"] > 0
-        assert len(store) > 0
-
 
 class TestEdgeAttribution:
     """Segments name each edge's rule as recorded when the edge was placed.
@@ -569,8 +527,8 @@ class TestEdgeAttribution:
     Here two canonical rules give the same ground instance ``p(a, a) ->
     q(a)`` at one parent, so only one of them places the edge.  Whichever it
     is, the recorded rule must re-derive the edge, and engines over either
-    rule order share one store (same fingerprint) without changing the
-    forest.
+    rule order, handed one store, share its segments (same fingerprint)
+    without changing the forest.
     """
 
     RULES = ("p(X, X) -> q(X).", "p(X, Y) -> q(X).")
@@ -579,12 +537,13 @@ class TestEdgeAttribution:
         return WellFoundedEngine(" ".join(rules) + " p(a, a).", **options)
 
     def test_cold_and_warm_equal_uncached(self):
-        expected = _forest_signature(self._engine(self.RULES, segment_cache=False))
-        cold = self._engine(self.RULES)
+        expected = _forest_signature(self._engine(self.RULES))
+        store = SegmentStore()
+        cold = self._engine(self.RULES, segment_cache=store)
         assert _forest_signature(cold) == expected
         assert cold.segment_cache_stats()["segments_recorded"] > 0
         for rules in (self.RULES, self.RULES[::-1]):
-            warm = self._engine(rules)
+            warm = self._engine(rules, segment_cache=store)
             assert _forest_signature(warm) == expected
             assert warm.segment_cache_stats()["nodes_spliced"] > 0
             assert_edges_attributed(warm._chase)

@@ -25,7 +25,6 @@ from repro.bench.generators import (
     university_ontology,
 )
 from repro.chase.engine import GuardedChaseEngine
-from repro.chase.segments import clear_segment_stores
 from repro.core.engine import WellFoundedEngine
 from repro.dl.translate import translate_ontology
 from repro.exceptions import GroundingError
@@ -79,14 +78,12 @@ def test_deep_chain_budget_exhaustion_is_resumable(saturation, segment_cache):
     # The chain program is function-free, so model() would take the finite
     # plan; the budget contract under test is the chase plan's.
     program, database = chain_reachability_workload(8, DEPTH)
-    clear_segment_stores()
     sizing = WellFoundedEngine(
         program, database, initial_depth=DEPTH, max_depth=DEPTH, segment_cache=False
     )
     reference = sizing._chase_model()
     saturated_nodes = len(reference.forest())
 
-    clear_segment_stores()
     engine = WellFoundedEngine(
         program,
         database,
@@ -111,7 +108,6 @@ def test_deep_chain_budget_exhaustion_is_resumable(saturation, segment_cache):
 def test_deep_existential_descent_budget_exhaustion_is_resumable(saturation):
     """Ontology-style existential descent at depth ≥ 32 with mid-chase failure."""
     program, database = existential_descent(12)
-    clear_segment_stores()
     reference_engine = GuardedChaseEngine(skolemize_program(program), database)
     reference_engine.expand(DEPTH)
     reference = reference_engine.forest
@@ -144,7 +140,6 @@ def test_ontology_workloads_deepen_beyond_32(segment_cache):
         employment_workload(128, seed=7),
         translate_ontology(university_ontology(8, 24, seed=7)),
     ):
-        clear_segment_stores()
         agenda = WellFoundedEngine(
             program,
             database,
@@ -166,7 +161,6 @@ def test_repeated_budget_cycling_converges():
     """Exhaust → raise → exhaust deeper → raise: saturation always lands on
     the unique fixpoint no matter how often it is interrupted."""
     program, database = existential_descent(4)
-    clear_segment_stores()
     reference_engine = GuardedChaseEngine(skolemize_program(program), database)
     reference_engine.expand(DEPTH)
     reference = reference_engine.forest
