@@ -10,13 +10,11 @@ side atom, and each pair is considered once instead of once per round.  The
 historical loop is retained verbatim as ``saturation="scan"`` and is the
 baseline here.
 
-The workload is the deep, wide program of :mod:`bench_chase_cache`
-(existential descent plus side-gated rules that fire only near the first
+The workload is a deep, wide program (:func:`deep_type_workload`:
+existential descent plus side-gated rules that fire only near the first
 root): its chase runs one round per depth level, so the round-based scan
 re-visits every node ``O(depth)`` times while the agenda visits it once.
-Two scenarios per size, with the segment cache **off** in both (this
-benchmark isolates raw saturation; the cache is ``bench_chase_cache``'s
-subject):
+Two scenarios per size:
 
 * **first-run saturation** (the headline ``largest_size_speedup``): one
   fresh chase engine expanded straight to the target depth;
@@ -37,9 +35,14 @@ from __future__ import annotations
 import time
 
 from repro.chase.engine import GuardedChaseEngine
+from repro.lang.atoms import Atom
+from repro.lang.program import Database, DatalogPMProgram
+from repro.lang.rules import NTGD
 from repro.lang.skolem import skolemize_program
+from repro.lang.terms import Constant, Variable
 
-from bench_chase_cache import deep_type_workload
+#: Side-condition rules that only fire near the first root.
+GATED_RULES = 192
 
 #: Deepening schedule factor: the deepening scenario expands at 3, 5, 9, …
 #: up to the target depth (initial_depth=3, depth_step doubling-ish).
@@ -47,6 +50,46 @@ DEEPENING_STEPS = (3, 5, 9, 17, 33)
 
 #: Depths at which the agenda forests (four gated rules) must equal the scan's.
 CHECKED_DEPTHS = [8, 12]
+
+
+def deep_type_workload(
+    depth: int, *, gated: int = GATED_RULES
+) -> tuple[DatalogPMProgram, Database]:
+    """The benchmark program and database for a given chase depth.
+
+    A two-rule existential descent (``e(X) -> exists Y n(X, Y)``,
+    ``n(X, Y) -> e(Y)``) drives every root fact down to the depth bound, and
+    a negative feedback pair (``live``/``stop``) keeps all three truth values
+    of the well-founded model in play.  The number of root facts scales with
+    the depth (``max(2, depth // 4)``) so forests grow in both dimensions.
+    The ``gated`` side-condition rules (``n(X, Y), probe_k(X) -> hit_k(Y)``)
+    mirror the wide TBoxes of ontological workloads: their ``probe_k`` side
+    atoms hold of the first root only, so the gated rules stay *checkable*
+    everywhere but *fire* almost nowhere, which keeps the matching burden
+    proportional to ``nodes × gated`` while the materialised forest stays
+    lean.
+    """
+    x, y = Variable("X"), Variable("Y")
+    rules = [
+        NTGD((Atom("e", (x,)),), Atom("n", (x, y)), label="spawn"),
+        NTGD((Atom("n", (x, y)),), Atom("e", (y,)), label="descend"),
+        NTGD((Atom("n", (x, y)),), Atom("live", (x,)), (Atom("stop", (y,)),), label="live"),
+        NTGD((Atom("e", (x,)),), Atom("stop", (x,)), (Atom("live", (x,)),), label="stopper"),
+    ]
+    for k in range(gated):
+        rules.append(
+            NTGD(
+                (Atom("n", (x, y)), Atom(f"probe{k}", (x,))),
+                Atom(f"hit{k}", (y,)),
+                label=f"gate{k}",
+            )
+        )
+    facts = []
+    for i in range(max(2, depth // 4)):
+        facts.append(Atom("e", (Constant(f"c{i}"),)))
+    for k in range(gated):
+        facts.append(Atom(f"probe{k}", (Constant("c0"),)))
+    return DatalogPMProgram(rules), Database(facts)
 
 
 def forest_signature(forest) -> frozenset:
@@ -65,7 +108,7 @@ def forest_signature(forest) -> frozenset:
 
 
 def _first_run(skolemized, database, depth: int, saturation: str):
-    """One fresh chase engine, expanded straight to *depth* (cache off)."""
+    """One fresh chase engine, expanded straight to *depth*."""
     engine = GuardedChaseEngine(skolemized, database, saturation=saturation)
     started = time.perf_counter()
     engine.expand(depth)
@@ -135,7 +178,7 @@ def measure(sizes) -> dict:
     largest = rows[-1]
     return {
         "experiment": "chase_agenda",
-        "workload": "deep_type_workload(depth) [bench_chase_cache], segment cache off",
+        "workload": "deep_type_workload(depth)",
         "sizes": sizes,
         "results": rows,
         "largest_size": largest["depth"],

@@ -13,9 +13,9 @@ gates:
 
 * every boolean the measurement records outside its result rows is a named
   check and must be true, and every ``results`` list must be non-empty;
-* every :class:`Floor` and :class:`Rule` of the case's row in
-  :data:`CASES` must hold.  A floor marked ``smoke=False`` holds only at
-  report sizes; smoke runs print it without asserting it.
+* every :class:`Floor` of the case's row in :data:`CASES` must hold.  A
+  floor marked ``smoke=False`` holds only at report sizes; smoke runs
+  print it without asserting it.
 
 Each case runs in its own interpreter.  The exit status is 1 when any gate
 fails.  ``tests/test_bench_floors.py`` checks every committed JSON against
@@ -35,7 +35,6 @@ from typing import Any, Callable, Iterator
 
 import bench_baseline_comparison
 import bench_chase_agenda
-import bench_chase_cache
 import bench_columnar_grounding
 import bench_combined_complexity
 import bench_data_complexity
@@ -92,21 +91,12 @@ class Floor:
 
 
 @dataclass(frozen=True)
-class Rule:
-    """A relation between the columns of every result row."""
-
-    text: str
-    holds: Callable[[dict], bool]
-
-
-@dataclass(frozen=True)
 class Case:
     name: str
     measure: Callable[[Any], dict]
     smoke: Any
     report: Any
     floors: tuple[Floor, ...] = ()
-    rules: tuple[Rule, ...] = ()
 
     @property
     def path(self) -> Path:
@@ -128,19 +118,6 @@ CASES = {
         Case(
             "query_rewrite", bench_query_rewrite.measure, [4, 8], [2, 4, 8, 16],
             floors=(Floor("largest_size_reduction_ground_rules", 5),),
-        ),
-        Case(
-            "chase_cache", bench_chase_cache.measure, [8, 12], [32, 48, 64],
-            floors=(Floor("largest_size_speedup", 5, smoke=False),),
-            rules=(
-                # every repeated engine after the first hits the store once per root
-                Rule(
-                    "store_hits == (repeats - 1) * roots",
-                    lambda row: row["store_hits"] == (row["repeats"] - 1) * row["roots"],
-                ),
-                # one segment per root key plus one for the shared all-null frontier key
-                Rule("segments == roots + 1", lambda row: row["segments"] == row["roots"] + 1),
-            ),
         ),
         Case(
             "chase_agenda", bench_chase_agenda.measure, [8, 12], [32, 48, 64],
@@ -219,9 +196,6 @@ def gates(case: Case, data: dict, *, smoke: bool) -> list[tuple[str, str]]:
         note = "" if asserted else ", asserted at report sizes"
         shown = ", ".join(_cell(v) for v in found) or "missing"
         verdicts.append((verdict, f"{floor.path} = {shown} ({floor.bound()}{note})"))
-    for rule in case.rules:
-        held = all(rule.holds(row) for row in data["results"])
-        verdicts.append(("ok" if held else "FAIL", f"every row: {rule.text}"))
     return verdicts
 
 

@@ -142,7 +142,6 @@ __all__ = [
     "answer_query",
     "holds_under_wfs",
     "StratifiedDatalogPM",
-    "SegmentStore",
     "Ontology",
     "OntologyReasoner",
     "translate_ontology",
@@ -173,10 +172,6 @@ def __getattr__(name: str):
         from . import views
 
         return views.MaterializedEngine
-    if name == "SegmentStore":
-        from .chase import segments
-
-        return segments.SegmentStore
     if name in ("Ontology", "OntologyReasoner", "translate_ontology"):
         from . import dl
 

@@ -7,13 +7,11 @@ locality results are built on.
 
 from .engine import GuardedChaseEngine, chase_forest
 from .forest import ChaseForest, ChaseNode
-from .segments import CachedSegment, SegmentStore, program_fingerprint
 from .types import (
     AtomType,
     are_x_isomorphic,
     canonical_type_key,
     max_type_count,
-    shape_key,
     x_isomorphism,
 )
 
@@ -22,13 +20,9 @@ __all__ = [
     "chase_forest",
     "ChaseForest",
     "ChaseNode",
-    "CachedSegment",
-    "SegmentStore",
-    "program_fingerprint",
     "AtomType",
     "are_x_isomorphic",
     "canonical_type_key",
     "max_type_count",
-    "shape_key",
     "x_isomorphism",
 ]

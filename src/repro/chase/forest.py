@@ -22,7 +22,7 @@ from __future__ import annotations
 
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, Iterable, Iterator, Optional, Sequence
+from typing import Callable, Iterator, Optional, Sequence
 
 from ..lang.atoms import Atom
 from ..lang.rules import NormalRule
@@ -105,9 +105,8 @@ class ChaseForest:
         time.  It runs *after* the node is indexed, so the forest is
         consistent when observed from inside the callback.  This is how the
         agenda-based :class:`repro.chase.engine.GuardedChaseEngine` keeps its
-        worklist and side-atom waiters in sync with insertions it did not
-        perform itself (segment splices, facts added at construction) without
-        re-scanning the forest.
+        worklist and side-atom waiters in sync with every insertion, facts
+        added at construction included, without re-scanning the forest.
         """
         self._listeners.append(listener)
 

@@ -31,16 +31,14 @@ from __future__ import annotations
 
 import itertools
 from dataclasses import dataclass
-from typing import Iterable, Mapping, Optional, Sequence
+from typing import Iterable, Mapping, Optional
 
 from ..lang.atoms import Atom, Literal
-from ..lang.terms import Constant, FunctionTerm, Term, Variable
+from ..lang.terms import Constant, FunctionTerm, Term
 
 __all__ = [
     "AtomType",
     "canonical_type_key",
-    "shape_key",
-    "context_part_key",
     "x_isomorphism",
     "are_x_isomorphic",
     "max_type_count",
@@ -64,40 +62,6 @@ def _term_key(term: Term, renaming: Mapping[Term, str]) -> tuple:
         return ("n", renaming[term])
     # Variables should not occur in ground types, but handle them for robustness.
     return ("v", term.name)
-
-
-def shape_key(atom: Atom) -> tuple:
-    """Canonical key of a single ground atom up to null renaming.
-
-    Two atoms have the same shape key iff one can be obtained from the other
-    by a bijective renaming of nulls that fixes every constant.
-    """
-    renaming: dict[Term, str] = {}
-    _rename_nulls(atom.args, renaming)
-    return (atom.predicate,) + tuple(_term_key(arg, renaming) for arg in atom.args)
-
-
-def context_part_key(atom: Atom, context: Iterable[Atom]) -> tuple:
-    """Canonical key of a set of ground atoms over ``dom(a)`` (plus constants).
-
-    The nulls of *atom* are renamed by first occurrence in its argument list
-    (exactly as in :func:`shape_key`) and the context atoms — whose arguments
-    must all lie in ``dom(a)`` or be constants — are keyed with that renaming
-    and sorted.  Together with :func:`shape_key` this canonicalises the
-    chase-relevant fragment of the paper's type ``(a, S)``: two atoms with
-    equal shape *and* equal context part have X-isomorphic side-atom
-    environments, which is what makes a memoized chase subtree exactly
-    replayable under either of them (Lemma 11, specialised to the positive
-    side atoms the chase consults).
-    """
-    renaming: dict[Term, str] = {}
-    _rename_nulls(atom.args, renaming)
-    return tuple(
-        sorted(
-            (c.predicate,) + tuple(_term_key(arg, renaming) for arg in c.args)
-            for c in context
-        )
-    )
 
 
 def canonical_type_key(atom: Atom, literals: Iterable[Literal]) -> tuple:

@@ -106,16 +106,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
         help="sideways-information-passing strategy used by --rewrite",
     )
     parser.add_argument(
-        "--segment-cache",
-        action=argparse.BooleanOptionalAction,
-        default=False,
-        help=(
-            "memoize chase subtrees by canonical atom type in a store of the "
-            "engine's own and splice them instead of re-deriving (off by "
-            "default; answers are identical either way)"
-        ),
-    )
-    parser.add_argument(
         "--incremental",
         action=argparse.BooleanOptionalAction,
         default=True,
@@ -335,7 +325,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             max_depth=args.max_depth,
             rewrite=args.rewrite,
             sips=args.sips,
-            segment_cache=args.segment_cache,
             saturation=args.saturation,
             incremental=args.incremental,
             backend=args.backend,
@@ -387,14 +376,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             exit_code = 2
             continue
         print(f"{text} : {model.value(atom)}")
-
-    if args.verbose:
-        cache = engine.segment_cache_stats()
-        store = cache.pop("store", None)
-        line = _format_query_stats({k: v for k, v in cache.items() if not isinstance(v, dict)})
-        print(f"# segment-cache: {line}")
-        if store is not None:
-            print(f"# segment-store: {_format_query_stats(store)}")
 
     if args.dump_model:
         for atom in sorted(model.true_atoms(), key=lambda a: a.sort_key()):

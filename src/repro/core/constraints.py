@@ -31,7 +31,7 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ..exceptions import IllFormedRuleError
 from ..lang.atoms import Atom, variables_of_atoms
-from ..lang.queries import NormalBCQ, query_holds
+from ..lang.queries import NormalBCQ
 from ..lang.substitution import Substitution, match
 from ..lang.terms import Constant, Term, Variable
 from .engine import DatalogWellFoundedModel, WellFoundedEngine

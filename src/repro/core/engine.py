@@ -70,7 +70,6 @@ from ..lang.parser import parse_database, parse_program, parse_query
 from ..lang.terms import Constant, Term
 from ..chase.engine import GuardedChaseEngine, check_saturation
 from ..chase.forest import ChaseForest
-from ..chase.segments import SegmentStore
 from ..chase.types import AtomType
 from ..lp.columnar import BACKENDS, make_grounder
 from ..lp.grounding import GroundProgram
@@ -82,6 +81,7 @@ from ..lp.wfs import (
     well_founded_model_incremental,
 )
 from ..rewrite.magic import ground_magic, rewrite_for_query
+from ..rewrite.sips import sips_strategy
 from .locality import delta_bound, query_depth_bound
 
 __all__ = ["DatalogWellFoundedModel", "WellFoundedEngine"]
@@ -236,8 +236,8 @@ class WellFoundedEngine:
     grounding does not saturate within the budget, the *chase plan* deepens
     the guarded chase forest until the stabilisation test fires.  The
     options ``initial_depth``, ``depth_step``, ``max_depth``, ``strict``,
-    ``segment_cache``, ``agenda_order`` and ``incremental`` only affect the
-    chase plan, which a finite-plan model also runs the first time its
+    ``agenda_order`` and ``incremental`` only affect the chase plan, which
+    a finite-plan model also runs the first time its
     :meth:`~DatalogWellFoundedModel.forest` is requested.
 
     An engine is not thread-safe: its chase, model and rewrite caches are
@@ -275,17 +275,13 @@ class WellFoundedEngine:
     sips:
         SIPS strategy used by the rewriting (``"left-to-right"`` or
         ``"bound-first"``, or a :class:`~repro.rewrite.sips.SIPSStrategy`).
+        An unknown name raises ``ValueError`` here, not at the first
+        rewritten query.
     segment_cache:
-        A :class:`~repro.chase.segments.SegmentStore` to memoize saturated
-        chase subtrees in by canonical atom type (:mod:`repro.chase.segments`)
-        and replay them under later nodes of the same type and label instead
-        of re-deriving them.  Engines handed the same store — say, repeated
-        engines over one program — splice each other's segments; the engine
-        hands its store on to the relevance-pruned sub-engines of the
-        rewrite fallback.  ``True`` gives the engine a private store of its
-        own.  The default, ``False``, records nothing: an engine nobody
-        shares a store with would only pay for the recording.  Answers are
-        bit-identical either way.
+        Accepts only ``False``; anything else raises ``TypeError``.  The
+        chase-segment cache it switched on was removed.  The keyword stays
+        because the end-to-end benchmark's cold-answer oracle still passes
+        it.
     saturation:
         Chase saturation discipline: ``"agenda"`` (default) drains the
         incremental worklist of :class:`~repro.chase.engine.GuardedChaseEngine`;
@@ -339,7 +335,7 @@ class WellFoundedEngine:
         strict: bool = False,
         rewrite: bool = False,
         sips: str = "left-to-right",
-        segment_cache: Union[SegmentStore, bool] = False,
+        segment_cache: bool = False,
         saturation: str = "agenda",
         agenda_order=None,
         incremental: bool = True,
@@ -350,6 +346,12 @@ class WellFoundedEngine:
                 f"unknown grounding backend {backend!r}; expected one of {BACKENDS}"
             )
         check_saturation(saturation)
+        sips_strategy(sips)
+        if segment_cache is not False:
+            raise TypeError(
+                f"segment_cache={segment_cache!r}: the chase-segment cache was "
+                "removed, and only segment_cache=False is accepted"
+            )
         if depth_step < 1:
             # a step of 0 (or less) would compare a forest with itself and
             # report convergence the stabilisation test never checked
@@ -390,13 +392,6 @@ class WellFoundedEngine:
         self.strict = strict
         self.rewrite = rewrite
         self.sips = sips
-        if segment_cache is True:
-            segment_cache = SegmentStore()
-        #: the store the chase records into and splices from, shared with
-        #: the relevance-pruned sub-engines; ``None`` records nothing
-        self.segment_store: Optional[SegmentStore] = (
-            segment_cache if isinstance(segment_cache, SegmentStore) else None
-        )
         self.saturation = saturation
         self.agenda_order = agenda_order
         self.incremental = incremental
@@ -451,14 +446,12 @@ class WellFoundedEngine:
 
         Built lazily: the chase plan (:meth:`_chase_model`) reaches it
         through this attribute, while a query answered by the finite plan or
-        the magic-sets path never does (and :meth:`segment_cache_stats` reads
-        it only once built).
+        the magic-sets path never does.
         """
         return GuardedChaseEngine(
             self.skolemized,
             self._facts,
             max_nodes=self.max_nodes,
-            segment_cache=self.segment_store,
             saturation=self.saturation,
             agenda_order=self.agenda_order,
         )
@@ -650,8 +643,9 @@ class WellFoundedEngine:
                     "chase_nodes": len(self._chase.forest),
                     "depth": model.depth,
                     "converged": model.converged,
-                    "segment_cache": self._chase.cache_stats["enabled"],
-                    "nodes_spliced": self._chase.cache_stats["nodes_spliced"],
+                    # always 0 since the segment cache was removed; kept
+                    # because traced end-to-end runs still read it
+                    "nodes_spliced": 0,
                     "incremental": self.incremental,
                 }
                 if self._fallback_reason is not None:
@@ -769,7 +763,6 @@ class WellFoundedEngine:
             max_depth=self.max_depth,
             max_nodes=self.max_nodes,
             strict=self.strict,
-            segment_cache=self.segment_store,
             saturation=self.saturation,
             agenda_order=self.agenda_order,
             incremental=self.incremental,
@@ -779,37 +772,6 @@ class WellFoundedEngine:
     def chase_forest(self) -> ChaseForest:
         """The materialised chase segment used by the current model."""
         return self.model().forest()
-
-    def segment_cache_stats(self) -> dict:
-        """Counters of the chase-segment cache (see :mod:`repro.chase.segments`).
-
-        ``hits``/``misses``/``splices``/``nodes_spliced``/``segments_recorded``
-        are this engine's own traffic; ``store`` holds the counters of the
-        engine's store, summed over every engine that shares it (absent when
-        the engine has no store).  An engine whose chase is not
-        built yet (only magic queries so far) reports zero traffic and no
-        ``store`` without building it.  The counters of the relevance-pruned
-        sub-engines of the rewrite fallback are summed in under
-        ``pruned_engines``.
-        """
-        counters = ("hits", "misses", "splices", "nodes_spliced", "segments_recorded")
-        if "_chase" in self.__dict__:
-            stats: dict = dict(self._chase.cache_stats)
-            if self.segment_store is not None:
-                stats["store"] = self.segment_store.stats()
-        else:
-            stats = {
-                "enabled": self.segment_store is not None,
-                **dict.fromkeys(counters, 0),
-            }
-        if self._pruned_engines:
-            pruned = dict.fromkeys(counters, 0)
-            for sub_engine in self._pruned_engines.values():
-                sub_stats = sub_engine.segment_cache_stats()
-                for key in pruned:
-                    pruned[key] += sub_stats.get(key, 0)
-            stats["pruned_engines"] = pruned
-        return stats
 
     def delta(self) -> int:
         """The theoretical locality constant δ of Prop. 12 for this program's schema."""

@@ -39,7 +39,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Callable, Iterable, Optional
 
-from ..lang.atoms import Atom, Literal
+from ..lang.atoms import Atom
 from ..chase.forest import ChaseForest, ChaseNode
 from ..lp.interpretation import Interpretation
 

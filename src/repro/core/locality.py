@@ -23,7 +23,7 @@ from __future__ import annotations
 
 from typing import Union
 
-from ..lang.program import Database, DatalogPMProgram, Schema
+from ..lang.program import DatalogPMProgram, Schema
 from ..lang.queries import NormalBCQ
 from ..chase.types import max_type_count
 

@@ -27,7 +27,6 @@ from __future__ import annotations
 
 from typing import Iterable, Optional, Union
 
-from ..exceptions import NotStratifiedError
 from ..lang.atoms import Atom
 from ..lang.program import Database, DatalogPMProgram
 from ..lang.queries import ConjunctiveQuery, NormalBCQ, evaluate_query, query_holds
@@ -35,7 +34,7 @@ from ..lang.rules import NormalRule
 from ..lang.skolem import skolemize_ntgd
 from ..lang.parser import parse_database, parse_program, parse_query
 from ..lang.substitution import Substitution, match
-from ..lang.terms import FunctionTerm, Term, term_depth
+from ..lang.terms import Term, term_depth
 from ..lp.stratification import stratify
 
 __all__ = ["StratifiedModel", "StratifiedDatalogPM"]

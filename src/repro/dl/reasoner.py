@@ -12,10 +12,9 @@ so the ID of ``a`` is derived to be valid.
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Union
 
 from ..lang.atoms import Atom
-from ..lang.program import Database, DatalogPMProgram
 from ..lang.queries import NormalBCQ
 from ..lang.terms import Constant
 from ..core.engine import DatalogWellFoundedModel, WellFoundedEngine

@@ -42,7 +42,7 @@ The ABox becomes the database: ``A(a)`` ↦ ``a(a)``, ``R(a, b)`` ↦ ``r(a, b)`
 
 from __future__ import annotations
 
-from typing import Iterable, Optional, Union
+from typing import Union
 
 from ..exceptions import TranslationError
 from ..lang.atoms import Atom
@@ -55,11 +55,8 @@ from .syntax import (
     BasicConcept,
     ConceptAssertion,
     ConceptInclusion,
-    ConceptLiteral,
-    ExistentialConcept,
     Ontology,
     Role,
-    RoleAssertion,
     RoleInclusion,
     TBox,
 )

@@ -17,7 +17,6 @@ from typing import Any, Iterable
 
 from .terms import (
     Constant,
-    FunctionTerm,
     Term,
     Variable,
     is_ground_term,

@@ -31,12 +31,12 @@ and the BCQ "does John author something?" is written ``? isAuthorOf(john, Y)``.
 from __future__ import annotations
 
 import re
-from typing import Iterable, Iterator, Optional
+from typing import Optional
 
 from ..exceptions import ParseError
 from .atoms import Atom, Literal
 from .program import Database, DatalogPMProgram, NormalProgram
-from .queries import ConjunctiveQuery, NormalBCQ
+from .queries import NormalBCQ
 from .rules import NTGD, NormalRule
 from .terms import Constant, FunctionTerm, Term, Variable
 

@@ -20,7 +20,7 @@ Evaluation is defined against either
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import (
     Callable,
     Iterable,
@@ -35,7 +35,7 @@ from typing import (
 from ..exceptions import IllFormedRuleError
 from .atoms import Atom, Literal, variables_of_atoms
 from .substitution import Substitution, match
-from .terms import Constant, Term, Variable, is_ground_term
+from .terms import Term, Variable
 
 __all__ = [
     "ConjunctiveQuery",

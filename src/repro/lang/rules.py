@@ -18,11 +18,11 @@ rule's *guard*.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Any, Iterable, Optional, Sequence
+from typing import Any, Optional
 
 from ..exceptions import IllFormedRuleError, NotGuardedError
 from .atoms import Atom, Literal, variables_of_atoms
-from .terms import Constant, FunctionTerm, Term, Variable, is_ground_term
+from .terms import FunctionTerm, Variable
 
 __all__ = ["NormalRule", "NTGD", "TGD"]
 

@@ -27,8 +27,6 @@ operator.
 
 from __future__ import annotations
 
-from typing import Iterable
-
 from ..lang.atoms import Atom
 from .grounding import GroundProgram
 from .interpretation import Interpretation

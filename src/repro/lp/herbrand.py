@@ -17,7 +17,7 @@ stable-model checker and for didactic exploration.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional, Sequence
+from typing import Iterable, Optional
 
 from ..exceptions import GroundingError
 from ..lang.atoms import Atom

@@ -12,7 +12,7 @@ evaluation, and offers the set-algebra needed by the fixpoint computations
 
 from __future__ import annotations
 
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ..exceptions import InconsistentInterpretationError
 from ..lang.atoms import Atom, Literal

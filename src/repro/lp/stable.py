@@ -18,7 +18,7 @@ atoms must be out, which is exactly the approximation property being validated.
 from __future__ import annotations
 
 import itertools
-from typing import Iterable, Iterator, Optional
+from typing import Iterable, Iterator
 
 from ..lang.atoms import Atom
 from .grounding import GroundProgram

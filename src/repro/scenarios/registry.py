@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import random
 from dataclasses import dataclass, field
-from typing import Callable, Mapping, Optional, Sequence
+from typing import Callable, Mapping, Sequence
 
 from ..dl.translate import translate_ontology
 from ..bench.generators import university_ontology, win_move_datalog_pm

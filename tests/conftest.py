@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro import WellFoundedEngine, parse_normal_program, parse_program, relevant_grounding
+from repro import WellFoundedEngine, parse_normal_program, relevant_grounding
 from repro.bench.generators import paper_example_program
 
 #: The text of Example 4 of the paper (facts included).

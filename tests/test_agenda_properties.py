@@ -1,7 +1,7 @@
 """Property tests: agenda saturation changes nothing observable, ever.
 
-Random guarded Datalog± workloads × random agenda orderings × segment-cache
-on/off × random iterative-deepening schedules must produce exactly the model
+Random guarded Datalog± workloads × random agenda orderings × random
+iterative-deepening schedules must produce exactly the model
 and answers of the retained breadth-first scan (``saturation="scan"``) — the
 reference the differential suite (:mod:`test_chase_agenda`) pins on the
 paper's worked examples, stressed here across the whole random program space.
@@ -112,43 +112,35 @@ def _answer(engine, query):
         return "node-budget-exceeded"
 
 
-@given(workload=guarded_workloads(), ordering=agenda_orderings(),
-       segment_cache=st.booleans())
+@given(workload=guarded_workloads(), ordering=agenda_orderings())
 @settings(max_examples=40, **COMMON_SETTINGS)
-def test_agenda_model_equals_scan_model(workload, ordering, segment_cache):
-    """model() observables are ordering- and cache-independent."""
+def test_agenda_model_equals_scan_model(workload, ordering):
+    """model() observables are ordering-independent."""
     program, database, _ = workload
     options = dict(max_depth=13, max_nodes=2_000)
-    scan = WellFoundedEngine(
-        program, database, saturation="scan", segment_cache=False, **options
-    )
+    scan = WellFoundedEngine(program, database, saturation="scan", **options)
     expected = observable_state(scan)
     agenda = WellFoundedEngine(
         program,
         database,
         saturation="agenda",
-        segment_cache=segment_cache,
         agenda_order=ordering(),
         **options,
     )
     assert observable_state(agenda) == expected
 
 
-@given(workload=guarded_workloads(), ordering=agenda_orderings(),
-       segment_cache=st.booleans())
+@given(workload=guarded_workloads(), ordering=agenda_orderings())
 @settings(max_examples=30, **COMMON_SETTINGS)
-def test_agenda_holds_and_answer_equal_scan(workload, ordering, segment_cache):
+def test_agenda_holds_and_answer_equal_scan(workload, ordering):
     """holds()/answer() agree across saturation modes, incl. the rewrite path."""
     program, database, query = workload
     options = dict(max_depth=13, max_nodes=2_000)
-    scan = WellFoundedEngine(
-        program, database, saturation="scan", segment_cache=False, **options
-    )
+    scan = WellFoundedEngine(program, database, saturation="scan", **options)
     agenda = WellFoundedEngine(
         program,
         database,
         saturation="agenda",
-        segment_cache=segment_cache,
         agenda_order=ordering(),
         **options,
     )
@@ -166,15 +158,12 @@ def test_agenda_holds_and_answer_equal_scan(workload, ordering, segment_cache):
 @given(
     workload=guarded_workloads(),
     ordering=agenda_orderings(),
-    segment_cache=st.booleans(),
     initial_depth=st.integers(min_value=1, max_value=4),
     depth_step=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=25, **COMMON_SETTINGS)
-def test_agenda_is_schedule_independent(
-    workload, ordering, segment_cache, initial_depth, depth_step
-):
-    """Any deepening schedule × ordering × cache agrees with the scan twin."""
+def test_agenda_is_schedule_independent(workload, ordering, initial_depth, depth_step):
+    """Any deepening schedule × ordering agrees with the scan twin."""
     program, database, _ = workload
     options = dict(
         initial_depth=initial_depth,
@@ -182,14 +171,11 @@ def test_agenda_is_schedule_independent(
         max_depth=initial_depth + 3 * depth_step,
         max_nodes=2_000,
     )
-    scan = WellFoundedEngine(
-        program, database, saturation="scan", segment_cache=False, **options
-    )
+    scan = WellFoundedEngine(program, database, saturation="scan", **options)
     agenda = WellFoundedEngine(
         program,
         database,
         saturation="agenda",
-        segment_cache=segment_cache,
         agenda_order=ordering(),
         **options,
     )
@@ -214,7 +200,6 @@ def test_budget_failure_retry_never_fakes_convergence(workload, ordering):
         max_depth=13,
         max_nodes=30,
         agenda_order=ordering(),
-        segment_cache=False,
     )
     first = observable_state(tight)
     if first != "node-budget-exceeded":
@@ -229,6 +214,5 @@ def test_budget_failure_retry_never_fakes_convergence(workload, ordering):
         initial_depth=committed,
         max_depth=13,
         max_nodes=2_000,
-        segment_cache=False,
     )
     assert resumed == observable_state(mirror)

@@ -62,11 +62,10 @@ class TestAnswerQuery:
         assert answers == {(Constant("john"),)}
 
 
-class TestEngineCache:
+class TestFreshOneShotAnswers:
     """The one-shot helpers build a fresh engine per call, over the database
     as it is at the call, so a mutation is never answered from a stale
-    engine, and they forward engine options.  (The class name predates the
-    removal of the helpers' engine cache.)"""
+    engine, and they forward engine options."""
 
     def test_mutated_database_is_not_served_stale(self):
         program, _ = parse_program("conferencePaper(X) -> article(X).")
@@ -116,12 +115,11 @@ class TestCertainAnswers:
         assert certain_answers(engine.model(), query) == set()
 
 
-class TestSharedEngineThreadSafety:
+class TestSharedDatabaseThreads:
     """Threads calling ``holds_under_wfs`` over one shared ``Database`` while
     another thread mutates it.  Each call builds its own engine (an engine
-    is not thread-safe, and the class name predates the removal of the
-    shared engines), but the database and the columnar snapshot it caches
-    per version are shared.  No call may crash, and — once mutations
+    is not thread-safe), but the database and the columnar snapshot it
+    caches per version are shared.  No call may crash, and — once mutations
     quiesce between phases — every answer must follow the *current*
     database state.
     """

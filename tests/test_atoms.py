@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from repro.lang.atoms import Atom, Literal, domain_of_atoms, neg, pos, variables_of_atoms
+from repro.lang.atoms import Atom, domain_of_atoms, neg, pos, variables_of_atoms
 from repro.lang.terms import Constant, FunctionTerm, Variable
 
 

@@ -11,8 +11,8 @@ forests agree exactly on labels, parents, rules and levels iff their
 signatures are equal.
 
 The suites cover the paper's running examples, hand-built guarded programs
-exercising the watched-side-atom machinery, iterative deepening, segment-cache
-splicing, budget exhaustion, and randomised agenda orderings.
+exercising the watched-side-atom machinery, iterative deepening, budget
+exhaustion, and randomised agenda orderings.
 """
 
 from __future__ import annotations
@@ -27,7 +27,6 @@ from repro.bench.generators import (
 )
 from repro.chase.engine import GuardedChaseEngine
 from repro.chase.forest import ChaseForest
-from repro.chase.segments import SegmentStore
 from repro.exceptions import GroundingError
 from repro.lang.parser import parse_program
 from repro.lang.skolem import skolemize_program
@@ -63,8 +62,7 @@ def forest_signature(forest: ChaseForest) -> frozenset:
     return signature
 
 
-def build(program_text_or_pieces, depth, *, saturation, segment_cache=None,
-          agenda_order=None, schedule=None):
+def build(program_text_or_pieces, depth, *, saturation, agenda_order=None, schedule=None):
     """Expand a forest for a workload in the given saturation mode."""
     if isinstance(program_text_or_pieces, str):
         program, database = parse_program(program_text_or_pieces)
@@ -74,7 +72,6 @@ def build(program_text_or_pieces, depth, *, saturation, segment_cache=None,
         skolemize_program(program),
         database,
         saturation=saturation,
-        segment_cache=segment_cache,
         agenda_order=agenda_order,
     )
     for step in schedule or ():
@@ -162,22 +159,6 @@ def test_agenda_order_does_not_change_the_forest(name, seed):
     assert forest_signature(shuffled.forest) == reference
 
 
-@pytest.mark.parametrize("name", sorted(WORKLOADS))
-def test_spliced_forest_is_bit_identical_to_scan(name):
-    """Cold and warm engines over one segment store agree with the scan reference."""
-    workload, depth = WORKLOADS[name]
-    reference = forest_signature(build(workload, depth, saturation="scan").forest)
-    store = SegmentStore()
-    cold = build(workload, depth, saturation="agenda", segment_cache=store)
-    warm = build(workload, depth, saturation="agenda", segment_cache=store)
-    deepened = build(
-        workload, depth, saturation="agenda", segment_cache=store, schedule=[2, 3]
-    )
-    assert forest_signature(cold.forest) == reference
-    assert forest_signature(warm.forest) == reference
-    assert forest_signature(deepened.forest) == reference
-
-
 def test_late_side_atom_actually_fires_through_the_waiter():
     """The q-child exists for p(a) (whose side atom arrives late) and not for
     p(b) (whose side atom never arrives) — pinning the waiter semantics."""
@@ -218,39 +199,6 @@ def test_budget_exhaustion_is_mode_independent(saturation):
     )
     with pytest.raises(GroundingError):
         engine.expand(40)
-
-
-def test_head_constant_side_atoms_survive_certified_splicing():
-    """Regression: a rule *head* can introduce a constant the splice root's
-    domain never mentions (``p(X) -> q(c)``); a side atom over that constant
-    (``probe(c)``) present in one database but not another must not be lost
-    when a segment recorded without it is spliced — the rule constants are
-    part of the segment-key context exactly for this."""
-    program, _ = parse_program(
-        """
-        e(X) -> exists Z p(Z).
-        p(X) -> q(c).
-        q(Y), probe(Y) -> hit(Y).
-        """
-    )
-    skolemized = skolemize_program(program)
-    for first, second in (
-        (["e(a)"], ["e(a)", "probe(c)"]),
-        (["e(a)", "probe(c)"], ["e(a)"]),
-    ):
-        store = SegmentStore()
-        from repro.lang.parser import parse_atom
-
-        GuardedChaseEngine(
-            skolemized, [parse_atom(t) for t in first], segment_cache=store
-        ).expand(5)
-        cached = GuardedChaseEngine(
-            skolemized, [parse_atom(t) for t in second], segment_cache=store
-        )
-        cached.expand(5)
-        reference = GuardedChaseEngine(skolemized, [parse_atom(t) for t in second])
-        reference.expand(5)
-        assert forest_signature(cached.forest) == forest_signature(reference.forest)
 
 
 def test_scan_mode_is_exposed_on_the_convenience_wrapper():

@@ -11,7 +11,7 @@ from repro.lang.parser import parse_atom, parse_program
 from repro.lang.program import Database, NormalProgram
 from repro.lang.rules import NormalRule
 from repro.lang.skolem import skolemize_program
-from repro.lang.terms import Constant, FunctionTerm, Variable
+from repro.lang.terms import FunctionTerm, Variable
 from repro.chase.engine import GuardedChaseEngine, chase_forest
 from repro.chase.forest import ChaseForest
 from repro.core.engine import WellFoundedEngine
@@ -224,6 +224,40 @@ class TestGuardedChaseEngine:
         forest = chase_forest(skolemized, database, max_depth=4)
         assert forest.has_label(parse_atom("article(pods13)"))
 
+    def test_deepening_engine_equals_one_shot_forest(self):
+        program, database = parse_program("e(X) -> exists Y n(X, Y). n(X,Y) -> e(Y). e(c).")
+        rules = skolemize_program(program)
+        engine = GuardedChaseEngine(rules, database)
+        engine.expand(4)
+        engine.expand(8)
+        plain = chase_forest(rules, database, 8)
+        assert engine.forest.labels() == plain.labels()
+        for atom in plain.labels():
+            assert engine.forest.level_of_atom(atom) == plain.level_of_atom(atom)
+
+    def test_shared_nulls_are_not_merged_across_siblings(self):
+        """p(ν) and q(ν) share the null ν of r(c, ν), and p's and q's atoms
+        have the same shape in both chains: each must still carry *its own*
+        chain's null, never the other chain's."""
+        engine = WellFoundedEngine(
+            """
+            a(X) -> exists Y r(X, Y).
+            r(X, Y) -> p(Y).
+            r(X, Y) -> q(Y).
+            p(X), not q(X) -> only_p(X).
+            a(c1).
+            a(c2).
+            """
+        )
+        forest = engine.model().forest()
+        siblings = [n for n in forest.nodes() if n.label.predicate in ("p", "q")]
+        assert len(siblings) == 4
+        # Every p- and q-node's null must be the null of its parent r-node.
+        for node in siblings:
+            parent = forest.parent(node.node_id)
+            assert parent.label.predicate == "r"
+            assert node.label.args[0] == parent.label.args[1]
+
     def test_multiple_nodes_can_share_a_label(self, paper_example_engine):
         # Example 6 of the paper: S(0) labels infinitely many nodes of F+(P);
         # in the materialised segment there must be more than one.
@@ -274,7 +308,6 @@ class TestBudgetFailureRetry:
             max_nodes=5,
             max_depth=21,
             saturation=saturation,
-            segment_cache=False,
         )
         with pytest.raises(GroundingError):
             engine.model()
@@ -294,7 +327,6 @@ class TestBudgetFailureRetry:
             max_nodes=5,
             max_depth=21,
             saturation=saturation,
-            segment_cache=False,
         )
         with pytest.raises(GroundingError):
             engine.model()
@@ -307,7 +339,6 @@ class TestBudgetFailureRetry:
             initial_depth=committed,
             max_depth=21,
             saturation=saturation,
-            segment_cache=False,
         ).model()
         assert model.true_atoms() == mirror.true_atoms()
         assert model.false_atoms() == mirror.false_atoms()
@@ -317,9 +348,7 @@ class TestBudgetFailureRetry:
         # the resume continued from the partial forest rather than restarting
         assert partial_nodes <= len(engine._chase.forest)
         # and the values it shares with a fully fresh engine's segment agree
-        fresh = WellFoundedEngine(
-            INFINITE_CHAIN, max_depth=21, saturation=saturation, segment_cache=False
-        ).model()
+        fresh = WellFoundedEngine(INFINITE_CHAIN, max_depth=21, saturation=saturation).model()
         for atom in fresh.segment_atoms() & model.segment_atoms():
             assert model.value(atom) == fresh.value(atom)
 
@@ -335,11 +364,9 @@ class TestBudgetFailureRetry:
         r(X,Y) -> exists Z p(Y,Z).
         p(a,b).
         """
-        fresh = WellFoundedEngine(rotation, max_depth=9, segment_cache=False).model()
+        fresh = WellFoundedEngine(rotation, max_depth=9).model()
         assert not fresh.converged  # the rotation never stabilises by depth 9
-        tight = WellFoundedEngine(
-            rotation, max_depth=9, max_nodes=4, segment_cache=False
-        )
+        tight = WellFoundedEngine(rotation, max_depth=9, max_nodes=4)
         with pytest.raises(GroundingError):
             tight.model()
         assert tight._chase.depth_bound > tight.initial_depth  # mid-schedule

@@ -7,11 +7,9 @@ import pytest
 
 from repro.exceptions import IllFormedRuleError
 from repro.lang.atoms import Atom
-from repro.lang.parser import parse_atom
 from repro.lang.terms import Constant, Variable
 from repro.core.constraints import (
     EGD,
-    ConstraintViolation,
     NegativeConstraint,
     check_constraints,
     is_consistent,

@@ -8,13 +8,11 @@ from repro.exceptions import TranslationError
 from repro.dl.syntax import (
     ABox,
     AtomicConcept,
-    ConceptAssertion,
     ConceptInclusion,
     ConceptLiteral,
     ExistentialConcept,
     Ontology,
     Role,
-    RoleAssertion,
     RoleInclusion,
     TBox,
 )

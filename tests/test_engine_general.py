@@ -7,11 +7,9 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import ConvergenceError, NotGuardedError
-from repro.lang.atoms import Atom
-from repro.lang.parser import parse_atom, parse_program, parse_query
+from repro.lang.parser import parse_atom, parse_program
 from repro.lang.program import Database
 from repro.lang.skolem import skolemize_program
-from repro.lang.terms import Constant
 from repro.lp.grounding import relevant_grounding
 from repro.lp.wfs import well_founded_model
 from repro.chase.engine import GuardedChaseEngine
@@ -61,6 +59,15 @@ class TestInputHandling:
         engine = WellFoundedEngine("p(X) -> q(X).\np(a).")
         with pytest.raises(ValueError):
             engine.answer("? q(X), not p(X)")
+
+    def test_segment_cache_keyword_accepts_only_false(self):
+        text = "next(X, Y) -> exists Z next(Y, Z).\nnext(a, b)."
+        with pytest.raises(TypeError, match="removed"):
+            WellFoundedEngine(text, segment_cache=True)
+        engine = WellFoundedEngine(text, segment_cache=False)
+        assert engine.holds("? next(a, b)")
+        stats = engine.last_query_stats
+        assert stats["mode"] == "classic" and stats["nodes_spliced"] == 0
 
 
 class TestCoincidenceWithClassicalWfs:

@@ -13,10 +13,8 @@ The expected truth values are taken verbatim from the paper:
 
 from __future__ import annotations
 
-import pytest
-
 from repro.lang.atoms import Atom
-from repro.lang.parser import parse_atom, parse_query
+from repro.lang.parser import parse_atom
 from repro.lang.terms import Constant, FunctionTerm
 from repro.core.engine import WellFoundedEngine
 from repro.bench.generators import paper_example_program

@@ -78,9 +78,7 @@ def forest_signature(forest):
 def check_finite_equals_chase(program, database, queries, cq):
     engine = WellFoundedEngine(program, database, **OPTIONS)
     assume(engine.analysis().verdicts["chase_terminates"])
-    reference = WellFoundedEngine(
-        program, database, saturation="scan", segment_cache=False, **OPTIONS
-    )
+    reference = WellFoundedEngine(program, database, saturation="scan", **OPTIONS)
     try:
         expected = reference.model()
     except GroundingError:
@@ -174,7 +172,7 @@ scientist(mary).
 
 
 def test_finite_model_contract():
-    engine = WellFoundedEngine(AUTHORS, segment_cache=True)
+    engine = WellFoundedEngine(AUTHORS)
     assert engine.holds("? cited(john)")
     stats = engine.last_query_stats
     assert set(stats) == {
@@ -191,14 +189,13 @@ def test_finite_model_contract():
     assert model.is_false(Atom("cited", (Constant("nobody"),)))
     assert engine.holds("? cited(john)")
     assert engine.last_query_stats["cache_hit"]
-    # answering built no chase, so the cache saw no traffic
+    # answering built no chase; the forest request builds it
     assert "_chase" not in engine.__dict__
-    assert engine.segment_cache_stats()["misses"] == 0
 
-    reference = WellFoundedEngine(AUTHORS, saturation="scan", segment_cache=False)
+    reference = WellFoundedEngine(AUTHORS, saturation="scan")
     assert forest_signature(model.forest()) == forest_signature(reference.chase_forest())
     assert engine.chase_forest() is model.forest()
-    assert engine.segment_cache_stats()["misses"] > 0
+    assert "_chase" in engine.__dict__
     # the forest request leaves the answering model and its program in place
     assert engine.model() is model
     assert engine.ground_program().atoms() == model.segment_atoms()
@@ -217,7 +214,7 @@ def test_a_finite_model_outlives_its_engine():
         assert owner() is None
     finally:
         gc.enable()
-    reference = WellFoundedEngine(AUTHORS, saturation="scan", segment_cache=False)
+    reference = WellFoundedEngine(AUTHORS, saturation="scan")
     assert forest_signature(model.forest()) == forest_signature(reference.chase_forest())
 
 

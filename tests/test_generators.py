@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.lang.parser import parse_atom
 from repro.bench.generators import (
     combined_complexity_workload,

@@ -133,22 +133,18 @@ def observable_state(engine: WellFoundedEngine):
 
 @given(
     workload=guarded_workloads(),
-    segment_cache=st.booleans(),
     initial_depth=st.integers(min_value=1, max_value=4),
     depth_step=st.integers(min_value=1, max_value=3),
 )
 @settings(max_examples=40, **COMMON_SETTINGS)
-def test_incremental_engine_equals_scratch_engine(
-    workload, segment_cache, initial_depth, depth_step
-):
-    """Any deepening schedule × cache configuration agrees with the oracle."""
+def test_incremental_engine_equals_scratch_engine(workload, initial_depth, depth_step):
+    """Any deepening schedule agrees with the oracle."""
     program, database = workload
     options = dict(
         initial_depth=initial_depth,
         depth_step=depth_step,
         max_depth=initial_depth + 3 * depth_step,
         max_nodes=2_000,
-        segment_cache=segment_cache,
     )
     scratch = WellFoundedEngine(program, database, incremental=False, **options)
     expected = observable_state(scratch)
@@ -166,7 +162,7 @@ def test_incremental_engine_budget_resume_equals_scratch(workload):
     must land on exactly the observables of the resumed from-scratch run.
     """
     program, database = workload
-    options = dict(max_depth=13, max_nodes=30, segment_cache=False)
+    options = dict(max_depth=13, max_nodes=30)
     scratch = WellFoundedEngine(program, database, incremental=False, **options)
     first_scratch = observable_state(scratch)
     incremental = WellFoundedEngine(program, database, incremental=True, **options)

@@ -518,9 +518,7 @@ class TestEngineIncremental:
 
     def test_budget_resume_identical_across_modes(self):
         program, database = win_move_datalog_pm(60, seed=0)
-        fast, slow = self.paired_engines(
-            program, database, max_nodes=10, segment_cache=False
-        )
+        fast, slow = self.paired_engines(program, database, max_nodes=10)
         assert self.observables(fast) == "node-budget-exceeded"
         assert self.observables(slow) == "node-budget-exceeded"
         fast.max_nodes = 100_000

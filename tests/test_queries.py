@@ -15,7 +15,7 @@ from repro.lang.queries import (
     evaluate_query,
     query_holds,
 )
-from repro.lang.terms import Constant, FunctionTerm, Variable
+from repro.lang.terms import Constant, Variable
 from repro.lp.interpretation import Interpretation
 
 X, Y = Variable("X"), Variable("Y")

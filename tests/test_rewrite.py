@@ -292,6 +292,11 @@ class TestEngineRewritePath:
             pruned = stats["rules_relevant"] < stats["rules_total"]
             assert stats["mode"] == ("pruned-chase" if pruned else "full-chase")
 
+    def test_unknown_sips_is_rejected_at_construction(self):
+        program, database = chain_reachability_workload(1, 2)
+        with pytest.raises(ValueError, match="unknown SIPS strategy 'nope'"):
+            WellFoundedEngine(program, database, sips="nope")
+
     def test_rewrite_default_from_constructor(self):
         program, database = chain_reachability_workload(2, 3)
         engine = WellFoundedEngine(program, database, rewrite=True)

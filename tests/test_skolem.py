@@ -6,7 +6,7 @@ from repro.lang.atoms import Atom
 from repro.lang.parser import parse_ntgd, parse_program
 from repro.lang.rules import NTGD
 from repro.lang.skolem import skolem_function_name, skolemize_ntgd, skolemize_program
-from repro.lang.terms import Constant, FunctionTerm, Variable
+from repro.lang.terms import FunctionTerm, Variable
 
 X, Y, Z, W = Variable("X"), Variable("Y"), Variable("Z"), Variable("W")
 

@@ -5,7 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.exceptions import NotStratifiedError
-from repro.lang.parser import parse_atom, parse_program
+from repro.lang.parser import parse_atom
 from repro.lang.queries import ConjunctiveQuery
 from repro.lang.terms import Constant, Variable
 from repro.core.engine import WellFoundedEngine

@@ -8,7 +8,7 @@ the resumability contract hardened in this PR:
   partially expanded forest as converged — the ROADMAP budget-retry bug);
 * raising ``max_nodes`` resumes from the partial forest and lands on exactly
   the state a fresh, unbudgeted engine computes — under both saturation
-  modes and with the segment cache on and off.
+  modes.
 
 The module is marked ``stress`` and auto-skipped by ``tests/conftest.py``
 unless the marker is selected; CI runs it in the scheduled /
@@ -72,15 +72,12 @@ def model_fingerprint(model):
 
 
 @pytest.mark.parametrize("saturation", ["agenda", "scan"])
-@pytest.mark.parametrize("segment_cache", [False, True])
-def test_deep_chain_budget_exhaustion_is_resumable(saturation, segment_cache):
+def test_deep_chain_budget_exhaustion_is_resumable(saturation):
     """Chain workload at depth ≥ 32, budget blown mid-saturation, resumed."""
     # The chain program is function-free, so model() would take the finite
     # plan; the budget contract under test is the chase plan's.
     program, database = chain_reachability_workload(8, DEPTH)
-    sizing = WellFoundedEngine(
-        program, database, initial_depth=DEPTH, max_depth=DEPTH, segment_cache=False
-    )
+    sizing = WellFoundedEngine(program, database, initial_depth=DEPTH, max_depth=DEPTH)
     reference = sizing._chase_model()
     saturated_nodes = len(reference.forest())
 
@@ -91,7 +88,6 @@ def test_deep_chain_budget_exhaustion_is_resumable(saturation, segment_cache):
         max_depth=DEPTH,
         max_nodes=saturated_nodes // 2,  # exhausts in the middle of saturation
         saturation=saturation,
-        segment_cache=segment_cache,
     )
     with pytest.raises(GroundingError):
         engine._chase_model()
@@ -133,23 +129,15 @@ def test_deep_existential_descent_budget_exhaustion_is_resumable(saturation):
     assert {a: engine.forest.level_of_atom(a) for a in engine.forest.labels()} == levels
 
 
-@pytest.mark.parametrize("segment_cache", [False, True])
-def test_ontology_workloads_deepen_beyond_32(segment_cache):
+def test_ontology_workloads_deepen_beyond_32():
     """The DL-translated generators agree across saturation modes at depth ≥ 32."""
     for program, database in (
         employment_workload(128, seed=7),
         translate_ontology(university_ontology(8, 24, seed=7)),
     ):
-        agenda = WellFoundedEngine(
-            program,
-            database,
-            initial_depth=33,
-            max_depth=37,
-            segment_cache=segment_cache,
-        )
+        agenda = WellFoundedEngine(program, database, initial_depth=33, max_depth=37)
         scan = WellFoundedEngine(
-            program, database, initial_depth=33, max_depth=37,
-            saturation="scan", segment_cache=False,
+            program, database, initial_depth=33, max_depth=37, saturation="scan"
         ).model()
         # both ontologies terminate: model() is the finite plan, and the
         # agenda chase deepened beyond 32 is the chase plan's model

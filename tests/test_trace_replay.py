@@ -12,7 +12,6 @@ code, and resume losslessly after a budget interruption.
 from __future__ import annotations
 
 import json
-import math
 
 import pytest
 
@@ -26,7 +25,6 @@ from repro.scenarios import (
     build_target,
     check_event,
     expect_event,
-    format_event,
     format_trace,
     generate_trace,
     insert_event,

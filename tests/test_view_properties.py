@@ -27,7 +27,6 @@ from repro.lang.atoms import Atom, Literal
 from repro.lang.queries import ConjunctiveQuery, NormalBCQ, evaluate_query, query_holds
 from repro.lang.terms import Constant, Variable
 from repro.lp.columnar import BACKENDS, make_grounder
-from repro.lp.wfs import well_founded_model
 from repro.views import MaterializedEngine
 
 from strategies import ground_atoms, safe_normal_workloads

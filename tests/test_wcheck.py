@@ -2,8 +2,6 @@
 
 from __future__ import annotations
 
-import pytest
-
 from repro.lang.atoms import Literal
 from repro.lang.parser import parse_atom
 from repro.core.wcheck import path_witness, wcheck_atom, wcheck_literal
