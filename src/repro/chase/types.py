@@ -15,9 +15,8 @@ This module provides:
 * :func:`x_isomorphism` — compute an X-isomorphism between two literal sets if
   one exists (used by the test-suite to validate Lemma 11 style properties on
   small programs);
-* :func:`count_types` / :func:`max_type_count` — the combinatorial counting
-  underlying the δ bound of Prop. 12 (the bound itself is exposed in
-  :mod:`repro.core.locality`).
+* :func:`max_type_count` — the combinatorial counting underlying the δ bound
+  of Prop. 12 (the bound itself is exposed in :mod:`repro.core.locality`).
 
 The chase engine uses the canonical keys of *approximate* types (built from
 the current three-valued approximation instead of the final WFS) as its

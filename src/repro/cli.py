@@ -32,8 +32,8 @@ from typing import Optional, Sequence
 
 from .core.engine import WellFoundedEngine
 from .core.stratified import StratifiedDatalogPM
-from .exceptions import NotStratifiedError, ReproError
-from .lang.parser import parse_atom, parse_database, parse_program, parse_query
+from .exceptions import NotStratifiedError, ParseError, ReproError
+from .lang.parser import parse_atom, parse_database, parse_program
 from .lp.columnar import BACKENDS
 
 __all__ = ["build_argument_parser", "main"]
@@ -98,12 +98,6 @@ def build_argument_parser() -> argparse.ArgumentParser:
             "answer --query goal-directedly via magic-sets rewriting "
             "(--no-rewrite forces the classic bottom-up evaluation)"
         ),
-    )
-    parser.add_argument(
-        "--sips",
-        choices=["left-to-right", "bound-first"],
-        default="left-to-right",
-        help="sideways-information-passing strategy used by --rewrite",
     )
     parser.add_argument(
         "--incremental",
@@ -203,10 +197,14 @@ def _run_updates(args) -> int:
         - edge(a, b).      % retract a fact
         ? reach(X)         % answer against the maintained model
 
+    The lines are read with the trace parser of :mod:`repro.scenarios.trace`,
+    whose grammar extends this one; its other event kinds are rejected here.
     The engine stays warm across the whole script: each update grounds and
     re-solves only what it touched.  With ``--check`` the maintained model is
     verified against a from-scratch rebuild after every update.
     """
+    from .scenarios.replay import answer_text
+    from .scenarios.trace import format_event, parse_trace_line
     from .views import MaterializedEngine
 
     program, database = parse_program(_read(args.program))
@@ -224,38 +222,31 @@ def _run_updates(args) -> int:
             exit_code = 3
 
     check("after init")
-    for lineno, raw in enumerate(_read(args.updates).splitlines(), start=1):
-        line = raw.split("%", 1)[0].split("#", 1)[0].strip()
-        if not line:
-            continue
+    for lineno, line in enumerate(_read(args.updates).splitlines(), start=1):
         try:
-            if line[0] in "+-":
-                atom = parse_atom(line[1:].strip().rstrip("."))
-                if line[0] == "+":
-                    stats = engine.add_facts(atom)
+            event = parse_trace_line(line, lineno)
+            if event is None:
+                continue
+            if event.is_update:
+                if event.kind == "insert":
+                    stats = engine.add_facts(event.atom)
                 else:
-                    stats = engine.retract_facts(atom)
+                    stats = engine.retract_facts(event.atom)
                 if args.verbose:
-                    print(f"# {line[0]}{atom} {_format_query_stats(stats)}")
-                check(f"after line {lineno}: {line}")
-            elif line[0] == "?":
-                query = parse_query(line)
-                if query.variables() and not query.negative:
-                    answers = engine.answer(query)
-                    rendered = sorted(
-                        "(" + ", ".join(str(t) for t in tup) + ")"
-                        for tup in answers
-                    )
-                    print(f"{line} : {' '.join(rendered) if rendered else 'no answers'}")
-                else:
-                    print(f"{line} : {'yes' if engine.holds(query) else 'no'}")
+                    print(f"# {format_event(event)} {_format_query_stats(stats)}")
+                check(f"after line {lineno}: {format_event(event)}")
+            elif event.kind == "query":
+                print(f"{event.query} : {answer_text(engine, event.query)}")
             else:
                 print(
                     f"error: line {lineno}: expected '+fact.', '-fact.' or "
-                    f"'? query', got {line!r}",
+                    f"'? query', got {format_event(event)!r}",
                     file=sys.stderr,
                 )
                 exit_code = 2
+        except ParseError as error:  # the trace parser names the line itself
+            print(f"error: {error}", file=sys.stderr)
+            exit_code = 2
         except ReproError as error:
             print(f"error: line {lineno}: {error}", file=sys.stderr)
             exit_code = 2
@@ -324,7 +315,6 @@ def main(argv: Optional[Sequence[str]] = None) -> int:
             database,
             max_depth=args.max_depth,
             rewrite=args.rewrite,
-            sips=args.sips,
             saturation=args.saturation,
             incremental=args.incremental,
             backend=args.backend,

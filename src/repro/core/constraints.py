@@ -31,7 +31,6 @@ from typing import Iterable, Optional, Sequence, Union
 
 from ..exceptions import IllFormedRuleError
 from ..lang.atoms import Atom, variables_of_atoms
-from ..lang.queries import NormalBCQ
 from ..lang.substitution import Substitution, match
 from ..lang.terms import Constant, Term, Variable
 from .engine import DatalogWellFoundedModel, WellFoundedEngine
@@ -63,10 +62,6 @@ class NegativeConstraint:
         object.__setattr__(self, "body_neg", tuple(self.body_neg))
         if not self.body_pos:
             raise IllFormedRuleError("a negative constraint needs at least one positive body atom")
-
-    def as_query(self) -> NormalBCQ:
-        """The constraint body as an NBCQ (violation = the query holds)."""
-        return NormalBCQ(self.body_pos, self.body_neg)
 
     def __str__(self) -> str:
         parts = [str(a) for a in self.body_pos] + [f"not {a}" for a in self.body_neg]

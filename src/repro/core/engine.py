@@ -81,7 +81,6 @@ from ..lp.wfs import (
     well_founded_model_incremental,
 )
 from ..rewrite.magic import ground_magic, rewrite_for_query
-from ..rewrite.sips import sips_strategy
 from .locality import delta_bound, query_depth_bound
 
 __all__ = ["DatalogWellFoundedModel", "WellFoundedEngine"]
@@ -272,11 +271,6 @@ class WellFoundedEngine:
         answer queries goal-directedly via the magic-sets rewriting of
         :mod:`repro.rewrite`, falling back to relevance-pruned unrewritten
         evaluation outside the supported fragment.
-    sips:
-        SIPS strategy used by the rewriting (``"left-to-right"`` or
-        ``"bound-first"``, or a :class:`~repro.rewrite.sips.SIPSStrategy`).
-        An unknown name raises ``ValueError`` here, not at the first
-        rewritten query.
     segment_cache:
         Accepts only ``False``; anything else raises ``TypeError``.  The
         chase-segment cache it switched on was removed.  The keyword stays
@@ -334,7 +328,6 @@ class WellFoundedEngine:
         max_nodes: int = 500_000,
         strict: bool = False,
         rewrite: bool = False,
-        sips: str = "left-to-right",
         segment_cache: bool = False,
         saturation: str = "agenda",
         agenda_order=None,
@@ -346,7 +339,6 @@ class WellFoundedEngine:
                 f"unknown grounding backend {backend!r}; expected one of {BACKENDS}"
             )
         check_saturation(saturation)
-        sips_strategy(sips)
         if segment_cache is not False:
             raise TypeError(
                 f"segment_cache={segment_cache!r}: the chase-segment cache was "
@@ -391,7 +383,6 @@ class WellFoundedEngine:
         self.max_nodes = max_nodes
         self.strict = strict
         self.rewrite = rewrite
-        self.sips = sips
         self.saturation = saturation
         self.agenda_order = agenda_order
         self.incremental = incremental
@@ -677,7 +668,7 @@ class WellFoundedEngine:
     def _compute_rewritten(self, literals: tuple[Literal, ...]) -> _RewriteOutcome:
         """Run the magic-sets pipeline for one query, falling back if needed."""
         started = time.perf_counter()
-        plan = rewrite_for_query(self.skolemized.rules(), literals, sips=self.sips)
+        plan = rewrite_for_query(self.skolemized.rules(), literals)
         fallback_reason = plan.reason
         if plan.supported:
             grounding = self._read_facts(
@@ -689,7 +680,6 @@ class WellFoundedEngine:
                 model = well_founded_model(grounding.ground)
                 stats = {
                     "mode": "magic",
-                    "sips": plan.sips,
                     "backend": self.backend,
                     "cache_hit": False,
                     "termination_criterion": plan.termination_criterion,
@@ -710,7 +700,6 @@ class WellFoundedEngine:
         model = engine.model()
         stats = {
             "mode": "pruned-chase" if relevant_rules < len(self.program) else "full-chase",
-            "sips": plan.sips,
             "backend": self.backend,
             "cache_hit": False,
             "rounds": model.iterations or 0,

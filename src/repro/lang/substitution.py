@@ -23,7 +23,7 @@ from typing import Iterable, Iterator, ItemsView, Mapping, Optional, Sequence
 from .atoms import Atom, Literal
 from .terms import Constant, FunctionTerm, Term, Variable
 
-__all__ = ["Substitution", "match", "match_atoms", "unify", "extend_matches"]
+__all__ = ["Substitution", "match", "match_atoms", "unify"]
 
 
 @dataclass(frozen=True)
@@ -221,20 +221,6 @@ def _match_atoms_indexed(
         extended = match(first, fact, subst)
         if extended is not None:
             yield from _match_atoms_indexed(rest, fact_index, extended)
-
-
-def extend_matches(
-    patterns: Sequence[Atom],
-    fact_index: Mapping[str, Iterable[Atom]],
-    initial: Substitution,
-) -> Iterator[Substitution]:
-    """Like :func:`match_atoms` but takes a prebuilt predicate → atoms index.
-
-    Useful for callers that evaluate many rule bodies against the same set of
-    facts and want to build the index only once.
-    """
-    listed = {pred: list(atoms) for pred, atoms in fact_index.items()}
-    yield from _match_atoms_indexed(list(patterns), listed, initial)
 
 
 # ---------------------------------------------------------------------------

@@ -8,12 +8,12 @@ only the reachable slice is ever grounded.
 
 Pipeline (see each module for the details):
 
-* :mod:`repro.rewrite.sips` — pluggable sideways-information-passing
-  strategies that order rule bodies (left-to-right default, bound-first
-  optional) and always visit negated literals last, fully bound;
 * :mod:`repro.rewrite.adornment` — the bound/free adornment pass computing
   the ``(predicate, adornment)`` pairs reachable from a query, plus the
-  query-relevant predicate set the chase layer uses for pruning;
+  query-relevant predicate set the chase layer uses for pruning.  Bindings
+  pass sideways through rule bodies left to right
+  (:func:`~repro.rewrite.adornment.sips_schedule`), with negated literals
+  visited last, fully bound;
 * :mod:`repro.rewrite.magic` — the magic transformation itself, realised as a
   WFS-sound *grounding-time* restriction: magic guards gate the semi-naive
   grounding and are stripped before the well-founded model is computed, so
@@ -25,7 +25,7 @@ relevance-pruned unrewritten evaluation for program/query pairs outside the
 supported fragment (query-relevant existential recursion).
 """
 
-from .adornment import AdornedProgram, Adornment, adorn, adornment_of
+from .adornment import AdornedProgram, Adornment, SIPSStep, adorn, adornment_of
 from .magic import (
     MAGIC_PREFIX,
     MagicGrounding,
@@ -35,13 +35,13 @@ from .magic import (
     magic_predicate_name,
     rewrite_for_query,
 )
-from .sips import BoundFirstSIPS, LeftToRightSIPS, SIPSStep, SIPSStrategy, sips_strategy
 
 __all__ = [
     "Adornment",
     "AdornedProgram",
     "adorn",
     "adornment_of",
+    "SIPSStep",
     "MAGIC_PREFIX",
     "MagicGrounding",
     "MagicPlan",
@@ -49,9 +49,4 @@ __all__ = [
     "is_magic_predicate",
     "magic_predicate_name",
     "rewrite_for_query",
-    "BoundFirstSIPS",
-    "LeftToRightSIPS",
-    "SIPSStep",
-    "SIPSStrategy",
-    "sips_strategy",
 ]

@@ -3,8 +3,9 @@
 Given a program and a query, this module computes the set of *adorned
 predicates* ``p^a`` reachable from the query: an adornment ``a ∈ {b, f}^arity``
 records which argument positions carry a binding when the predicate is called
-top-down.  Bindings are propagated sideways through rule bodies by a pluggable
-:mod:`SIPS strategy <repro.rewrite.sips>`.
+top-down.  Bindings are propagated sideways through rule bodies by the
+left-to-right SIPS (sideways information passing strategy) of
+:func:`sips_schedule`.
 
 The pass produces an :class:`AdornedProgram` holding
 
@@ -28,10 +29,11 @@ from typing import Iterable, Sequence
 from ..exceptions import IllFormedRuleError
 from ..lang.atoms import Atom, Literal
 from ..lang.rules import NormalRule
-from ..lang.terms import Variable, variables_of
-from .sips import SIPSStep, SIPSStrategy, _is_bound_arg, sips_strategy
+from ..lang.terms import Variable, is_ground_term, variables_of
 
 __all__ = [
+    "SIPSStep",
+    "sips_schedule",
     "Adornment",
     "AdornedCall",
     "AdornedRule",
@@ -65,6 +67,57 @@ class Adornment:
 
     def __repr__(self) -> str:
         return f"Adornment({self})"
+
+
+@dataclass(frozen=True)
+class SIPSStep:
+    """One visited body literal together with the variables bound on entry.
+
+    ``bound_before`` is the set of variables already bound when the literal is
+    reached (head-bound variables plus the variables of all previously visited
+    positive literals); ``prefix`` is the tuple of previously visited
+    *positive* atoms, which becomes the body of the literal's magic rule.
+    """
+
+    literal: Literal
+    bound_before: frozenset[Variable]
+    prefix: tuple[Atom, ...]
+
+
+def sips_schedule(
+    body: Sequence[Literal], bound: frozenset[Variable]
+) -> list[SIPSStep]:
+    """The left-to-right SIPS: the order in which a rule body (or query) is visited.
+
+    Positive literals are visited in body order, each seeing the variables
+    bound on entry (*bound*) plus those of the positive literals before it.
+    This is the classical presentation (Beeri–Ramakrishnan) and the
+    left-to-right evaluation order the soundness results for well-founded
+    magic sets assume (Kemp–Srivastava–Stuckey's left-to-right weakly
+    stratified programs).  Negated literals come **last**, after every
+    positive literal: rule safety guarantees that all their variables are
+    then bound, so each negated literal receives a fully-bound adornment —
+    the invariant the WFS-preserving treatment of negation in
+    :mod:`repro.rewrite.magic` relies on.
+    """
+    steps: list[SIPSStep] = []
+    prefix: list[Atom] = []
+    for literal in body:
+        if literal.positive:
+            steps.append(SIPSStep(literal, bound, tuple(prefix)))
+            bound = bound | literal.atom.variables()
+            prefix.append(literal.atom)
+    for literal in body:
+        if not literal.positive:
+            steps.append(SIPSStep(literal, bound, tuple(prefix)))
+    return steps
+
+
+def _is_bound_arg(arg, bound: frozenset[Variable]) -> bool:
+    """An argument position is bound iff the term carries no unbound variable."""
+    if is_ground_term(arg):
+        return True
+    return all(variable in bound for variable in variables_of(arg))
 
 
 def adornment_of(atom: Atom, bound: frozenset[Variable]) -> Adornment:
@@ -147,12 +200,7 @@ class AdornedProgram:
         )
 
 
-def adorn(
-    rules: Iterable[NormalRule],
-    query: Sequence[Literal],
-    *,
-    sips: "str | SIPSStrategy" = "left-to-right",
-) -> AdornedProgram:
+def adorn(rules: Iterable[NormalRule], query: Sequence[Literal]) -> AdornedProgram:
     """Compute the adorned program for *query* over *rules*.
 
     ``query`` is a sequence of literals; every variable of a negated literal
@@ -160,7 +208,6 @@ def adorn(
     that a fully ground negated literal may stand alone.  Constants appearing
     in the query provide the initial bindings.
     """
-    strategy = sips_strategy(sips)
     query = tuple(query)
     _check_query(query)
 
@@ -180,7 +227,7 @@ def adorn(
             worklist.append(key)
 
     # -- the query body is scheduled like a rule body with nothing bound ------
-    for step in strategy.schedule(query, frozenset()):
+    for step in sips_schedule(query, frozenset()):
         adornment = adornment_of(step.literal.atom, step.bound_before)
         call = AdornedCall(step.literal.predicate, adornment, step)
         program.query_calls.append(call)
@@ -192,7 +239,7 @@ def adorn(
         for rule in rules_by_head.get(predicate, ()):
             entry_bound = _head_bound_variables(rule.head, adornment)
             calls: list[AdornedCall] = []
-            for step in strategy.schedule(rule.body, entry_bound):
+            for step in sips_schedule(rule.body, entry_bound):
                 call_adornment = adornment_of(step.literal.atom, step.bound_before)
                 call = AdornedCall(step.literal.predicate, call_adornment, step)
                 calls.append(call)

@@ -52,7 +52,6 @@ from ..lang.terms import Term
 from ..lp.columnar import ColumnarGrounder, make_grounder
 from ..lp.grounding import GroundProgram
 from .adornment import AdornedProgram, Adornment, adorn
-from .sips import SIPSStrategy, sips_strategy
 
 __all__ = [
     "MAGIC_PREFIX",
@@ -95,7 +94,6 @@ class MagicPlan:
 
     query: tuple[Literal, ...]
     adorned: AdornedProgram
-    sips: str
     supported: bool
     reason: Optional[str] = None
     program: Optional[NormalProgram] = None
@@ -146,20 +144,6 @@ class MagicPlan:
             f"{self.magic_rule_count} magic rules, {self.gated_rule_count} gated rules, "
             f"{status})"
         )
-
-
-def _weak_acyclicity_violation(rules: Sequence[NormalRule]) -> Optional[str]:
-    """A reason the fragment is not weakly acyclic, or ``None`` if it is.
-
-    Compatibility shim: the position-graph test used to live here and now has
-    a single source of truth in :func:`repro.analysis.termination.
-    weak_acyclicity_violation`; this name is kept so existing imports keep
-    working.  Imported lazily because :mod:`repro.analysis.lint` imports this
-    module for :data:`MAGIC_PREFIX`.
-    """
-    from ..analysis.termination import weak_acyclicity_violation
-
-    return weak_acyclicity_violation(rules)
 
 
 def _unsupported_reason(
@@ -231,10 +215,7 @@ def _fold_adornments(
 
 
 def rewrite_for_query(
-    rules: Iterable[NormalRule],
-    query: Sequence[Literal],
-    *,
-    sips: "str | SIPSStrategy" = "left-to-right",
+    rules: Iterable[NormalRule], query: Sequence[Literal]
 ) -> MagicPlan:
     """Rewrite *rules* for goal-directed grounding of *query*.
 
@@ -248,15 +229,9 @@ def rewrite_for_query(
     mapped through the fold — multi-pattern queries that reach both ``p^bf``
     and ``p^bb`` get one set of ``p`` rules instead of two.
     """
-    strategy = sips_strategy(sips)
     rules = list(rules)
-    adorned = adorn(rules, query, sips=strategy)
-    plan = MagicPlan(
-        query=tuple(query),
-        adorned=adorned,
-        sips=strategy.name,
-        supported=True,
-    )
+    adorned = adorn(rules, query)
+    plan = MagicPlan(query=tuple(query), adorned=adorned, supported=True)
 
     reason, criterion = _unsupported_reason(rules, adorned.relevant_predicates())
     if reason is not None:

@@ -29,11 +29,12 @@ import json
 import sys
 from typing import Optional, Sequence
 
+from ..cli import _format_query_stats
 from ..core.engine import WellFoundedEngine
 from ..exceptions import ReproError
 from ..lp.columnar import BACKENDS
 from .registry import build_scenario, get_scenario, scenario_names
-from .replay import build_target, record_trace, replay_trace
+from .replay import answer_text, build_target, record_trace, replay_scenario
 from .trace import format_trace, parse_trace
 
 __all__ = ["build_scenarios_parser", "scenarios_main"]
@@ -190,23 +191,9 @@ def _cmd_run(args) -> int:
         backend=args.backend,
     )
     for text in bundle.queries:
-        from ..lang.parser import parse_query
-
-        query = parse_query(text)
-        if query.variables() and not query.negative:
-            answers = engine.answer(text)
-            rendered = sorted(
-                "(" + ", ".join(str(term) for term in tup) + ")" for tup in answers
-            )
-            print(f"{text} : {' '.join(rendered) if rendered else 'no answers'}")
-        else:
-            print(f"{text} : {'yes' if engine.holds(text) else 'no'}")
+        print(f"{text} : {answer_text(engine, text)}")
         if args.verbose and engine.last_query_stats is not None:
-            stats = " ".join(
-                f"{k}={v:.4f}" if isinstance(v, float) else f"{k}={v}"
-                for k, v in engine.last_query_stats.items()
-            )
-            print(f"#   {stats}")
+            print(f"#   {_format_query_stats(engine.last_query_stats)}")
     return 0
 
 
@@ -234,18 +221,22 @@ def _cmd_record(args) -> int:
 
 
 def _cmd_replay(args) -> int:
-    bundle = build_scenario(args.name, **_overrides(args))
+    overrides = _overrides(args)
+    events = None
     if args.trace:
         try:
             with open(args.trace, "r", encoding="utf-8") as handle:
                 events = parse_trace(handle.read())
         except OSError as error:
             raise SystemExit(f"error: cannot read {args.trace}: {error}")
-    else:
-        events = list(bundle.trace)
-    target = build_target(bundle, engine=args.engine, backend=args.backend)
-    report = replay_trace(
-        events, target, check=args.check, honor_think=args.think
+    bundle, report = replay_scenario(
+        args.name,
+        engine=args.engine,
+        backend=args.backend,
+        check=args.check,
+        trace=events,
+        honor_think=args.think,
+        **overrides,
     )
     if args.verbose:
         for record in report.records:

@@ -38,6 +38,7 @@ from typing import Optional, Sequence, Union
 from ..core.engine import WellFoundedEngine
 from ..exceptions import GroundingError, ReproError
 from ..lang.parser import parse_query
+from ..lang.queries import as_conjunctive_query
 from ..views import MaterializedEngine
 from .registry import ScenarioBundle, build_scenario
 from .trace import TraceEvent, expect_event
@@ -52,6 +53,7 @@ __all__ = [
     "replay_trace",
     "record_trace",
     "replay_scenario",
+    "answer_text",
     "percentile",
 ]
 
@@ -197,6 +199,21 @@ def _render_answers(answers) -> str:
     return " ".join(rendered) if rendered else "no answers"
 
 
+def answer_text(engine, query_text: str) -> str:
+    """The rendered answer of one query on *engine*, in the CLI's conventions.
+
+    An open query without negation renders its answer set (sorted tuples,
+    ``no answers`` when empty); a Boolean query, or one with negation,
+    renders ``yes`` or ``no``.  *engine* is a
+    :class:`~repro.core.engine.WellFoundedEngine` or a
+    :class:`~repro.views.MaterializedEngine`.
+    """
+    query = parse_query(query_text)
+    if query.variables() and not query.negative:
+        return _render_answers(engine.answer(as_conjunctive_query(query)))
+    return "yes" if engine.holds(query) else "no"
+
+
 def _model_fingerprint(model) -> tuple:
     return (model.true_atoms(), model.false_atoms(), model.undefined_atoms())
 
@@ -211,18 +228,12 @@ class MaterializedTarget:
         bundle_or_engine: Union[ScenarioBundle, MaterializedEngine],
         *,
         backend: str = "columnar",
-        max_rounds_per_update: Optional[int] = None,
-        max_atoms: Optional[int] = None,
     ):
         if isinstance(bundle_or_engine, MaterializedEngine):
             self.engine = bundle_or_engine
         else:
             self.engine = MaterializedEngine(
-                bundle_or_engine.program,
-                bundle_or_engine.database,
-                backend=backend,
-                max_rounds_per_update=max_rounds_per_update,
-                max_atoms=max_atoms,
+                bundle_or_engine.program, bundle_or_engine.database, backend=backend
             )
 
     def insert(self, atom) -> None:
@@ -233,10 +244,7 @@ class MaterializedTarget:
 
     def answer_text(self, query_text: str) -> str:
         """The rendered answer of one trace query (CLI conventions)."""
-        query = parse_query(query_text)
-        if query.variables() and not query.negative:
-            return _render_answers(self.engine.answer(query))
-        return "yes" if self.engine.holds(query) else "no"
+        return answer_text(self.engine, query_text)
 
     def query_stats(self) -> Optional[dict]:
         return self.engine.last_query_stats
@@ -280,11 +288,7 @@ class RebuildTarget:
 
     def answer_text(self, query_text: str) -> str:
         engine = self._current_engine()
-        query = parse_query(query_text)
-        if query.variables() and not query.negative:
-            text = _render_answers(engine.answer(query_text))
-        else:
-            text = "yes" if engine.holds(query) else "no"
+        text = answer_text(engine, query_text)
         self.last_query_stats = engine.last_query_stats
         return text
 
@@ -298,31 +302,16 @@ class RebuildTarget:
 
 
 def build_target(
-    bundle: ScenarioBundle,
-    *,
-    engine: str = "materialized",
-    backend: str = "columnar",
-    max_rounds_per_update: Optional[int] = None,
-    max_atoms: Optional[int] = None,
+    bundle: ScenarioBundle, *, engine: str = "materialized", backend: str = "columnar"
 ):
     """A replay target by name: ``"materialized"`` (warm) or ``"rebuild"`` (cold).
 
-    The update budgets apply to the maintained engine only; passing them with
-    ``engine="rebuild"`` is a :class:`ValueError` rather than a silent no-op.
+    Update budgets are set on the maintained engine itself
+    (``target.engine.max_rounds_per_update``); the rebuild engine has none.
     """
     if engine == "materialized":
-        return MaterializedTarget(
-            bundle,
-            backend=backend,
-            max_rounds_per_update=max_rounds_per_update,
-            max_atoms=max_atoms,
-        )
+        return MaterializedTarget(bundle, backend=backend)
     if engine == "rebuild":
-        if max_rounds_per_update is not None or max_atoms is not None:
-            raise ValueError(
-                "max_rounds_per_update and max_atoms apply to the materialized "
-                "engine only; the rebuild engine has no update budgets"
-            )
         return RebuildTarget(bundle, backend=backend)
     raise ValueError(f"unknown replay engine {engine!r} (materialized|rebuild)")
 

@@ -139,8 +139,8 @@ def parse_trace_line(line: str, lineno: int = 0) -> Optional[TraceEvent]:
     Raises :class:`~repro.exceptions.ParseError` on malformed lines, with the
     line number in the message.
     """
-    # Strip comments exactly like the CLI's --updates reader, except inside
-    # !expect payloads, where the rendered answer is the rest of the line.
+    # Strip '%'/'#' comments, except inside !expect payloads, where the
+    # rendered answer is the rest of the line.
     stripped = line.strip()
     if not stripped.startswith("!expect"):
         stripped = line.split("%", 1)[0].split("#", 1)[0].strip()
@@ -160,14 +160,10 @@ def parse_trace_line(line: str, lineno: int = 0) -> Optional[TraceEvent]:
         if stripped.startswith("!expect"):
             payload = stripped[len("!expect"):].strip()
             if "=>" not in payload:
-                raise ParseError(
-                    f"line {lineno}: !expect needs '? query => rendered-answer'"
-                )
+                raise ParseError("!expect needs '? query => rendered-answer'")
             query_text, expected = payload.split("=>", 1)
             return expect_event(query_text.strip(), expected.strip(), lineno)
-    except ParseError:
-        raise
-    except ValueError as error:
+    except (ParseError, ValueError) as error:
         raise ParseError(f"line {lineno}: {error}") from error
     raise ParseError(
         f"line {lineno}: expected '+fact.', '-fact.', '? query', '@think s', "

@@ -780,7 +780,3 @@ class MaterializedEngine:
                 if all(isinstance(term, Constant) for term in tup)
             }
         return answers
-
-    def facts_with_predicate(self, predicate: str) -> Iterator[Atom]:
-        """The current EDB facts with the given predicate name."""
-        return (atom for atom in self._edb if atom.predicate == predicate)

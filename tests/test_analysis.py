@@ -42,7 +42,7 @@ from repro.lang.parser import parse_atom, parse_normal_program, parse_program, p
 from repro.lang.rules import NormalRule
 from repro.lang.skolem import skolemize_program
 from repro.lang.terms import Constant, Variable
-from repro.rewrite.magic import rewrite_for_query, _weak_acyclicity_violation
+from repro.rewrite.magic import rewrite_for_query
 from repro.scenarios import build_scenario, scenario_names
 from repro.views import MaterializedEngine
 
@@ -415,7 +415,6 @@ class TestMagicWidening:
     def test_pinned_program_is_ja_not_wa(self):
         rules = skolemized(self.JA_NOT_WA)
         assert weak_acyclicity_violation(rules) is not None
-        assert _weak_acyclicity_violation(rules) is not None  # the magic shim
         assert is_jointly_acyclic(rules)
 
     def test_magic_accepts_the_ja_program(self):

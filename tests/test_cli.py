@@ -143,19 +143,14 @@ class TestMain:
         assert "mode=finite" in out
         assert "mode=magic" not in out
 
-    def test_bound_first_sips_option(self, program_file, capsys):
-        code = main([program_file, "--rewrite", "--sips", "bound-first", "--verbose",
-                     "--query", "? article(pods13)"])
-        out = capsys.readouterr().out
-        assert code == 0
-        assert "sips=bound-first" in out
-
     @pytest.mark.parametrize(
-        "removed", [["--backend", "sqlite"], ["--workers", "2"]], ids=["sqlite", "workers"]
+        "removed",
+        [["--backend", "sqlite"], ["--workers", "2"], ["--sips", "bound-first"]],
+        ids=["sqlite", "workers", "sips"],
     )
     @pytest.mark.parametrize("verb", ["query", "scenarios replay"])
     def test_removed_options_are_usage_errors(self, program_file, capsys, verb, removed):
-        """Neither CLI accepts a sqlite backend or a worker count."""
+        """Neither CLI accepts a sqlite backend, a worker count or a SIPS choice."""
         if verb == "query":
             argv = [program_file, "--query", "? article(pods13)"]
         else:

@@ -13,16 +13,14 @@ from repro.lp.grounding import SemiNaiveGrounder, relevant_grounding
 from repro.lp.wfs import well_founded_model
 from repro.rewrite import (
     Adornment,
-    BoundFirstSIPS,
-    LeftToRightSIPS,
     adorn,
     adornment_of,
     ground_magic,
     is_magic_predicate,
     magic_predicate_name,
     rewrite_for_query,
-    sips_strategy,
 )
+from repro.rewrite.adornment import sips_schedule
 from repro.core.engine import WellFoundedEngine
 from repro.bench.generators import (
     chain_reachability_workload,
@@ -98,26 +96,15 @@ class TestAdornment:
 class TestSIPS:
     def test_left_to_right_keeps_body_order(self):
         body = (pos(Atom("p", (X,))), pos(Atom("q", (X, Y))), neg(Atom("r", (Y,))))
-        steps = LeftToRightSIPS().schedule(body, frozenset())
+        steps = sips_schedule(body, frozenset())
         assert [s.literal.predicate for s in steps] == ["p", "q", "r"]
         # the negated literal sees every positive atom as its prefix
         assert [atom.predicate for atom in steps[-1].prefix] == ["p", "q"]
 
-    def test_bound_first_prefers_literals_with_bound_arguments(self):
-        body = (pos(Atom("p", (X,))), pos(Atom("q", (a, Y))))
-        steps = BoundFirstSIPS().schedule(body, frozenset())
-        assert [s.literal.predicate for s in steps] == ["q", "p"]
-
     def test_negatives_always_scheduled_last(self):
         body = (neg(Atom("r", (X,))), pos(Atom("p", (X,))))
-        for strategy in (LeftToRightSIPS(), BoundFirstSIPS()):
-            steps = strategy.schedule(body, frozenset())
-            assert [s.literal.positive for s in steps] == [True, False]
-
-    def test_strategy_lookup(self):
-        assert isinstance(sips_strategy("bound-first"), BoundFirstSIPS)
-        with pytest.raises(ValueError):
-            sips_strategy("no-such-sips")
+        steps = sips_schedule(body, frozenset())
+        assert [s.literal.positive for s in steps] == [True, False]
 
 
 class TestMagicRewriting:
@@ -217,17 +204,6 @@ class TestMagicRewriting:
         assert not plan.supported
         assert "magic namespace" in plan.reason
 
-    def test_bound_first_sips_gives_identical_answers(self):
-        rules = reach_rules()
-        facts = chain_facts(chains=2, length=4)
-        atom = Atom("unreachable", (Constant("c1_3"),))
-        results = []
-        for sips in ("left-to-right", "bound-first"):
-            plan = rewrite_for_query(rules, [pos(atom)], sips=sips)
-            model = well_founded_model(ground_magic(plan, facts).ground)
-            results.append((model.is_true(atom), model.is_false(atom)))
-        assert results[0] == results[1]
-
 
 class TestSemiNaiveGrounder:
     def test_budget_exhaustion_is_reported_not_raised(self):
@@ -291,11 +267,6 @@ class TestEngineRewritePath:
             # the mode must truthfully reflect whether rules were dropped
             pruned = stats["rules_relevant"] < stats["rules_total"]
             assert stats["mode"] == ("pruned-chase" if pruned else "full-chase")
-
-    def test_unknown_sips_is_rejected_at_construction(self):
-        program, database = chain_reachability_workload(1, 2)
-        with pytest.raises(ValueError, match="unknown SIPS strategy 'nope'"):
-            WellFoundedEngine(program, database, sips="nope")
 
     def test_rewrite_default_from_constructor(self):
         program, database = chain_reachability_workload(2, 3)
