@@ -6,8 +6,8 @@ database as they are at the call, answers one query and drops the engine.
 Nothing is cached between calls, so a mutated database is never answered
 from a stale engine.  A caller with several questions against one (D, Σ)
 should build a :class:`WellFoundedEngine` and ask it each one: the engine
-keeps its model (finite grounding or chase segment), rule index and rewrite
-plans between queries.
+keeps its model (finite grounding or chase segment) and rule index between
+queries.
 """
 
 from __future__ import annotations
@@ -56,7 +56,7 @@ def holds_under_wfs(
 def answer_query(
     program: Union[DatalogPMProgram, str],
     database: Union[Database, Iterable[Atom], str, None],
-    query: Union[ConjunctiveQuery, str],
+    query: Union[NormalBCQ, ConjunctiveQuery, str],
     *,
     constants_only: bool = True,
     rewrite: Optional[bool] = None,

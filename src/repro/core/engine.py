@@ -47,8 +47,6 @@ from __future__ import annotations
 
 import time
 import weakref
-from collections import OrderedDict
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Iterable, Optional, TypeVar, Union
 
@@ -207,20 +205,7 @@ class DatalogWellFoundedModel:
         )
 
 
-@dataclass
-class _RewriteOutcome:
-    """Cached result of rewriting one query: the model to evaluate it on."""
-
-    model: ThreeValuedLike
-    stats: dict
-
-
 _T = TypeVar("_T")
-
-#: Per-engine LRU bounds: each rewrite outcome pins a restricted WFS model and
-#: each pruned sub-engine a whole chase segment, so both caches stay small.
-_REWRITE_CACHE_SIZE = 128
-_PRUNED_ENGINE_CACHE_SIZE = 8
 
 
 class WellFoundedEngine:
@@ -239,9 +224,14 @@ class WellFoundedEngine:
     a finite-plan model also runs the first time its
     :meth:`~DatalogWellFoundedModel.forest` is requested.
 
-    An engine is not thread-safe: its chase, model and rewrite caches are
-    built on first use.  Give each thread its own engine, or serialise the
-    calls under a lock of your own.
+    A ``rewrite=True`` query is planned afresh on every call and answered
+    from the WFS of its magic-restricted grounding.  Outside the magic
+    fragment, or when that grounding does not saturate within ``max_nodes``
+    atoms, it is answered from :meth:`model`, as with ``rewrite=False``.
+
+    An engine is not thread-safe: its chase and model are built on first
+    use.  Give each thread its own engine, or serialise the calls under a
+    lock of your own.
 
     Parameters
     ----------
@@ -269,8 +259,8 @@ class WellFoundedEngine:
     rewrite:
         Default for the ``rewrite=`` option of :meth:`holds` / :meth:`answer`:
         answer queries goal-directedly via the magic-sets rewriting of
-        :mod:`repro.rewrite`, falling back to relevance-pruned unrewritten
-        evaluation outside the supported fragment.
+        :mod:`repro.rewrite`, falling back to :meth:`model` where the
+        rewriting does not apply (see above).
     segment_cache:
         Accepts only ``False``; anything else raises ``TypeError``.  The
         chase-segment cache it switched on was removed.  The keyword stays
@@ -306,8 +296,7 @@ class WellFoundedEngine:
         :class:`~repro.lp.grounding.SemiNaiveGrounder`, retained verbatim as
         the differential oracle; its nested-loop joins rescan whole predicate
         buckets and erase most of the rewriting's wall-clock win on join-heavy
-        workloads — see ``docs/performance.md``).  Propagated to the
-        relevance-pruned fallback sub-engines and reported in
+        workloads — see ``docs/performance.md``).  Reported in
         :attr:`last_query_stats`; ground programs, models and answers are
         identical across backends.  While the database is unchanged, the
         columnar magic path grounds from the
@@ -394,18 +383,9 @@ class WellFoundedEngine:
         # :meth:`analysis` — its verdicts surface in every query's stats and
         # justify the planner decisions (magic eligibility, run-and-check).
         self._analysis_report = None
-        # Per-query rewriting results and relevance-pruned sub-engines, both
-        # keyed so repeated queries (the common workload) pay nothing twice;
-        # bounded LRUs because entries pin models / whole sub-engines.
-        self._rewrite_cache: "OrderedDict[tuple[Literal, ...], _RewriteOutcome]" = (
-            OrderedDict()
-        )
-        self._pruned_engines: "OrderedDict[frozenset, WellFoundedEngine]" = (
-            OrderedDict()
-        )
 
-        # The facts as they were at construction time: the chase, the magic
-        # path, the pruned fallback and the analysis all read this snapshot
+        # The facts as they were at construction time: the chase, the finite
+        # plan, the magic path and the analysis all read this snapshot
         # (the magic path and the analysis read the database itself while it
         # is unchanged, see _read_facts()),
         # so one engine answers from one database whatever happens to it
@@ -560,7 +540,7 @@ class WellFoundedEngine:
 
     def answer(
         self,
-        query: Union[ConjunctiveQuery, str],
+        query: Union[NormalBCQ, ConjunctiveQuery, str],
         *,
         constants_only: bool = True,
         rewrite: Optional[bool] = None,
@@ -570,15 +550,13 @@ class WellFoundedEngine:
         Following the paper's definition of CQ answers, answer tuples range
         over constants; set ``constants_only=False`` to also see tuples
         containing labelled nulls (Skolem terms).  ``rewrite`` behaves as in
-        :meth:`holds`.
+        :meth:`holds`.  An NBCQ (or text) without negation is read as a
+        conjunctive query over all its variables; one with negation raises
+        :class:`~repro.exceptions.IllFormedRuleError`.
         """
         if isinstance(query, str):
-            nbcq = parse_query(query)
-            if nbcq.negative:
-                raise ValueError(
-                    "answer() takes a conjunctive query without negation; use holds() for NBCQs"
-                )
-            query = as_conjunctive_query(nbcq)
+            query = parse_query(query)
+        query = as_conjunctive_query(query)
         model = self._query_model(query_literals(query), rewrite)
         answers = evaluate_query(query, model)
         if constants_only:
@@ -607,156 +585,81 @@ class WellFoundedEngine:
     ) -> ThreeValuedLike:
         """The three-valued model a query should be evaluated against.
 
-        With rewriting disabled this is the engine's full model; with
-        rewriting enabled it is the WFS of the magic-restricted grounding
-        (exact on every query-relevant atom) or, when the program/query pair
-        falls outside the supported fragment, the model of a sub-engine
-        pruned to the query-relevant predicates.  Either way the statistics
-        of the decision are recorded in :attr:`last_query_stats`.
+        With rewriting enabled this is the WFS of the magic-restricted
+        grounding, exact on every query-relevant atom.  Otherwise, and when
+        the rewriting does not apply, it is the engine's own :meth:`model`;
+        a rewritten query that fell back says why in ``rewrite_fallback``.
+        Either way the statistics of the decision are recorded in
+        :attr:`last_query_stats`.
         """
-        use_rewrite = self.rewrite if rewrite is None else rewrite
-        if not use_rewrite:
-            started = time.perf_counter()
-            cache_hit = self._model is not None
-            model = self.model()
-            if self._finite_ground is not None:
-                stats = {
-                    "mode": "finite",
-                    "termination_criterion": self.analysis().verdicts[
-                        "termination_criterion"
-                    ],
-                    "ground_rules": len(self._finite_ground),
-                }
-            else:
-                stats = {
-                    "mode": "classic",
-                    "ground_rules": len(self._ground),
-                    "chase_nodes": len(self._chase.forest),
-                    "depth": model.depth,
-                    "converged": model.converged,
-                    # always 0 since the segment cache was removed; kept
-                    # because traced end-to-end runs still read it
-                    "nodes_spliced": 0,
-                    "incremental": self.incremental,
-                }
-                if self._fallback_reason is not None:
-                    stats["fallback_reason"] = self._fallback_reason
-            self.last_query_stats = {
-                **stats,
-                "backend": self.backend,
-                "cache_hit": cache_hit,
-                "rounds": model.iterations or 0,
-                "seconds": time.perf_counter() - started,
-                "analysis": self._analysis_summary(),
-            }
-            return model
-
-        outcome = self._rewrite_cache.get(literals)
-        if outcome is None:
-            outcome = self._compute_rewritten(literals)
-            self._rewrite_cache[literals] = outcome
-            while len(self._rewrite_cache) > _REWRITE_CACHE_SIZE:
-                self._rewrite_cache.popitem(last=False)
-        else:
-            self._rewrite_cache.move_to_end(literals)
-            # flipped in place: callers (and tests) hold the cached stats
-            # dict by identity, so a hit must not re-create it
-            outcome.stats["cache_hit"] = True
-        self.last_query_stats = outcome.stats
-        return outcome.model
-
-    def _compute_rewritten(self, literals: tuple[Literal, ...]) -> _RewriteOutcome:
-        """Run the magic-sets pipeline for one query, falling back if needed."""
         started = time.perf_counter()
-        plan = rewrite_for_query(self.skolemized.rules(), literals)
-        fallback_reason = plan.reason
-        if plan.supported:
-            grounding = self._read_facts(
-                lambda facts: ground_magic(
-                    plan, facts, max_atoms=self.max_nodes, backend=self.backend
+        use_rewrite = self.rewrite if rewrite is None else rewrite
+        rewrite_fallback = None
+        if use_rewrite:
+            plan = rewrite_for_query(self.skolemized.rules(), literals)
+            rewrite_fallback = plan.reason
+            if plan.supported:
+                grounding = self._read_facts(
+                    lambda facts: ground_magic(
+                        plan, facts, max_atoms=self.max_nodes, backend=self.backend
+                    )
                 )
-            )
-            if grounding.saturated:
-                model = well_founded_model(grounding.ground)
-                stats = {
-                    "mode": "magic",
-                    "backend": self.backend,
-                    "cache_hit": False,
-                    "termination_criterion": plan.termination_criterion,
-                    "analysis": self._analysis_summary(),
-                    "relevant_predicates": len(plan.relevant_predicates()),
-                    "adorned_predicates": len(plan.adorned.reachable),
-                    "folded_adornments": plan.folded_adornments,
-                    "magic_rules": plan.magic_rule_count,
-                    "seconds": time.perf_counter() - started,
-                    **grounding.stats(),
-                }
-                return _RewriteOutcome(model, stats)
-            fallback_reason = (
-                f"magic grounding exceeded the atom budget of {self.max_nodes} "
-                "without saturating"
-            )
-        engine, relevant_rules = self._pruned_engine(plan.relevant_predicates())
-        model = engine.model()
-        stats = {
-            "mode": "pruned-chase" if relevant_rules < len(self.program) else "full-chase",
-            "backend": self.backend,
-            "cache_hit": False,
-            "rounds": model.iterations or 0,
-            "fallback_reason": fallback_reason,
-            # the fallback *is* run-and-check: budgeted iterative deepening
-            # with dynamic convergence detection instead of a static cert
-            "run_and_check": True,
-            "analysis": self._analysis_summary(),
-            "relevant_predicates": len(plan.relevant_predicates()),
-            "rules_total": len(self.program),
-            "rules_relevant": relevant_rules,
-            "ground_rules": len(engine.ground_program()),
-            "seconds": time.perf_counter() - started,
-        }
-        return _RewriteOutcome(model, stats)
+                if grounding.saturated:
+                    model = well_founded_model(grounding.ground)
+                    self.last_query_stats = {
+                        "mode": "magic",
+                        "backend": self.backend,
+                        "cache_hit": False,
+                        "termination_criterion": plan.termination_criterion,
+                        "analysis": self._analysis_summary(),
+                        "relevant_predicates": len(plan.relevant_predicates()),
+                        "adorned_predicates": len(plan.adorned.reachable),
+                        "folded_adornments": plan.folded_adornments,
+                        "magic_rules": plan.magic_rule_count,
+                        "seconds": time.perf_counter() - started,
+                        **grounding.stats(),
+                    }
+                    return model
+                rewrite_fallback = (
+                    f"magic grounding exceeded the atom budget of {self.max_nodes} "
+                    "without saturating"
+                )
 
-    def _pruned_engine(self, relevant: frozenset) -> tuple["WellFoundedEngine", int]:
-        """The engine for unrewritten evaluation restricted to the query-relevant NTGDs.
-
-        Rules whose head predicate the adorned query cannot reach never
-        influence a query-relevant atom (the dependency closure is head →
-        body, so the relevant rule set is downward closed); dropping them
-        prunes the chase's existential expansions while leaving the
-        well-founded values of all relevant atoms untouched.  Returns the
-        engine (this one when nothing is pruned) plus the relevant-rule count
-        so the caller can report honestly whether any pruning actually
-        happened.  The sub-engine picks its own plan in its :meth:`model`.
-        """
-        pruned_rules = [n for n in self.program if n.head.predicate in relevant]
-        if len(pruned_rules) == len(self.program):
-            return self, len(pruned_rules)
-        key = frozenset(relevant)
-        sub_engine = self._pruned_engines.get(key)
-        if sub_engine is None:
-            sub_engine = WellFoundedEngine(
-                DatalogPMProgram(pruned_rules), self._facts, **self._evaluation_options()
-            )
-            self._pruned_engines[key] = sub_engine
-            while len(self._pruned_engines) > _PRUNED_ENGINE_CACHE_SIZE:
-                self._pruned_engines.popitem(last=False)
+        cache_hit = self._model is not None
+        model = self.model()
+        if self._finite_ground is not None:
+            stats = {
+                "mode": "finite",
+                "termination_criterion": self.analysis().verdicts[
+                    "termination_criterion"
+                ],
+                "ground_rules": len(self._finite_ground),
+            }
         else:
-            self._pruned_engines.move_to_end(key)
-        return sub_engine, len(pruned_rules)
-
-    def _evaluation_options(self) -> dict:
-        """The options that shape evaluation (not query answering), by keyword."""
-        return dict(
-            initial_depth=self.initial_depth,
-            depth_step=self.depth_step,
-            max_depth=self.max_depth,
-            max_nodes=self.max_nodes,
-            strict=self.strict,
-            saturation=self.saturation,
-            agenda_order=self.agenda_order,
-            incremental=self.incremental,
-            backend=self.backend,
-        )
+            stats = {
+                "mode": "classic",
+                "ground_rules": len(self._ground),
+                "chase_nodes": len(self._chase.forest),
+                "depth": model.depth,
+                "converged": model.converged,
+                # always 0 since the segment cache was removed; kept
+                # because traced end-to-end runs still read it
+                "nodes_spliced": 0,
+                "incremental": self.incremental,
+            }
+            if self._fallback_reason is not None:
+                stats["fallback_reason"] = self._fallback_reason
+        if rewrite_fallback is not None:
+            stats["rewrite_fallback"] = rewrite_fallback
+        self.last_query_stats = {
+            **stats,
+            "backend": self.backend,
+            "cache_hit": cache_hit,
+            "rounds": model.iterations or 0,
+            "seconds": time.perf_counter() - started,
+            "analysis": self._analysis_summary(),
+        }
+        return model
 
     def chase_forest(self) -> ChaseForest:
         """The materialised chase segment used by the current model."""
@@ -797,7 +700,19 @@ class WellFoundedEngine:
         # as they are dropped; a model that outlived its engine rebuilds an
         # equal engine for the forest.
         owner = weakref.ref(self)
-        program, facts, options = self.program, self._facts, self._evaluation_options()
+        program, facts = self.program, self._facts
+        # the options that shape evaluation (not query answering)
+        options = dict(
+            initial_depth=self.initial_depth,
+            depth_step=self.depth_step,
+            max_depth=self.max_depth,
+            max_nodes=self.max_nodes,
+            strict=self.strict,
+            saturation=self.saturation,
+            agenda_order=self.agenda_order,
+            incremental=self.incremental,
+            backend=self.backend,
+        )
 
         def chase_forest() -> ChaseForest:
             engine = owner()

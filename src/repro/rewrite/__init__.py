@@ -10,7 +10,7 @@ Pipeline (see each module for the details):
 
 * :mod:`repro.rewrite.adornment` — the bound/free adornment pass computing
   the ``(predicate, adornment)`` pairs reachable from a query, plus the
-  query-relevant predicate set the chase layer uses for pruning.  Bindings
+  query-relevant predicate set.  Bindings
   pass sideways through rule bodies left to right
   (:func:`~repro.rewrite.adornment.sips_schedule`), with negated literals
   visited last, fully bound;
@@ -20,9 +20,10 @@ Pipeline (see each module for the details):
   magic atoms never interact with three-valued evaluation.
 
 :class:`repro.core.engine.WellFoundedEngine` wires this into ``holds()`` /
-``answer()`` behind the ``rewrite=`` option, with a conservative fallback to
-relevance-pruned unrewritten evaluation for program/query pairs outside the
-supported fragment (query-relevant existential recursion).
+``answer()`` behind the ``rewrite=`` option.  Program/query pairs outside the
+supported fragment (query-relevant existential recursion), and restricted
+groundings that outgrow the engine's node budget, are answered from the
+engine's own model.
 """
 
 from .adornment import AdornedProgram, Adornment, SIPSStep, adorn, adornment_of

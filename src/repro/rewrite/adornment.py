@@ -13,8 +13,8 @@ The pass produces an :class:`AdornedProgram` holding
 * per ``(rule, adornment)`` the SIPS schedule used to visit the body (the raw
   material for the magic transformation in :mod:`repro.rewrite.magic`),
 * the *relevant predicate set* — every predicate reachable from the query in
-  the rule dependency graph.  The chase layer uses this set to prune
-  existential expansions that cannot influence the query.
+  the rule dependency graph.  The magic layer checks its supported fragment
+  on this set and grounds only the facts of its predicates.
 
 Predicates are **not renamed**: the engine evaluates the original program
 restricted by magic guards (see :mod:`repro.rewrite.magic`), so adornments

@@ -36,8 +36,7 @@ The *sound fragment* enforced by :func:`rewrite_for_query` is about
 **termination**, not truth values: the restricted grounding must saturate.
 Query-relevant recursion through rules that create function terms (Skolemised
 existentials) can make the fixpoint infinite, so such program/query pairs are
-flagged ``supported=False`` and the engine falls back to the unrewritten
-(chase-segment) evaluation, pruned to the query-relevant predicates.
+flagged ``supported=False`` and the engine answers them from its own model.
 """
 
 from __future__ import annotations
@@ -219,9 +218,9 @@ def rewrite_for_query(
 ) -> MagicPlan:
     """Rewrite *rules* for goal-directed grounding of *query*.
 
-    Returns a :class:`MagicPlan`; when ``plan.supported`` is ``False`` the
-    plan still carries the adornment/relevance information so callers can fall
-    back to a relevance-pruned unrewritten evaluation.
+    Returns a :class:`MagicPlan`; when ``plan.supported`` is ``False``,
+    ``plan.reason`` says why and callers answer the query without the
+    rewriting.
 
     Reachable adornments are first folded by subsumption
     (:func:`_fold_adornments`): magic seeds, magic rules and gated rules are

@@ -38,7 +38,6 @@ from typing import Optional, Sequence, Union
 from ..core.engine import WellFoundedEngine
 from ..exceptions import GroundingError, ReproError
 from ..lang.parser import parse_query
-from ..lang.queries import as_conjunctive_query
 from ..views import MaterializedEngine
 from .registry import ScenarioBundle, build_scenario
 from .trace import TraceEvent, expect_event
@@ -210,7 +209,7 @@ def answer_text(engine, query_text: str) -> str:
     """
     query = parse_query(query_text)
     if query.variables() and not query.negative:
-        return _render_answers(engine.answer(as_conjunctive_query(query)))
+        return _render_answers(engine.answer(query))
     return "yes" if engine.holds(query) else "no"
 
 

@@ -83,6 +83,8 @@ class TraceEvent:
     def __post_init__(self) -> None:
         if self.kind not in KINDS:
             raise ValueError(f"unknown trace event kind {self.kind!r}")
+        if self.is_update and not self.atom.is_ground():
+            raise ValueError(f"an update needs a ground fact, got {self.atom}")
 
     @property
     def is_update(self) -> bool:

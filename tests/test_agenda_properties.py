@@ -8,7 +8,7 @@ paper's worked examples, stressed here across the whole random program space.
 The chase forests are compared through the engine-level observables (labels,
 edge rules, per-atom depths and canonical levels, three-valued model,
 convergence flags) plus ``holds()``/``answer()`` results, including the
-magic-sets rewrite path and its relevance-pruned fallback sub-engines.
+magic-sets rewrite path and its fallback to the engine's own model.
 """
 
 from __future__ import annotations

@@ -7,6 +7,8 @@ import pytest
 from repro.bench.generators import paper_example_program
 from repro.cli import build_argument_parser, main
 
+from conftest import PAPER_EXAMPLE_TEXT
+
 LITERATURE = """
 conferencePaper(X) -> article(X).
 scientist(X) -> exists Y isAuthorOf(X, Y).
@@ -133,6 +135,21 @@ class TestMain:
         assert code == 0
         assert "mode=magic" in out
         assert "ground_rules=" in out
+
+    def test_verbose_rewrite_fallback_is_the_classic_path(self, tmp_path, capsys):
+        path = tmp_path / "paper.dlp"
+        path.write_text(PAPER_EXAMPLE_TEXT)
+        code = main([str(path), "--rewrite", "--verbose", "--query", "? q(1)"])
+        out = capsys.readouterr().out
+        assert code == 0
+        # existential recursion is outside the magic fragment: the query is
+        # answered from the engine's own chase-plan model
+        assert "mode=classic" in out
+        assert "rewrite_fallback=" in out
+        assert main([str(path), "--no-rewrite", "--query", "? q(1)"]) == 0
+        answer = capsys.readouterr().out
+        assert answer == "? q(1) : no\n"
+        assert out.splitlines()[0] == answer.rstrip("\n")
 
     def test_no_rewrite_is_the_classic_path(self, program_file, capsys):
         code = main([program_file, "--no-rewrite", "--verbose", "--query", "? article(pods13)"])

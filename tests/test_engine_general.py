@@ -6,8 +6,11 @@ from __future__ import annotations
 
 import pytest
 
-from repro.exceptions import ConvergenceError, NotGuardedError
-from repro.lang.parser import parse_atom, parse_program
+from repro.core.answering import answer_query
+from repro.exceptions import ConvergenceError, IllFormedRuleError, NotGuardedError
+from repro.lang.parser import parse_atom, parse_program, parse_query
+from repro.lang.queries import as_conjunctive_query
+from repro.lang.terms import Constant
 from repro.lang.program import Database
 from repro.lang.skolem import skolemize_program
 from repro.lp.grounding import relevant_grounding
@@ -27,6 +30,9 @@ f(X1, X2), f(X2, X3), f(X3, X4), f(X4, X5) -> marker(X1).
 b(X), not marker(X) -> lonely(X).
 b(c).
 """
+
+
+REACH = "source(X) -> reach(X). source(a). source(b)."
 
 
 class TestInputHandling:
@@ -56,9 +62,24 @@ class TestInputHandling:
             GuardedChaseEngine(skolemize_program(program), database)
 
     def test_answer_rejects_queries_with_negation(self):
-        engine = WellFoundedEngine("p(X) -> q(X).\np(a).")
-        with pytest.raises(ValueError):
-            engine.answer("? q(X), not p(X)")
+        for engine_type in (WellFoundedEngine, MaterializedEngine):
+            engine = engine_type("p(X) -> q(X).\np(a).")
+            with pytest.raises(IllFormedRuleError):
+                engine.answer("? q(X), not p(X)")
+
+    @pytest.mark.parametrize(
+        "answer",
+        [
+            lambda query: WellFoundedEngine(REACH).answer(query),
+            lambda query: MaterializedEngine(REACH).answer(query),
+            lambda query: answer_query(REACH, None, query),
+        ],
+        ids=["WellFoundedEngine", "MaterializedEngine", "answer_query"],
+    )
+    def test_answer_accepts_text_nbcq_and_conjunctive_query(self, answer):
+        nbcq = parse_query("? reach(X)")
+        for query in ("? reach(X)", nbcq, as_conjunctive_query(nbcq)):
+            assert answer(query) == {(Constant("a"),), (Constant("b"),)}, query
 
     def test_segment_cache_keyword_accepts_only_false(self):
         text = "next(X, Y) -> exists Z next(Y, Z).\nnext(a, b)."

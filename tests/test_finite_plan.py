@@ -218,22 +218,22 @@ def test_a_finite_model_outlives_its_engine():
     assert forest_signature(model.forest()) == forest_signature(reference.chase_forest())
 
 
-def test_rewrite_fallback_sub_engines_take_their_own_plan():
-    """A relevance-pruned sub-engine picks its plan in its own model(): here
-    the magic grounding outgrows a 9-atom budget (its magic atoms count),
-    while the pruned program's finite grounding fits."""
+def test_rewrite_fallback_at_the_budget_edge():
+    """The finite grounding has 10 atoms.  At a 9-atom budget the magic
+    grounding (its magic atoms count) does not saturate, so the rewritten
+    query is answered from the engine's own model and exhausts the budget
+    exactly as an unrewritten query does; at 10 atoms it takes the magic
+    path."""
     text = """
     edge(X, Y) -> path(X, Y).
     path(X, Y), mark(Y) -> hot(X, Y).
     other(X) -> exists Y junk(X, Y).
     edge(a, b). edge(b, c). edge(c, d). mark(b). other(a).
     """
-    engine = WellFoundedEngine(text, rewrite=True, max_nodes=9)
+    for rewrite in (False, True):
+        engine = WellFoundedEngine(text, max_nodes=9)
+        with pytest.raises(GroundingError):
+            engine.holds("? hot(a, b)", rewrite=rewrite)
+    engine = WellFoundedEngine(text, rewrite=True, max_nodes=10)
     assert engine.holds("? hot(a, b)")
-    stats = engine.last_query_stats
-    assert stats["mode"] == "pruned-chase"
-    assert "atom budget of 9" in stats["fallback_reason"]
-    (sub_engine,) = engine._pruned_engines.values()
-    assert sub_engine.model().depth is None
-    assert stats["ground_rules"] == len(sub_engine.ground_program())
-    assert "_chase" not in sub_engine.__dict__
+    assert engine.last_query_stats["mode"] == "magic"

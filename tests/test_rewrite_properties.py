@@ -117,8 +117,8 @@ def test_fallback_on_existential_recursion_agrees(chains, query):
     engine = WellFoundedEngine(program, database)
     classic = engine.holds(query)
     rewritten = engine.holds(query, rewrite=True)
-    assert engine.last_query_stats["mode"] in ("pruned-chase", "full-chase")
-    assert engine.last_query_stats["fallback_reason"]
+    assert engine.last_query_stats["mode"] == "classic"
+    assert engine.last_query_stats["rewrite_fallback"]
     assert rewritten == classic
 
 

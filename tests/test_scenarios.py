@@ -235,7 +235,10 @@ def test_query_stats_share_one_shape_across_engines():
         assert stats["seconds"] >= 0.0
         assert isinstance(stats["rounds"], int)
         engine.holds(bundle.queries[0])
-        assert engine.last_query_stats["cache_hit"] is True
+        # a magic query is planned afresh on every call
+        assert engine.last_query_stats["cache_hit"] is (engine is not rewriting)
+    assert rewriting.last_query_stats["mode"] == "magic"
+    assert "_chase" not in rewriting.__dict__
 
 
 def test_update_stats_expose_wall_clock_and_rounds():
@@ -291,6 +294,18 @@ def test_cli_unknown_flag_exits_nonzero():
     # `run` is one-shot: it has no --length flag, so argparse rejects it
     with pytest.raises(SystemExit):
         scenarios_main(["run", "win-move", "--length", "8"])
+
+
+def test_cli_replay_rejects_a_non_ground_update_as_bad_input(tmp_path, capsys):
+    trace_file = tmp_path / "bad.trace"
+    trace_file.write_text("+ edge(c, X).\n? win(X)\n")
+    code = scenarios_main(
+        ["replay", "win-move", "--size", "4", "--trace", str(trace_file)]
+    )
+    assert code == 2
+    err = capsys.readouterr().err
+    assert "line 1" in err
+    assert "budget exhausted" not in err
 
 
 def test_cli_replay_with_check_passes(capsys):

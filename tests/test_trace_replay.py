@@ -98,10 +98,12 @@ def test_round_trip_is_exact():
         "wat",
         "@think soon",
         "+ not_an_atom((",
+        "+ edge(c, X).",  # updates take ground facts only
+        "- edge(c, X).",
     ],
 )
 def test_malformed_lines_raise_parse_errors(line):
-    with pytest.raises(ParseError):
+    with pytest.raises(ParseError, match="^line 7: "):
         parse_trace_line(line, 7)
 
 
