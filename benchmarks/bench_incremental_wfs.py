@@ -9,7 +9,8 @@ scratch at every depth step.  This PR adds the incremental fixpoint layer
 insertion (order-consistent insertions are absorbed without any Tarjan; only
 order violations re-run Tarjan on the affected suffix) and only components
 the delta touched — plus components whose external inputs changed value —
-are re-solved, seeded from the previous depth's component solutions.
+are re-solved; every other component keeps its value in the previous
+depth's model.
 
 The workload mirrors the shape iterative deepening actually produces: a
 **layered win/move game**.  Layer ``l`` holds ``width`` positions with random

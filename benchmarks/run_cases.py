@@ -8,8 +8,10 @@ Each case in :data:`CASES` calls the ``measure(sizes)`` of one
 ``bench_*.py`` module at the case's report sizes, or at its smoke sizes with
 ``--smoke`` (the ``paper`` case calls the ``measure()`` of E1–E6, which run
 at one fixed set of parameters).  The runner prints the measured rows,
-writes ``BENCH_<case>.json`` at the repository root and checks the case's
-gates:
+writes ``BENCH_<case>.json`` and checks the case's gates.  A report run
+writes the committed JSON at the repository root; a smoke run writes it
+under the git-ignored :data:`SMOKE_DIR` instead, so it never touches the
+committed files.  The gates:
 
 * every boolean the measurement records outside its result rows is a named
   check and must be true, and every ``results`` list must be non-empty;
@@ -48,6 +50,8 @@ import bench_scenarios
 import bench_view_maintenance
 
 ROOT = Path(__file__).resolve().parent.parent
+#: Where smoke runs write their JSONs (git-ignored).
+SMOKE_DIR = ROOT / "bench-smoke"
 
 #: The paper's experiments, one section each of ``BENCH_paper.json``.
 PAPER = {
@@ -216,6 +220,11 @@ def render_rows(title: str, rows: list[dict]) -> str:
     return "\n".join(lines)
 
 
+def output_path(case: Case, *, smoke: bool) -> Path:
+    """Where a run writes *case*'s JSON: the committed file only at report sizes."""
+    return SMOKE_DIR / case.path.name if smoke else case.path
+
+
 def run(case: Case, *, smoke: bool) -> bool:
     """Measure, print and write one case; return whether every gate held."""
     sizes = case.smoke if smoke else case.report
@@ -231,11 +240,13 @@ def run(case: Case, *, smoke: bool) -> bool:
             scalars.append(f"{key} = {_cell(value)}")
     if scalars:
         print("\n".join(scalars))
-    case.path.write_text(json.dumps(data, indent=2) + "\n")
+    path = output_path(case, smoke=smoke)
+    path.parent.mkdir(exist_ok=True)
+    path.write_text(json.dumps(data, indent=2) + "\n")
     verdicts = gates(case, data, smoke=smoke)
     for verdict, text in verdicts:
         print(f"  {verdict:<4}  {text}")
-    print(f"wrote {case.path.name} ({elapsed:.1f} s)")
+    print(f"wrote {path.relative_to(ROOT)} ({elapsed:.1f} s)")
     return all(verdict != "FAIL" for verdict, _ in verdicts)
 
 

@@ -282,8 +282,8 @@ class WellFoundedEngine:
         iterative-deepening schedule (default on): the dependency condensation
         of the growing ground program is maintained under rule insertion
         (:class:`~repro.lp.fixpoint.IncrementalCondensation`) and only the
-        components the depth step's delta touched are re-solved, seeded from
-        the previous depth's component solutions
+        components the depth step's delta touched are re-solved, every other
+        component keeping its value in the previous depth's model
         (:class:`~repro.lp.wfs.IncrementalWFS`).  ``incremental=False`` runs
         the from-scratch SCC-modular computation at every depth — the
         differential oracle the incremental test suites compare against.
@@ -407,8 +407,8 @@ class WellFoundedEngine:
         self._ground = GroundProgram()
         self._ground_consumed = 0
         # Incremental WFS solver threaded through the deepening schedule: it
-        # keeps the previous depth's component solutions and re-solves only
-        # the components the depth step's delta touched (None when disabled).
+        # keeps the previous depth's model and re-solves only the components
+        # the depth step's delta touched (None when disabled).
         self._wfs_state: Optional[IncrementalWFS] = None
 
     @cached_property

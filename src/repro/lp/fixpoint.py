@@ -704,11 +704,11 @@ class IncrementalCondensation:
       relative order; their ids, memberships and positions are untouched.
 
     Components that survive a suffix rerun with identical membership keep
-    their id (and their cached solutions remain addressable); merged
-    memberships get fresh ids and are reported dirty.  On the pure
-    iterative-deepening pattern — new rules whose heads are new atoms over
-    older bodies — every insertion is order-consistent and a refresh costs
-    time proportional to the delta, not to the accumulated program.
+    their id; merged memberships get fresh ids, higher than every earlier
+    one, and are reported dirty.  On the pure iterative-deepening pattern —
+    new rules whose heads are new atoms over older bodies — every insertion
+    is order-consistent and a refresh costs time proportional to the delta,
+    not to the accumulated program.
     """
 
     __slots__ = (
@@ -758,6 +758,10 @@ class IncrementalCondensation:
     def position(self, component_id: int) -> int:
         """The component's offset in :meth:`order` (dependencies first)."""
         return self._positions[component_id]
+
+    def next_id(self) -> int:
+        """The id the next new component gets; ids only ever increase."""
+        return self._next_id
 
     def components_ids(self) -> list[list[int]]:
         """The condensation as atom-id components, dependencies first.

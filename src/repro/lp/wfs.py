@@ -42,7 +42,7 @@ from __future__ import annotations
 
 import heapq
 import itertools
-from typing import Collection, Iterable, Iterator, Optional, Sequence
+from typing import AbstractSet, Collection, Iterable, Iterator, Optional, Sequence
 
 from ..lang.atoms import Atom, Literal
 from .fixpoint import IncrementalCondensation, RuleIndex
@@ -248,6 +248,38 @@ def _solve_component(
     return local_true, local_false, rounds
 
 
+def _solve_atom(
+    index: RuleIndex,
+    atom_id: int,
+    rule_ids: Sequence[int],
+    true_ids: AbstractSet[int],
+    false_ids: AbstractSet[int],
+) -> Optional[tuple[set[int], set[int], int]]:
+    """Solve a one-atom component whose rules never mention its atom.
+
+    With no member in any body, the closures of :func:`_solve_component`
+    reduce to one pass over *rule_ids*: the atom is true when some rule's
+    body holds (every positive atom true, every negative one false), false
+    when every rule's body fails (a positive atom false or a negative one
+    true), and undefined otherwise; with no rule it is false.  Returns what
+    :func:`_solve_component` returns for the component — its true ids, its
+    false ids and one alternation round — or ``None`` when a rule mentions
+    the atom (``a :- a.``, ``a :- not a.``): that component needs the
+    closures.
+    """
+    derived = possible = False
+    for rule_id in rule_ids:
+        pos, neg = index.pos_ids(rule_id), index.neg_ids(rule_id)
+        if atom_id in pos or atom_id in neg:
+            return None
+        if not derived and false_ids.isdisjoint(pos) and true_ids.isdisjoint(neg):
+            possible = True
+            derived = true_ids.issuperset(pos) and false_ids.issuperset(neg)
+    if derived:
+        return {atom_id}, set(), 1
+    return set(), (set() if possible else {atom_id}), 1
+
+
 def well_founded_model(program: GroundProgram) -> WellFoundedModel:
     """``WFS(P)`` by SCC-modular worklist evaluation.
 
@@ -306,13 +338,17 @@ class IncrementalWFS:
     * an :class:`~repro.lp.fixpoint.IncrementalCondensation` of the program's
       rule index (new rules are folded in, Tarjan reruns confined to the
       affected suffix of the component order);
-    * the per-component solutions of the previous call (the component's true
-      and false atom ids) plus each component's *external inputs* — the body
-      atom ids outside the component whose final values its solution read;
     * the current model itself, as id sets plus atom-space mirrors (true atoms
       bucketed by predicate, false atoms flat) that are updated from the
       per-component deltas and read in place by :meth:`is_true`,
-      :meth:`unfounded_atoms` and :meth:`true_atoms_with_predicate`.
+      :meth:`unfounded_atoms` and :meth:`true_atoms_with_predicate`.  A
+      component's previous values are its members' values in the id sets,
+      so no per-component solution is stored, and a component's inputs are
+      its active rules' body atoms, read off the rule index when the ripple
+      tests it;
+    * the first component id not yet solved: the condensation hands out ids
+      in increasing order and every refresh solves every component created
+      since the previous one, so ids below it name solved components.
 
     A refresh re-solves, dependencies first, exactly the components the delta
     can have touched: components reported dirty by the condensation (new
@@ -322,7 +358,9 @@ class IncrementalWFS:
     changes atoms pushes the components of the rules watching them, so an
     unchanged re-solve stops the ripple and a refresh visits only candidates
     (:attr:`last_visited`), never the whole component order.  Everything else
-    keeps its stored solution untouched.
+    keeps its values untouched.  A one-atom component that none of its
+    active rules mentions is solved by :func:`_solve_atom`, without the
+    closures of :func:`_solve_component`.
 
     :meth:`model` is the only place that copies: it refreshes and then
     snapshots the mirrors into an immutable :class:`WellFoundedModel`, cached
@@ -333,18 +371,16 @@ class IncrementalWFS:
     WFS of the component's rules with all lower components' final values
     fixed.  A component whose membership, rule set and external input values
     are all unchanged therefore has the *same* subproblem as at the previous
-    depth — its stored solution is the solution.  The incremental test suites
-    pin the resulting models bit-identical to the from-scratch path across
-    random programs, growth schedules and budget resumes.
+    depth — its current values are the solution.  The incremental test
+    suites pin the resulting models bit-identical to the from-scratch path
+    across random programs, growth schedules and budget resumes.
     """
 
     def __init__(self, program: GroundProgram):
         self._program = program
         self._condensation = IncrementalCondensation(program.index())
-        #: component id -> (true atom ids, false atom ids) of its solution
-        self._solutions: dict[int, tuple[frozenset[int], frozenset[int]]] = {}
-        #: component id -> external body atom ids its solution depends on
-        self._inputs: dict[int, frozenset[int]] = {}
+        #: component ids below this were solved by an earlier refresh
+        self._solved_below = 0
         #: condensation updates accumulated by :meth:`refresh_structure`
         #: calls between refreshes — nothing may be lost when a caller
         #: refreshes the condensation without immediately re-solving
@@ -444,7 +480,7 @@ class IncrementalWFS:
     def _retract_solution(
         self, index: RuleIndex, true_part: Collection[int], false_part: Collection[int]
     ) -> None:
-        """Drop a component's stored solution from the id sets and mirrors."""
+        """Drop a component's previous values from the id sets and mirrors."""
         if true_part:
             self._true_ids.difference_update(true_part)
             buckets = self._true_by_predicate
@@ -486,55 +522,61 @@ class IncrementalWFS:
         index = self._program.index()
         condensation = self._condensation
         self.refresh_structure()
-        removed = self._pending_removed
-        dirty = self._pending_dirty - removed
+        # a removed component's members sit in a merged component now, which
+        # is dirty and reads their previous values off the id sets
+        dirty = self._pending_dirty - self._pending_removed
         for atom_id in self._pending_dirty_atom_ids:
             dirty.add(condensation.component_of_atom(atom_id))
         self._pending_dirty = set()
         self._pending_removed = set()
         self._pending_dirty_atom_ids = set()
-        if not dirty and not removed:
+        if not dirty:
             # No new rules reached any component, so no solution can change
-            # (a genuinely new rule always dirties its head's component), no
-            # rule activity flipped, and the universe is unchanged.
+            # (a genuinely new rule always dirties its head's component, and
+            # a merge creates a dirty component), no rule activity flipped,
+            # and the universe is unchanged.
             self.last_visited = 0
             self.last_resolved = 0
             self.last_reused = len(condensation)
             return
         self._snapshot = None
-        changed: set[int] = set()
-        for cid in removed:
-            solution = self._solutions.pop(cid, None)
-            if solution is not None:
-                # the merged successor re-solves and re-asserts these atoms;
-                # anything it no longer derives has genuinely changed value
-                self._retract_solution(index, *solution)
-                changed |= solution[0] | solution[1]
-            self._inputs.pop(cid, None)
-
-        resolved, rounds, visited = self._ripple(index, dirty, changed)
+        resolved, rounds, visited = self._ripple(index, dirty)
+        self._solved_below = condensation.next_id()
         self._iterations = rounds
         self.last_visited = visited
         self.last_resolved = resolved
         self.last_reused = len(condensation) - resolved
 
-    def _ripple(
-        self, index: RuleIndex, dirty: set[int], changed: set[int]
-    ) -> tuple[int, int, int]:
+    def _ripple(self, index: RuleIndex, dirty: set[int]) -> tuple[int, int, int]:
         """The position-heap ripple; returns ``(resolved, rounds, visited)``.
 
         A component is popped only when it is dirty or some rule heading into
         it watches an atom that changed value earlier in this refresh, and
         the heap pops in condensation order, so by the time a component is
         popped every change below it is final.  The resolve test on a popped
-        component is the full rule — no stored solution, dirty, or a changed
-        external input — so the decisions (and with them every statistic)
-        equal a dependencies-first sweep over the whole order.
+        component is the full rule — dirty (every component created since the
+        last refresh is), or a changed external input — so the decisions (and
+        with them every statistic) equal a dependencies-first sweep over the
+        whole order.
+
+        The solve runs while the members still hold their previous values in
+        the id sets, so neither solver may read a member's value:
+        :func:`_solve_component` skips members when it reads the externals,
+        and :func:`_solve_atom` gives up on a rule that mentions its atom.  A
+        re-solve's delta is the symmetric difference of the members' values
+        before and after it.  For a component created since the last refresh
+        it is every value before (left by the components merged into it) and
+        after, so the merged components' values count as changed even where
+        they come back.
         """
         condensation = self._condensation
         position = condensation.position
         comp_of = condensation.component_of_atom
-        head_id = index.head_id
+        head_id, pos_ids, neg_ids = index.head_id, index.pos_ids, index.neg_ids
+        active_rules = index.active_rule_ids_for_head_id
+        true_ids, false_ids = self._true_ids, self._false_ids
+        solved_below = self._solved_below
+        changed: set[int] = set()
         queued = set(dirty)
         heap = [(position(cid), cid) for cid in queued]
         heapq.heapify(heap)
@@ -548,47 +590,46 @@ class IncrementalWFS:
                             queued.add(cid)
                             heapq.heappush(heap, (position(cid), cid))
 
-        push_watchers(changed)
         rounds = resolved = visited = 0
         while heap:
             _, cid = heapq.heappop(heap)
             visited += 1
-            stored = self._solutions.get(cid)
-            resolve = stored is None or cid in dirty
-            if not resolve and changed:
-                inputs = self._inputs.get(cid)
-                resolve = inputs is not None and not changed.isdisjoint(inputs)
-            if not resolve:
+            members = condensation.members(cid)
+            rule_ids = [
+                rule_id for atom_id in members for rule_id in active_rules(atom_id)
+            ]
+            # a member's value changes only when its component re-solves, and
+            # a component is popped once, so every changed body atom is an
+            # external input; while the component is not dirty its active
+            # rules are those of its last solve
+            if cid not in dirty and not any(
+                not changed.isdisjoint(pos_ids(rule_id))
+                or not changed.isdisjoint(neg_ids(rule_id))
+                for rule_id in rule_ids
+            ):
                 continue
             resolved += 1
-            component = set(condensation.members(cid))
-            rule_ids = [
-                rule_id
-                for atom_id in component
-                for rule_id in index.active_rule_ids_for_head_id(atom_id)
-            ]
-            if stored is not None:
-                self._retract_solution(index, *stored)
-            local_true, local_false, component_rounds = _solve_component(
-                index, component, rule_ids, self._true_ids, self._false_ids
-            )
-            self._assert_solution(index, local_true, local_false)
+            solution = None
+            if len(members) == 1:
+                solution = _solve_atom(index, members[0], rule_ids, true_ids, false_ids)
+            if solution is None:
+                solution = _solve_component(
+                    index, set(members), rule_ids, true_ids, false_ids
+                )
+            local_true, local_false, component_rounds = solution
             rounds += component_rounds
-            solution = (frozenset(local_true), frozenset(local_false))
-            if stored is None:
-                delta = solution[0] | solution[1]
+            old_true = [atom_id for atom_id in members if atom_id in true_ids]
+            old_false = [atom_id for atom_id in members if atom_id in false_ids]
+            if cid >= solved_below:
+                delta = {*old_true, *old_false, *local_true, *local_false}
             else:
-                delta = (stored[0] ^ solution[0]) | (stored[1] ^ solution[1])
+                delta = set(old_true).symmetric_difference(local_true)
+                delta |= set(old_false).symmetric_difference(local_false)
             if delta:
+                self._retract_solution(index, old_true, old_false)
+                self._assert_solution(index, local_true, local_false)
                 changed |= delta
                 push_watchers(delta)
-            self._solutions[cid] = solution
-            self._inputs[cid] = frozenset(
-                atom_id
-                for rule_id in rule_ids
-                for atom_id in (*index.pos_ids(rule_id), *index.neg_ids(rule_id))
-                if atom_id not in component
-            )
         return resolved, rounds, visited
 
     def model(self) -> WellFoundedModel:
@@ -611,13 +652,14 @@ def well_founded_model_incremental(
     program: GroundProgram,
     state: Optional[IncrementalWFS] = None,
 ) -> tuple[WellFoundedModel, IncrementalWFS]:
-    """``WFS(P)`` of a growing program, reusing the previous call's solutions.
+    """``WFS(P)`` of a growing program, reusing the previous call's model.
 
     Functional wrapper around :class:`IncrementalWFS` for callers that thread
     state explicitly (the Datalog± engine's deepening schedule): pass the
     state returned by the previous call — made against the *same* (since
     grown) :class:`~repro.lp.grounding.GroundProgram` object — and only the
-    components the delta touched are re-solved.  With ``state=None`` (or a
+    components the delta touched are re-solved; every other component keeps
+    the values it has in that state's model.  With ``state=None`` (or a
     state bound to a different program) the computation starts cold and is
     equivalent to :func:`well_founded_model`.
     """

@@ -56,3 +56,12 @@ def test_a_json_below_its_floor_fails():
     data["largest_retract_speedup"] = 9.9
     verdicts = run_cases.gates(case, data, smoke=False)
     assert ("FAIL", "largest_retract_speedup = 9.9 (>= 10)") in verdicts
+
+
+@pytest.mark.parametrize("name", CASES)
+def test_only_a_report_run_writes_the_committed_json(name):
+    case = run_cases.CASES[name]
+    smoke = run_cases.output_path(case, smoke=True)
+    assert smoke.parent == run_cases.SMOKE_DIR
+    assert smoke != case.path and smoke.name == case.path.name
+    assert run_cases.output_path(case, smoke=False) == case.path

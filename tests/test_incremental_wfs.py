@@ -14,12 +14,16 @@ Three layers are covered, each pinned against its from-scratch oracle:
   :mod:`test_incremental_properties`).
 
 The component solver both paths share, ``_solve_component``, is also pinned
-to treat its external inputs as read-only.
+to treat its external inputs as read-only, the one-atom solve of the
+incremental path, ``_solve_atom``, to agree with it, and both to ignore the
+values their component's members hold when they run.
 """
 
 from __future__ import annotations
 
+import gc
 import random
+import tracemalloc
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -35,10 +39,11 @@ from repro.core.engine import WellFoundedEngine
 from repro.exceptions import GroundingError
 from repro.lang.atoms import Atom
 from repro.lang.rules import NormalRule
-from repro.lp.fixpoint import IncrementalCondensation
+from repro.lp.fixpoint import IncrementalCondensation, RuleIndex
 from repro.lp.grounding import GroundProgram, SemiNaiveGrounder, relevant_grounding
 from repro.lp.wfs import (
     IncrementalWFS,
+    _solve_atom,
     _solve_component,
     well_founded_model,
     well_founded_model_incremental,
@@ -284,6 +289,146 @@ class TestSolveComponentReadOnly:
             assert incremental.undefined_atoms() == scratch.undefined_atoms()
 
 
+#: The external atoms of the one-atom components below, and their values.
+EXTERNALS = [atom("x", str(i)) for i in range(5)]
+VALUES = ("true", "false", "undefined")
+
+
+@st.composite
+def one_atom_components(draw):
+    """``(index, head id, active rule ids, true ids, false ids)`` for one atom ``h``.
+
+    Every rule heads ``h`` and draws its bodies, repeats allowed, from the
+    external atoms, which are true, false or undefined; some rules are then
+    disabled.
+    """
+    index = RuleIndex()
+    head = index.intern(atom("h"))
+    values = {index.intern(x): draw(st.sampled_from(VALUES)) for x in EXTERNALS}
+    bodies = st.lists(st.sampled_from(EXTERNALS), max_size=3).map(tuple)
+    for pos, neg in draw(st.lists(st.tuples(bodies, bodies), max_size=4)):
+        index.add_rule(NormalRule(atom("h"), pos, neg))
+    for rule_id in draw(st.sets(st.integers(0, 3))):
+        if rule_id < len(index):
+            index.disable_rule(rule_id)
+    true_ids = frozenset(a for a, value in values.items() if value == "true")
+    false_ids = frozenset(a for a, value in values.items() if value == "false")
+    return index, head, index.active_rule_ids_for_head_id(head), true_ids, false_ids
+
+
+@given(component=one_atom_components())
+@settings(max_examples=300, deadline=None)
+def test_one_atom_solve_equals_the_closures(component):
+    index, head, rule_ids, true_ids, false_ids = component
+    assert _solve_atom(*component) == _solve_component(
+        index, {head}, rule_ids, true_ids, false_ids
+    )
+
+
+def one_atom_index(*rules: NormalRule):
+    index = RuleIndex(rules)
+    for x in EXTERNALS:
+        index.intern(x)
+    return index, index.intern(atom("h"))
+
+
+@pytest.mark.parametrize(
+    "rules, disabled, expected",
+    [
+        # no rules, and a rule switched off: no support, false
+        ((), (), "false"),
+        ((NormalRule(atom("h")),), (0,), "false"),
+        # a body atom repeated is read once: x0 true, x2 undefined
+        ((NormalRule(atom("h"), (EXTERNALS[0], EXTERNALS[0])),), (), "true"),
+        ((NormalRule(atom("h"), (EXTERNALS[2],), (EXTERNALS[1], EXTERNALS[1])),), (), "undefined"),
+        # the best rule wins after a disabled true one
+        (
+            (
+                NormalRule(atom("h")),
+                NormalRule(atom("h"), (), (EXTERNALS[0],)),
+                NormalRule(atom("h"), (EXTERNALS[2],)),
+            ),
+            (0,),
+            "undefined",
+        ),
+    ],
+)
+def test_one_atom_solve_pins(rules, disabled, expected):
+    index, head = one_atom_index(*rules)
+    for rule_id in disabled:
+        index.disable_rule(rule_id)
+    true_ids = frozenset({index.atom_id(EXTERNALS[0])})
+    false_ids = frozenset({index.atom_id(EXTERNALS[1])})
+    rule_ids = index.active_rule_ids_for_head_id(head)
+    local_true, local_false, rounds = _solve_atom(index, head, rule_ids, true_ids, false_ids)
+    value = "true" if local_true else "false" if local_false else "undefined"
+    assert (value, rounds) == (expected, 1)
+    assert _solve_component(index, {head}, rule_ids, true_ids, false_ids) == (
+        local_true,
+        local_false,
+        rounds,
+    )
+
+
+@given(program=ground_programs())
+@settings(max_examples=150, deadline=None)
+def test_solvers_never_read_a_member_value(program):
+    """The ripple solves a component while its members hold their previous values.
+
+    So neither solver may read them: with the members' model values, all of
+    them true or all of them false in the id sets, every component solves
+    as it does with no member value there at all.
+    """
+    index = program.index()
+    model = well_founded_model(program)
+    true_ids = frozenset(index.atom_id(a) for a in model.true_atoms())
+    false_ids = frozenset(index.atom_id(a) for a in model.false_atoms())
+    for component in index.dependency_components_ids():
+        members = set(component)
+        rule_ids = [r for a in component for r in index.active_rule_ids_for_head_id(a)]
+        outside_true, outside_false = true_ids - members, false_ids - members
+        stale = [
+            (true_ids, false_ids),
+            (outside_true | members, outside_false),
+            (outside_true, outside_false | members),
+        ]
+        expected = _solve_component(index, members, rule_ids, outside_true, outside_false)
+        for values in stale:
+            assert _solve_component(index, members, rule_ids, *values) == expected
+        if len(component) == 1:
+            solved = _solve_atom(index, component[0], rule_ids, outside_true, outside_false)
+            assert solved in (None, expected)
+            for values in stale:
+                assert _solve_atom(index, component[0], rule_ids, *values) == solved
+
+
+@pytest.mark.parametrize(
+    "rule, value",
+    [
+        (NormalRule(atom("a"), (atom("a"),)), "false"),
+        (NormalRule(atom("a"), (), (atom("a"),)), "undefined"),
+    ],
+)
+def test_self_mentioning_atoms_take_the_closures(rule, value, monkeypatch):
+    import repro.lp.wfs as wfs_module
+
+    index = RuleIndex([rule])
+    assert _solve_atom(index, index.atom_id(atom("a")), [0], frozenset(), frozenset()) is None
+    solved = []
+    original = wfs_module._solve_component
+
+    def recording(index, component, rule_ids, true_ids, false_ids):
+        solved.append(set(component))
+        return original(index, component, rule_ids, true_ids, false_ids)
+
+    monkeypatch.setattr(wfs_module, "_solve_component", recording)
+    program = GroundProgram([rule])
+    model = IncrementalWFS(program).model()
+    assert solved == [{program.index().atom_id(atom("a"))}]
+    assert getattr(model, f"is_{value}")(atom("a"))
+    assert model == well_founded_model(program)
+
+
 class FullScanRipple:
     """Reference ripple: test every component of the order, dependencies first.
 
@@ -408,15 +553,40 @@ def test_heap_ripple_matches_full_scan_reference(schedule):
             assert model.is_false(atom_) == scratch.is_false(atom_)
 
 
-def test_toggling_one_fact_visits_only_its_ripple():
-    """O(delta): one flipped fact in a 15k-component program pops a handful."""
+def test_a_merge_counts_its_old_values_as_changed():
+    """A merged component's previous values count as changed, even where they return.
+
+    ``a`` is true and ``c :- not a`` reads it; the next step merges ``a``
+    with ``b``.  ``a`` stays true, yet ``c`` re-solves, as it does when the
+    merged-away solution is retracted before the ripple (the reference).
+    """
+    program = GroundProgram()
+    solver, reference = IncrementalWFS(program), FullScanRipple(program)
+    for chunk in (
+        [NormalRule(atom("c"), (), (atom("a"),)), NormalRule(atom("a"))],
+        [NormalRule(atom("a"), (), (atom("b"),)), NormalRule(atom("b"), (), (atom("a"),))],
+    ):
+        program.update(chunk)
+        model = solver.model()
+        assert (solver.last_resolved, solver.last_reused) == reference.refresh()
+    assert solver.last_resolved == 2  # {a, b} and c
+    assert model.is_true(atom("a")) and model.is_false(atom("c"))
+
+
+def fact_chain_program() -> GroundProgram:
+    """Facts ``e(n)``, ``p(n) :- e(n)`` and ``q(n) :- not p(n)``: 15 000 one-atom components."""
     rules = []
     for i in range(5_000):
         node = atom("e", f"n{i}")
         rules.append(NormalRule(node))
         rules.append(NormalRule(atom("p", f"n{i}"), (node,)))
         rules.append(NormalRule(atom("q", f"n{i}"), (), (atom("p", f"n{i}"),)))
-    program = GroundProgram(rules)
+    return GroundProgram(rules)
+
+
+def test_toggling_one_fact_visits_only_its_ripple():
+    """O(delta): one flipped fact in a 15k-component program pops a handful."""
+    program = fact_chain_program()
     solver = IncrementalWFS(program)
     solver.refresh()
     assert len(solver.condensation) >= 10_000
@@ -431,6 +601,31 @@ def test_toggling_one_fact_visits_only_its_ripple():
         assert solver.last_visited == solver.last_resolved == 3
         assert solver.last_reused == len(solver.condensation) - 3
     assert solver.model().is_true(atom("p", "n7"))
+
+
+def test_cold_refresh_keeps_no_per_component_solutions():
+    """The solved values live in the id sets and their mirrors, nowhere else.
+
+    Storing a solution and an input set per component kept 923 bytes per
+    component of this program; the id sets and the mirrors keep about 140.  The condensation is built first, so only
+    the solver's own state is measured.
+    """
+    solver = IncrementalWFS(fact_chain_program())
+    solver.refresh_structure()
+    gc.collect()
+    was_tracing = tracemalloc.is_tracing()
+    if not was_tracing:
+        tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        solver.refresh()
+        gc.collect()
+        kept = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        if not was_tracing:
+            tracemalloc.stop()
+    assert solver.last_resolved == len(solver.condensation) == 15_000
+    assert kept / len(solver.condensation) < 400
 
 
 def test_incremental_snapshots_survive_later_refreshes():
